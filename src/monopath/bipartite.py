@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .core import BLUE, RED, Colour, Colouring, MonopathError, Path
+from .core import RED, Colour, Colouring, MonopathError, Path
+from .core import mask_vertices, vertex_mask
 
 
 class EmptyY(MonopathError):
@@ -89,13 +90,8 @@ class BipartiteView:
     ) -> "BipartiteView":
         xs = sorted(set(xs))
         ys = sorted(set(ys))
-        xmask = 0
-        for x in xs:
-            xmask |= 1 << (x - 1)
-        adj = {}
-        for y in ys:
-            mm = g.mask(y, colour) & xmask
-            adj[y] = frozenset(_bits(mm))
+        xmask = vertex_mask(xs)
+        adj = {y: frozenset(mask_vertices(g.mask(y, colour) & xmask)) for y in ys}
         return cls(tuple(xs), tuple(ys), adj, m=m, colour=colour)
 
     def degree(self, y: int) -> int:
@@ -110,13 +106,6 @@ class BipartiteView:
             m=self.m,
             colour=self.colour,
         )
-
-
-def _bits(mask: int):
-    while mask:
-        b = mask & -mask
-        yield b.bit_length()
-        mask ^= b
 
 
 @dataclass(frozen=True)
@@ -314,19 +303,13 @@ RAMSEY_EXACT_THRESHOLD = 14
 
 def _vertex_masks(v: BipartiteView) -> tuple[dict[int, int], dict[int, int]]:
     """Per-vertex partner masks in view colour and its complement."""
-    xmask = 0
-    for x in v.X:
-        xmask |= 1 << (x - 1)
-    ymask = 0
-    for y in v.Y:
-        ymask |= 1 << (y - 1)
+    xmask = vertex_mask(v.X)
+    ymask = vertex_mask(v.Y)
     main: dict[int, int] = {x: 0 for x in v.X}
     for y in v.Y:
-        my = 0
+        main[y] = vertex_mask(v.adjacency[y])
         for x in v.adjacency[y]:
-            my |= 1 << (x - 1)
             main[x] |= 1 << (y - 1)
-        main[y] = my
     other = {}
     for x in v.X:
         other[x] = ymask & ~main[x]

@@ -15,8 +15,9 @@ from fractions import Fraction
 
 from . import arith
 from .bipartite import BipartiteView, PreconditionViolated, decompose, ramsey_path
-from .bipartite import CannotCertify, EqualLengths, SidesTooSmall
+from .bipartite import CannotCertify, EqualLengths, SidesTooSmall, _best_greedy
 from .core import BLUE, RED, Colour, Colouring, GuardFailed, Path
+from .core import mask_vertices, vertex_mask
 
 
 @dataclass(frozen=True)
@@ -63,9 +64,7 @@ def maximal_path(g: Colouring, gamma: Colour, seed_path: Path | None = None) -> 
         verts = list(seed_path.vertices)
     else:
         verts = [1]
-    used = 0
-    for v in verts:
-        used |= 1 << (v - 1)
+    used = vertex_mask(verts)
     grown = True
     while grown:
         grown = False
@@ -115,10 +114,7 @@ def rotate_or_extend(
     gamma = path.colour
     if y in set(p):
         raise ValueError(f"{y} already on the path")
-    pm = 0
-    for v in p:
-        pm |= 1 << (v - 1)
-    bmask = g.mask(y, gamma) & pm
+    bmask = g.mask(y, gamma) & vertex_mask(p)
     if not bmask:
         return SmallDegree(0)
     if bmask & (1 << (p[0] - 1)):
@@ -126,7 +122,7 @@ def rotate_or_extend(
     if bmask & (1 << (p[-1] - 1)):
         return LongerPath(Path((*p, y), gamma))
     pos = {v: i for i, v in enumerate(p)}
-    bpos = sorted(pos[b.bit_length()] for b in _single_bits(bmask))
+    bpos = sorted(pos[b] for b in mask_vertices(bmask))
     for a, b in zip(bpos, bpos[1:]):
         if b == a + 1:
             return LongerPath(Path((*p[: a + 1], y, *p[a + 1 :]), gamma))
@@ -141,13 +137,6 @@ def rotate_or_extend(
     if degree_bound is not None and len(bpos) > degree_bound:
         return RedCliqueCertificate(tuple(sorted(p[i] for i in preds)))
     return SmallDegree(len(bpos))
-
-
-def _single_bits(mask: int):
-    while mask:
-        b = mask & -mask
-        yield b
-        mask ^= b
 
 
 def refine_path(
@@ -198,49 +187,6 @@ class ReductionWitness:
         return max(len(self.red_paths), len(self.blue_paths))
 
 
-def _greedy_bipartite_path(g: Colouring, colour: Colour, a_side, b_side) -> list[int]:
-    """Greedy grow-and-rotate path probe restricted to edges between the sides."""
-    amask = bmask = 0
-    for v in a_side:
-        amask |= 1 << (v - 1)
-    for v in b_side:
-        bmask |= 1 << (v - 1)
-    adj = {}
-    for v in a_side:
-        adj[v] = g.mask(v, colour) & bmask
-    for v in b_side:
-        adj[v] = g.mask(v, colour) & amask
-    verts = sorted(adj)
-    starts = [v for v in verts if adj[v]]
-    if not starts:
-        return [verts[0]] if verts else []
-    path = [starts[0]]
-    used = 1 << (starts[0] - 1)
-    flipped = False
-    while True:
-        cand = adj[path[-1]] & ~used
-        if cand:
-            w = (cand & -cand).bit_length()
-            path.append(w)
-            used |= 1 << (w - 1)
-            flipped = False
-            continue
-        on_path = adj[path[-1]] & used
-        rotated = False
-        for i in range(len(path) - 2):
-            if on_path & (1 << (path[i] - 1)) and adj[path[i + 1]] & ~used:
-                path = path[: i + 1] + path[i + 1 :][::-1]
-                rotated = True
-                break
-        if rotated:
-            continue
-        if not flipped:
-            path.reverse()
-            flipped = True
-            continue
-        return path
-
-
 def find_long_path_structure(g: Colouring, c1: float, c2: float):
     """Run the long-path pipeline; return LongPathStructure or ReductionWitness.
 
@@ -287,7 +233,10 @@ def find_long_path_structure(g: Colouring, c1: float, c2: float):
     w = [v for v in range(1, n + 1) if v not in qset][:half]
     t = arith.ceil_of_coeff_sqrt(2 * dp, n)  # witness size target
 
-    probe = _greedy_bipartite_path(g2, RED, q, w)
+    # red edges between q and w only
+    qmask, wmask = vertex_mask(q), vertex_mask(w)
+    adj = {v: g2.mask(v, RED) & (wmask if v in qset else qmask) for v in (*q, *w)}
+    probe = _best_greedy(adj, sorted(adj))
     s = sorted(set(probe) & qset)
     if len(s) >= t and len(probe) > 1:
         return witness(s, [Path(tuple(probe), RED)], [Path(q, BLUE)])

@@ -58,6 +58,24 @@ def _bit(v: int) -> int:
     return 1 << (v - 1)
 
 
+def vertex_mask(vertices: Iterable[int]) -> int:
+    """The bitmask with bit v-1 set for every vertex v."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << (v - 1)
+    return mask
+
+
+def mask_vertices(mask: int) -> list[int]:
+    """The vertices of a bitmask, ascending."""
+    out = []
+    while mask:
+        b = mask & -mask
+        mask ^= b
+        out.append(b.bit_length())
+    return out
+
+
 class Colouring:
     """A 2-edge-colouring of the complete graph on vertices 1..n.
 
@@ -200,10 +218,6 @@ class Colouring:
 
     def __repr__(self) -> str:
         return f"Colouring(n={self.n})"
-
-
-def colour_of(g: Colouring, u: int, v: int) -> Colour:
-    return g.colour(u, v)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,10 @@ superset, so restricting the recursion to maximal sets loses nothing.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 from .core import RED, Colour, Colouring, MonopathError, Path, PathCover
+from .core import mask_vertices, vertex_mask
 
 DEFAULT_ORACLE_THRESHOLD = 14
 
@@ -68,15 +71,6 @@ def _spanning_path(ends: list[int], adj: list[int], mask: int) -> list[int]:
     return out
 
 
-def _vertices(mask: int) -> list[int]:
-    out = []
-    while mask:
-        b = mask & -mask
-        mask ^= b
-        out.append(b.bit_length())
-    return out
-
-
 class TraceableFamily:
     """All vertex subsets spanned by a single path of one colour."""
 
@@ -86,18 +80,17 @@ class TraceableFamily:
         self.n = g.n
         self._ends, self._adj = _ends_table(g, gamma)
         self.sets = frozenset(
-            frozenset(_vertices(m)) for m in range(1, 1 << g.n) if self._ends[m]
+            frozenset(mask_vertices(m)) for m in range(1, 1 << g.n) if self._ends[m]
         )
 
     def __contains__(self, subset) -> bool:
         return frozenset(subset) in self.sets
 
     def witness_path(self, subset) -> Path:
-        mask = 0
         for v in subset:
             if not 1 <= v <= self.n:
                 raise ValueError(f"vertex {v} outside 1..{self.n}")
-            mask |= 1 << (v - 1)
+        mask = vertex_mask(subset)
         if not mask or not self._ends[mask]:
             raise ValueError(f"{sorted(subset)} is not traceable")
         return Path(tuple(_spanning_path(self._ends, self._adj, mask)), self.colour)
@@ -142,7 +135,7 @@ def min_cover_colour(
     maximal = _maximal_masks(ends, n)
     by_v: list[list[int]] = [[] for _ in range(n)]
     for w in maximal:
-        for v in _vertices(w):
+        for v in mask_vertices(w):
             by_v[v - 1].append(w)
 
     memo: dict[int, int] = {0: 0}
@@ -178,14 +171,11 @@ def min_cover_colour(
     return value, PathCover(gamma, tuple(paths), n)
 
 
+@dataclass(frozen=True)
 class OracleResult:
-    def __init__(self, value: int, colour: Colour, witness: PathCover):
-        self.value = value
-        self.colour = colour
-        self.witness = witness
-
-    def __repr__(self):
-        return f"OracleResult(value={self.value}, colour={self.colour!r})"
+    value: int
+    colour: Colour
+    witness: PathCover = field(repr=False)
 
 
 def exact_f(g: Colouring, threshold: int = DEFAULT_ORACLE_THRESHOLD) -> OracleResult:

@@ -39,7 +39,9 @@ from .core import (
     MonopathError,
     Path,
     PathCover,
+    mask_vertices,
     validate_cover,
+    vertex_mask,
 )
 from .oracle import exact_f
 
@@ -61,8 +63,6 @@ class SolverConfig:
     c2: float = 0.0
     c: float = 160000.0
     oracle_threshold: int = 14
-    greedy_fallback: bool = True
-    n0: int | None = None  # resolved to int(c)**10 when unset
 
     def __post_init__(self):
         if not self.c1 >= self.c2 >= 0:
@@ -71,14 +71,6 @@ class SolverConfig:
             raise ValueError(f"need c > 0, got {self.c}")
         if self.oracle_threshold < 1:
             raise ValueError("oracle_threshold must be at least 1")
-
-    @property
-    def threshold_n0(self) -> int:
-        return int(self.c) ** 10 if self.n0 is None else self.n0
-
-    def alpha(self, n: int) -> float:
-        """9c / n^(1/4).  Display only; comparisons go through arith."""
-        return 9.0 * float(self.c) / n ** 0.25
 
 
 @dataclass(frozen=True)
@@ -94,6 +86,16 @@ def _guarantee(n: int, size: int, cfg: SolverConfig) -> Guarantee:
     if arith.lt_sqrt_plus_const(size, n, cfg.c):
         return Guarantee.SQRT_PLUS_C
     return Guarantee.NONE
+
+
+def _pick(
+    n: int, cfg: SolverConfig, cands: list[tuple[str, PathCover]], trace: list[str]
+) -> SolveResult:
+    """The smallest candidate wins, the first listed on ties; the pick ends
+    the trace."""
+    tag, cover = min(cands, key=lambda tc: tc[1].size)
+    trace.append(f"pick:{tag}")
+    return SolveResult(cover, _guarantee(n, cover.size, cfg), tuple(trace))
 
 
 def reduce(
@@ -128,29 +130,13 @@ def reduce(
     return PathCover(inner.colour, mapped + tuple(extra), n)
 
 
-def _path_mask(vertices) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << (v - 1)
-    return m
-
-
-def _mask_vertices(mask: int) -> list[int]:
-    out = []
-    while mask:
-        b = mask & -mask
-        mask ^= b
-        out.append(b.bit_length())
-    return out
-
-
 def cover_from_structure(g: Colouring, s: LongPathStructure) -> PathCover:
     """The path itself, one path through P per pair of outside vertices that
     see P, and singletons for the rest.  Size is exactly
     1 + ceil(|Y1|/2) + |Y0|."""
     gamma = s.gamma
     pv = s.path.vertices
-    pm = _path_mask(pv)
+    pm = vertex_mask(pv)
     y0: list[int] = []
     y1: list[int] = []
     for y in sorted(s.Y):
@@ -168,8 +154,8 @@ def cover_from_structure(g: Colouring, s: LongPathStructure) -> PathCover:
         if not am or not bm:
             raise NoCommonNeighbour(f"pair ({a}, {b}) cannot reach the path")
         # no common neighbour: connect through a path segment instead
-        i = min(pos[v] for v in _mask_vertices(am))
-        j = min(pos[v] for v in _mask_vertices(bm))
+        i = min(pos[v] for v in mask_vertices(am))
+        j = min(pos[v] for v in mask_vertices(bm))
         seg = pv[i : j + 1] if i < j else pv[j : i + 1][::-1]
         paths.append(Path((a, *seg, b), gamma))
     if len(y1) % 2:
@@ -206,7 +192,7 @@ def _structure_attempt(g: Colouring, gamma) -> PathCover:
 
 
 def _gamma_isolated(g: Colouring, s: LongPathStructure) -> list[int]:
-    pm = _path_mask(s.path.vertices)
+    pm = vertex_mask(s.path.vertices)
     return [y for y in s.Y if not g.mask(y, s.gamma) & pm]
 
 
@@ -240,23 +226,24 @@ def _strip_and_mop(g: Colouring, s: LongPathStructure) -> PathCover:
     return PathCover(red, tuple(paths), n)
 
 
-def cover_bounded(g: Colouring, cfg: SolverConfig) -> SolveResult:
-    """Always returns a valid cover; follows the bounded-size induction for
-    n above the constant, base strategies otherwise (and alongside)."""
+def _bounded_candidates(
+    g: Colouring, cfg: SolverConfig
+) -> tuple[list[tuple[str, PathCover]], list[str]]:
+    """cover_bounded's tagged candidates in pick order, and its trace: the
+    base strategies always, the bounded-size induction for n above c."""
     n = g.n
     trace: list[str] = []
-    cands: list[tuple[int, int, PathCover, str]] = []
+    cands: list[tuple[str, PathCover]] = []
 
     def add(cover: PathCover, tag: str) -> None:
         trace.append(tag)
-        cands.append((cover.size, len(cands), cover, tag))
+        cands.append((tag, cover))
 
     if n <= cfg.oracle_threshold:
         add(exact_f(g, cfg.oracle_threshold).witness, "base:oracle")
     for gamma in (RED, BLUE):
         add(_structure_attempt(g, gamma), f"base:structure-{gamma.value}")
-    if cfg.greedy_fallback:
-        add(_greedy_cover(g), "base:greedy")
+    add(_greedy_cover(g), "base:greedy")
 
     if n > cfg.c:
         trace.append("bounded:pipeline")
@@ -289,33 +276,24 @@ def cover_bounded(g: Colouring, cfg: SolverConfig) -> SolveResult:
                     add(_strip_and_mop(g, found), "bounded:strip")
                 except (PreconditionViolated, GuardFailed) as exc:
                     trace.append(f"bounded:strip-failed({exc})")
-
-    size, _, cover, tag = min(cands, key=lambda t: (t[0], t[1]))
-    trace.append(f"pick:{tag}")
-    return SolveResult(cover, _guarantee(n, size, cfg), tuple(trace))
+    return cands, trace
 
 
-def cover_sqrt(g: Colouring, cfg: SolverConfig) -> SolveResult:
-    """The sqrt-bound orchestration; branches whose guards fail route to
-    cover_bounded and the trace records the detour."""
+def cover_bounded(g: Colouring, cfg: SolverConfig) -> SolveResult:
+    """Always returns a valid cover; follows the bounded-size induction for
+    n above the constant, base strategies otherwise (and alongside)."""
+    return _pick(g.n, cfg, *_bounded_candidates(g, cfg))
+
+
+def _sqrt_step(g: Colouring, cfg: SolverConfig, trace: list[str]) -> PathCover | None:
+    """The sqrt-bound step, or None when one of its guards fails; the trace
+    records the branch taken or the guard that failed."""
     n = g.n
-    trace: list[str] = []
-    if n <= cfg.threshold_n0:
-        trace.append("sqrt:n<=n0")
-
-    def fallback() -> SolveResult:
-        inner = cover_bounded(g, cfg)
-        trace.append("sqrt:fallback")
-        trace.extend(inner.branch_trace)
-        return SolveResult(
-            inner.cover, _guarantee(n, inner.cover.size, cfg), tuple(trace)
-        )
-
     try:
         found = find_long_path_structure(g, cfg.c, 0.0)
     except GuardFailed:
         trace.append("sqrt:pipeline-guard-failed")
-        return fallback()
+        return None
 
     if isinstance(found, ReductionWitness):
         try:
@@ -326,71 +304,86 @@ def cover_sqrt(g: Colouring, cfg: SolverConfig) -> SolveResult:
                 lambda sub: cover_bounded(sub, cfg).cover,
                 c1=cfg.c, c2=0.0,
             )
-            trace.append("sqrt:reduce")
-            return SolveResult(cov, _guarantee(n, cov.size, cfg), tuple(trace))
         except GuardFailed:
             trace.append("sqrt:reduce-guard-failed")
-            return fallback()
+            return None
+        trace.append("sqrt:reduce")
+        return cov
 
     s = found
     y0 = _gamma_isolated(g, s)
     coeff = 18 * Fraction(cfg.c)
     if arith.le_sqrt_minus_quartic(len(y0), n, coeff) or (len(s.Y) + 1) ** 2 <= n:
-        cov = cover_from_structure(g, s)
         trace.append("sqrt:y-exit")
-        return SolveResult(cov, _guarantee(n, cov.size, cfg), tuple(trace))
+        return cover_from_structure(g, s)
 
     xs = s.path.vertices
     ys = s.Y
-    if len(xs) > len(ys):
-        red = s.gamma.complement
-        view = BipartiteView.from_colouring(g, xs, ys, colour=red)
-        dc = DegreeClasses.from_view(view)
-        balanced = (not dc.x1 and not dc.y1) or (
-            len(dc.x0) * len(dc.y0) > 2 * len(dc.x1) * len(dc.y1)
-        )
-        if balanced:
-            try:
-                paths = decompose_full(view)
-            except PreconditionViolated:
-                trace.append("sqrt:decompose-failed")
-                return fallback()
-            assert len(paths) <= arith.ceil_div(len(xs), len(ys) + 1)
-            cov = PathCover(red, tuple(paths), n)
-            trace.append("sqrt:decompose")
-            return SolveResult(cov, _guarantee(n, cov.size, cfg), tuple(trace))
-        trace.append("sqrt:classes-fail")
-    else:
+    if len(xs) <= len(ys):
         trace.append("sqrt:xy-ratio-fail")
-    return fallback()
+        return None
+    red = s.gamma.complement
+    view = BipartiteView.from_colouring(g, xs, ys, colour=red)
+    dc = DegreeClasses.from_view(view)
+    balanced = (not dc.x1 and not dc.y1) or (
+        len(dc.x0) * len(dc.y0) > 2 * len(dc.x1) * len(dc.y1)
+    )
+    if not balanced:
+        trace.append("sqrt:classes-fail")
+        return None
+    try:
+        paths = decompose_full(view)
+    except PreconditionViolated:
+        trace.append("sqrt:decompose-failed")
+        return None
+    assert len(paths) <= arith.ceil_div(len(xs), len(ys) + 1)
+    trace.append("sqrt:decompose")
+    return PathCover(red, tuple(paths), n)
+
+
+def cover_sqrt(g: Colouring, cfg: SolverConfig) -> SolveResult:
+    """The sqrt-bound orchestration; when a guard fails it falls back to
+    cover_bounded and the trace records the detour."""
+    trace: list[str] = []
+    cov = _sqrt_step(g, cfg, trace)
+    if cov is None:
+        inner = cover_bounded(g, cfg)
+        trace.append("sqrt:fallback")
+        trace.extend(inner.branch_trace)
+        cov = inner.cover
+    return SolveResult(cov, _guarantee(g.n, cov.size, cfg), tuple(trace))
 
 
 def solve(g: Colouring, cfg: SolverConfig | None = None) -> SolveResult:
-    """Best valid cover among oracle (small n), cover_sqrt, cover_bounded and
-    the greedy fallback; strictly smaller size wins, then strategy order."""
+    """Best valid cover among oracle (small n), the sqrt step, cover_bounded
+    and the greedy cover; strictly smaller size wins, then strategy order.
+
+    Each candidate is built once: the oracle witness and the greedy cover
+    are cover_bounded's own base candidates, and the sqrt step falls back to
+    the bounded pick instead of running the bounded induction again.
+    """
     cfg = SolverConfig() if cfg is None else cfg
-    n = g.n
+    base, bounded_trace = _bounded_candidates(g, cfg)
+    built = dict(base)
+    bounded = _pick(g.n, cfg, base, bounded_trace)
     trace: list[str] = []
-    cands: list[tuple[int, int, PathCover, str]] = []
+    cands: list[tuple[str, PathCover]] = []
 
     def add(cover: PathCover, tag: str) -> None:
         if not validate_cover(g, cover).valid:
             trace.append(f"{tag}:invalid-dropped")
             return
         trace.append(tag)
-        cands.append((cover.size, len(cands), cover, tag))
+        cands.append((tag, cover))
 
-    if n <= cfg.oracle_threshold:
-        add(exact_f(g, cfg.oracle_threshold).witness, "oracle")
-    rs = cover_sqrt(g, cfg)
-    trace.extend(rs.branch_trace)
-    add(rs.cover, "sqrt")
-    rb = cover_bounded(g, cfg)
-    trace.extend(rb.branch_trace)
-    add(rb.cover, "bounded")
-    if cfg.greedy_fallback:
-        add(_greedy_cover(g), "greedy")
-
-    size, _, cover, tag = min(cands, key=lambda t: (t[0], t[1]))
-    trace.append(f"pick:{tag}")
-    return SolveResult(cover, _guarantee(n, size, cfg), tuple(trace))
+    if "base:oracle" in built:
+        add(built["base:oracle"], "oracle")
+    sqrt = _sqrt_step(g, cfg, trace)
+    if sqrt is None:
+        trace.append("sqrt:fallback")
+        sqrt = bounded.cover
+    add(sqrt, "sqrt")
+    trace.extend(bounded.branch_trace)
+    add(bounded.cover, "bounded")
+    add(built["base:greedy"], "greedy")
+    return _pick(g.n, cfg, cands, trace)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from itertools import combinations
 
@@ -114,3 +115,10 @@ class TestExactF:
         assert isinstance(res, OracleResult)
         assert res.value >= 1
         assert DEFAULT_ORACLE_THRESHOLD == 14
+
+    def test_result_is_frozen_and_compares_by_value(self):
+        res = exact_f(extremal(6))
+        assert res == exact_f(extremal(6))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            res.value = 0
+        assert repr(res) == f"OracleResult(value={res.value}, colour={res.colour!r})"

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from conftest import all_colourings, path_ok, random_colouring_with
+from monopath import solver
 from monopath.construct import LongPathStructure, ReductionWitness
 from monopath.core import (
     BLUE,
@@ -13,7 +14,7 @@ from monopath.core import (
     PathCover,
     validate_cover,
 )
-from monopath.gen import extremal
+from monopath.gen import extremal, random_colouring
 from monopath.oracle import exact_f
 from monopath.solver import (
     Guarantee,
@@ -31,7 +32,6 @@ class TestSolverConfig:
         cfg = SolverConfig()
         assert cfg.c1 == cfg.c == 160000.0
         assert cfg.c2 == 0.0
-        assert cfg.threshold_n0 == 160000**10
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -42,11 +42,6 @@ class TestSolverConfig:
             SolverConfig(oracle_threshold=0)
         with pytest.raises(ValueError):
             SolverConfig(c2=-1.0, c1=0.0)
-
-    def test_n0_override_and_alpha(self):
-        cfg = SolverConfig(n0=500)
-        assert cfg.threshold_n0 == 500
-        assert SolverConfig(c=2.0).alpha(16) == pytest.approx(18 / 2.0)
 
 
 class TestSolveSmall:
@@ -258,3 +253,60 @@ class TestPipelines:
         res = solve(g)
         assert res.cover.size == 1
         assert res.cover.colour is BLUE
+
+
+def _count_calls(monkeypatch, *names):
+    """Wrap solver module globals; each call records the colouring it got."""
+    seen = {name: [] for name in names}
+    for name in names:
+        real = getattr(solver, name)
+
+        def wrapper(g, *args, _real=real, _seen=seen[name], **kwargs):
+            _seen.append(g)
+            return _real(g, *args, **kwargs)
+
+        monkeypatch.setattr(solver, name, wrapper)
+    return seen
+
+
+class TestEachCandidateOnce:
+    def test_oracle_and_greedy_run_once_at_n10(self, monkeypatch):
+        g = random_colouring(10, 0.5, 3)
+        seen = _count_calls(monkeypatch, "exact_f", "_greedy_cover")
+        res = solve(g)
+        assert validate_cover(g, res.cover).valid
+        assert len(seen["exact_f"]) == 1
+        assert len(seen["_greedy_cover"]) == 1
+
+    def test_fallback_reuses_the_bounded_result(self, monkeypatch):
+        g = random_colouring(17, 0.2, 24)
+        seen = _count_calls(monkeypatch, "_structure_attempt", "_greedy_cover")
+        res = solve(g)
+        assert "sqrt:fallback" in res.branch_trace
+        assert validate_cover(g, res.cover).valid
+        # the bounded base strategies ran for the whole graph exactly once
+        assert len(seen["_structure_attempt"]) == 2
+        assert len(seen["_greedy_cover"]) == 1
+
+    def test_once_per_colouring_through_reduce(self, monkeypatch):
+        # small constants: both pipelines reduce into sub-colourings, and each
+        # sub-colouring gets its own single run
+        cfg = SolverConfig(c1=1.0, c2=0.0, c=1.0)
+        g = random_colouring(90, 0.5, 0)
+        seen = _count_calls(monkeypatch, "_greedy_cover")
+        res = solve(g, cfg)
+        assert validate_cover(g, res.cover).valid
+        assert {"sqrt:reduce", "bounded:reduce"} <= set(res.branch_trace)
+        calls = seen["_greedy_cover"]
+        assert len(calls) > 1
+        assert len({id(h) for h in calls}) == len(calls)
+        assert sum(h is g for h in calls) == 1
+
+
+def test_bounded_strip_branch_is_reached():
+    # a red hub on 35..41: the blue long path leaves too many outside vertices
+    # for either exit, so the stripping branch closes the cover
+    g = Colouring.from_function(41, lambda u, v: RED if v > 34 else BLUE)
+    res = cover_bounded(g, SolverConfig(c1=2.0, c2=0.0, c=2.0))
+    assert res.branch_trace[-1] == "pick:bounded:strip"
+    assert validate_cover(g, res.cover).valid
