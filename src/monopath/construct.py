@@ -58,28 +58,40 @@ def two_path_cover(g: Colouring) -> TwoPathCover:
     return TwoPathCover(Path(tuple(red), RED), Path(tuple(blue), BLUE))
 
 
-def maximal_path(g: Colouring, gamma: Colour, seed_path: Path | None = None) -> Path:
-    """Extend a path at both ends until no same-colour edge leaves it."""
+def maximal_path(
+    g: Colouring,
+    gamma: Colour,
+    seed_path: Path | None = None,
+    *,
+    alive: int | None = None,
+) -> Path:
+    """Extend a path at both ends until no same-colour edge leaves it.
+
+    Without a seed the path starts at the lowest vertex.  An `alive` bitmask
+    restricts the start and every extension to its vertices, which gives the
+    path that g.induced(alive vertices) would, without relabelling.
+    """
+    free = (1 << g.n) - 1 if alive is None else alive
     if seed_path is not None and len(seed_path.vertices) > 0:
         verts = list(seed_path.vertices)
     else:
-        verts = [1]
-    used = vertex_mask(verts)
+        verts = [(free & -free).bit_length()]
+    free &= ~vertex_mask(verts)
     grown = True
     while grown:
         grown = False
-        cand = g.mask(verts[-1], gamma) & ~used
+        cand = g.mask(verts[-1], gamma) & free
         if cand:
             w = (cand & -cand).bit_length()
             verts.append(w)
-            used |= 1 << (w - 1)
+            free ^= 1 << (w - 1)
             grown = True
             continue
-        cand = g.mask(verts[0], gamma) & ~used
+        cand = g.mask(verts[0], gamma) & free
         if cand:
             w = (cand & -cand).bit_length()
             verts.insert(0, w)
-            used |= 1 << (w - 1)
+            free ^= 1 << (w - 1)
             grown = True
     return Path(tuple(verts), gamma)
 
@@ -127,13 +139,16 @@ def rotate_or_extend(
         if b == a + 1:
             return LongerPath(Path((*p[: a + 1], y, *p[a + 1 :]), gamma))
     preds = [i - 1 for i in bpos]
-    for ai in range(len(preds)):
-        pa = p[preds[ai]]
-        for bi in range(ai + 1, len(preds)):
-            if g.colour(pa, p[preds[bi]]) is gamma:
-                i, j = preds[ai], preds[bi]
-                verts = (*p[: i + 1], *p[i + 1 : j + 1][::-1], y, *p[j + 1 :])
-                return LongerPath(Path(verts, gamma))
+    # the first predecessor on the path with a same-colour chord to a later
+    # one, joined to the earliest such: one mask AND per predecessor
+    later = vertex_mask(p[i] for i in preds)
+    for ai, i in enumerate(preds):
+        later ^= 1 << (p[i] - 1)
+        hit = g.mask(p[i], gamma) & later
+        if hit:
+            j = next(j for j in preds[ai + 1 :] if hit >> (p[j] - 1) & 1)
+            verts = (*p[: i + 1], *p[i + 1 : j + 1][::-1], y, *p[j + 1 :])
+            return LongerPath(Path(verts, gamma))
     if degree_bound is not None and len(bpos) > degree_bound:
         return RedCliqueCertificate(tuple(sorted(p[i] for i in preds)))
     return SmallDegree(len(bpos))

@@ -172,15 +172,12 @@ def _greedy_cover(g: Colouring) -> PathCover:
     """Strip maximal paths of the globally majority colour; always valid."""
     red_edges = sum(g.mask(v, RED).bit_count() for v in range(1, g.n + 1)) // 2
     gamma = RED if 4 * red_edges >= g.n * (g.n - 1) else BLUE
-    remaining = list(range(1, g.n + 1))
+    alive = (1 << g.n) - 1
     paths = []
-    while remaining:
-        sub, mapping = g.induced(remaining)
-        p = maximal_path(sub, gamma)
-        verts = tuple(mapping[v] for v in p.vertices)
-        paths.append(Path(verts, gamma))
-        cut = set(verts)
-        remaining = [v for v in remaining if v not in cut]
+    while alive:
+        p = maximal_path(g, gamma, alive=alive)
+        paths.append(p)
+        alive &= ~vertex_mask(p.vertices)
     return PathCover(gamma, tuple(paths), g.n)
 
 
@@ -334,9 +331,10 @@ def _sqrt_step(g: Colouring, cfg: SolverConfig, trace: list[str]) -> PathCover |
     try:
         paths = decompose_full(view)
     except PreconditionViolated:
+        paths = None
+    if paths is None or len(paths) > arith.ceil_div(len(xs), len(ys) + 1):
         trace.append("sqrt:decompose-failed")
         return None
-    assert len(paths) <= arith.ceil_div(len(xs), len(ys) + 1)
     trace.append("sqrt:decompose")
     return PathCover(red, tuple(paths), n)
 

@@ -128,6 +128,24 @@ def random_colouring_with(rng: random.Random, n: int, p: float = 0.5) -> Colouri
     )
 
 
+def red_hub(n: int, first: int) -> Colouring:
+    """Every edge touching first..n red, the rest a blue clique."""
+    return Colouring.from_edge_bits(n, (v >= first for _, v in iter_edges(n)))
+
+
+def noisy_colouring(rng: random.Random, n: int) -> Colouring:
+    """Half the time a random colouring of random density, half the time a
+    red hub of random width on random labels with a few edges flipped."""
+    if rng.random() < 0.5:
+        return random_colouring_with(rng, n, rng.random())
+    hub = set(rng.sample(range(1, n + 1), rng.randint(0, n)))
+    flip = rng.choice((0.0, 0.02, 0.1))
+    return Colouring.from_edge_bits(
+        n,
+        ((u in hub or v in hub) != (rng.random() < flip) for u, v in iter_edges(n)),
+    )
+
+
 # bipartite instance generators; X = 1..a, Y = a+1..a+b, adjacency built
 # directly so the preconditions hold by construction (except the last, which
 # rejection-samples against the degree classes)

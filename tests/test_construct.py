@@ -5,8 +5,10 @@ import pytest
 
 from conftest import (
     all_colourings,
+    noisy_colouring,
     path_ok,
     random_colouring_with,
+    red_hub,
 )
 from monopath.construct import (
     LongPathStructure,
@@ -69,6 +71,19 @@ class TestMaximalPath:
                 ]
                 assert not fresh
 
+    def test_alive_mask_matches_induced(self, rng):
+        # the path on the alive vertices is the induced sub-colouring's
+        # path, mapped back to the old labels
+        for _ in range(80):
+            n = rng.randint(1, 30)
+            g = noisy_colouring(rng, n)
+            gamma = rng.choice((RED, BLUE))
+            keep = rng.sample(range(1, n + 1), rng.randint(1, n))
+            sub, back = g.induced(keep)
+            want = tuple(back[v] for v in maximal_path(sub, gamma).vertices)
+            alive = sum(1 << (v - 1) for v in keep)
+            assert maximal_path(g, gamma, alive=alive).vertices == want
+
     def test_respects_seed(self):
         g = Colouring.monochromatic(5, RED)
         p = maximal_path(g, RED, seed_path=Path((3, 2), RED))
@@ -83,7 +98,54 @@ def _blue_except(n, red_pairs):
     )
 
 
+def _rotate_or_extend_pairwise(g, path, y, degree_bound=None):
+    """rotate_or_extend with the chord search as a loop over predecessor
+    pairs, one colour query each: the reference for the mask version."""
+    p = list(path.vertices)
+    gamma = path.colour
+    if y in p:
+        raise ValueError(f"{y} already on the path")
+    bpos = [i for i, v in enumerate(p) if g.colour(y, v) is gamma]
+    if not bpos:
+        return SmallDegree(0)
+    if bpos[0] == 0:
+        return LongerPath(Path((y, *p), gamma))
+    if bpos[-1] == len(p) - 1:
+        return LongerPath(Path((*p, y), gamma))
+    for a, b in zip(bpos, bpos[1:]):
+        if b == a + 1:
+            return LongerPath(Path((*p[: a + 1], y, *p[a + 1 :]), gamma))
+    preds = [i - 1 for i in bpos]
+    for ai in range(len(preds)):
+        for bi in range(ai + 1, len(preds)):
+            if g.colour(p[preds[ai]], p[preds[bi]]) is gamma:
+                i, j = preds[ai], preds[bi]
+                verts = (*p[: i + 1], *p[i + 1 : j + 1][::-1], y, *p[j + 1 :])
+                return LongerPath(Path(verts, gamma))
+    if degree_bound is not None and len(bpos) > degree_bound:
+        return RedCliqueCertificate(tuple(sorted(p[i] for i in preds)))
+    return SmallDegree(len(bpos))
+
+
 class TestRotateOrExtend:
+    def test_matches_pairwise_chord_reference(self, rng):
+        # random vertex sequences reach every exit; maximal paths make the
+        # chord search and the certificate common
+        for _ in range(300):
+            n = rng.randint(2, 30)
+            g = noisy_colouring(rng, n)
+            gamma = rng.choice((RED, BLUE))
+            if rng.random() < 0.5:
+                path = Path(rng.sample(range(1, n + 1), rng.randint(1, n - 1)), gamma)
+            else:
+                path = maximal_path(g, gamma, Path((rng.randint(1, n),), gamma))
+            bound = rng.choice((None, 0, 1, 2, 4))
+            on = set(path.vertices)
+            for y in range(1, n + 1):
+                if y not in on:
+                    got = rotate_or_extend(g, path, y, bound)
+                    assert got == _rotate_or_extend_pairwise(g, path, y, bound)
+
     def test_endpoint_extension(self):
         g = Colouring.monochromatic(5, BLUE)
         out = rotate_or_extend(g, Path((1, 2, 3, 4), BLUE), 5)
@@ -137,6 +199,23 @@ class TestRotateOrExtend:
 
 
 class TestRefinePath:
+    def test_chord_search_makes_no_colour_queries(self, monkeypatch):
+        # the red hub on 361..400 rotates through long predecessor lists; the
+        # pairwise chord search asked for 248,820 edge colours here
+        g = red_hub(400, 361)
+        calls = []
+        real = Colouring.colour
+
+        def counted(self, u, v):
+            calls.append((u, v))
+            return real(self, u, v)
+
+        monkeypatch.setattr(Colouring, "colour", counted)
+        p, outcome = refine_path(g, RED)
+        assert calls == []
+        monkeypatch.undo()
+        assert path_ok(g, p) and isinstance(outcome, dict)
+
     def test_leftover_degrees_are_accurate(self, rng):
         for _ in range(40):
             n = rng.randint(2, 9)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from monopath.core import (
     Colouring,
     CoverReport,
     FailureKind,
+    InvalidEdge,
     Path,
     PathCover,
     edge_count,
@@ -28,6 +31,33 @@ def test_iter_edges_order_and_count():
     assert list(iter_edges(1)) == []
     for n in range(1, 12):
         assert len(list(iter_edges(n))) == edge_count(n) == n * (n - 1) // 2
+
+
+def _induced_reference(g, keep):
+    """Red masks and label map of the induced sub-colouring, pair by pair."""
+    old = sorted(set(keep))
+    masks = [0] * len(old)
+    for i, u in enumerate(old):
+        for j, v in enumerate(old):
+            if u != v and g.colour(u, v) is RED:
+                masks[i] |= 1 << j
+    return masks, {i + 1: v for i, v in enumerate(old)}
+
+
+@st.composite
+def _colouring_and_keep(draw):
+    """A colouring on n <= 30 and a keep list: unsorted with repeats, one
+    vertex, or every vertex in shuffled order."""
+    n = draw(st.integers(1, 30))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    g = random_colouring_with(rng, n, draw(st.floats(0, 1)))
+    vertex = st.integers(1, n)
+    keep = draw(st.one_of(
+        st.lists(vertex, min_size=1, max_size=2 * n),
+        vertex.map(lambda v: [v]),
+        st.permutations(range(1, n + 1)),
+    ))
+    return g, keep
 
 
 class TestColouring:
@@ -99,6 +129,30 @@ class TestColouring:
         assert sorted(back.values()) == [2, 5, 7]
         for u, v in iter_edges(3):
             assert sub.colour(u, v) is g.colour(back[u], back[v])
+
+    @given(_colouring_and_keep())
+    @settings(max_examples=200, deadline=None)
+    def test_induced_matches_pairwise_reference(self, case):
+        g, keep = case
+        sub, back = g.induced(keep)
+        masks, ref_back = _induced_reference(g, keep)
+        ref = Colouring(len(masks), masks)  # the checked constructor
+        assert back == ref_back
+        assert sub == ref
+        for v in range(1, sub.n + 1):
+            assert sub.mask(v, RED) == masks[v - 1]
+            assert sub.mask(v, BLUE) == ref.mask(v, BLUE)
+
+    @given(st.integers(1, 30), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_induced_rejects_empty_and_out_of_range(self, n, data):
+        g = random_colouring_with(random.Random(n), n)
+        with pytest.raises(ValueError):
+            g.induced([])
+        bad = data.draw(st.one_of(st.integers(-3, 0), st.integers(n + 1, n + 3)))
+        keep = data.draw(st.permutations([*data.draw(st.lists(st.integers(1, n))), bad]))
+        with pytest.raises(InvalidEdge, match=f"vertex {bad} outside"):
+            g.induced(keep)
 
     def test_degree_and_mask(self):
         g = Colouring.from_edge_bits(3, [True, True, False])

@@ -2,9 +2,15 @@ import math
 
 import pytest
 
-from conftest import all_colourings, path_ok, random_colouring_with
-from monopath import solver
-from monopath.construct import LongPathStructure, ReductionWitness
+from conftest import (
+    all_colourings,
+    noisy_colouring,
+    path_ok,
+    random_colouring_with,
+    red_hub,
+)
+from monopath import arith, solver
+from monopath.construct import LongPathStructure, ReductionWitness, maximal_path
 from monopath.core import (
     BLUE,
     RED,
@@ -309,4 +315,59 @@ def test_bounded_strip_branch_is_reached():
     g = Colouring.from_function(41, lambda u, v: RED if v > 34 else BLUE)
     res = cover_bounded(g, SolverConfig(c1=2.0, c2=0.0, c=2.0))
     assert res.branch_trace[-1] == "pick:bounded:strip"
+    assert validate_cover(g, res.cover).valid
+
+
+def _greedy_cover_induced(g: Colouring) -> PathCover:
+    """_greedy_cover as one induced sub-colouring per stripped path: the
+    reference for the alive-mask version."""
+    red_edges = sum(g.mask(v, RED).bit_count() for v in range(1, g.n + 1)) // 2
+    gamma = RED if 4 * red_edges >= g.n * (g.n - 1) else BLUE
+    remaining = list(range(1, g.n + 1))
+    paths = []
+    while remaining:
+        sub, mapping = g.induced(remaining)
+        verts = tuple(mapping[v] for v in maximal_path(sub, gamma).vertices)
+        paths.append(Path(verts, gamma))
+        remaining = [v for v in remaining if v not in verts]
+    return PathCover(gamma, tuple(paths), g.n)
+
+
+class TestGreedyCover:
+    def test_matches_induced_reference(self, rng):
+        for _ in range(200):
+            g = noisy_colouring(rng, rng.randint(1, 30))
+            assert solver._greedy_cover(g) == _greedy_cover_induced(g)
+
+    def test_strips_without_induced(self, monkeypatch):
+        # the red hub on 361..400 takes 41 stripping rounds; relabelling
+        # each round's survivors through induced made 41 calls here
+        g = red_hub(400, 361)
+        seen = []
+        real = Colouring.induced
+        monkeypatch.setattr(
+            Colouring, "induced", lambda self, keep: seen.append(keep) or real(self, keep)
+        )
+        cover = solver._greedy_cover(g)
+        assert seen == []
+        assert cover.size == 41
+        assert validate_cover(g, cover).valid
+
+
+def test_decompose_overrun_falls_back(monkeypatch):
+    # the red hub on 49..64 closes through decompose_full; a decomposition
+    # with one path more than its ceiling must count as a failed branch
+    g = red_hub(64, 49)
+    assert "sqrt:decompose" in solve(g).branch_trace
+    real = solver.decompose_full
+
+    def overrun(view):
+        paths = real(view)
+        ceiling = arith.ceil_div(len(view.X), len(view.Y) + 1)
+        return paths + paths[:1] * (ceiling + 1 - len(paths))
+
+    monkeypatch.setattr(solver, "decompose_full", overrun)
+    res = solve(g)
+    assert {"sqrt:decompose-failed", "sqrt:fallback"} <= set(res.branch_trace)
+    assert "sqrt:decompose" not in res.branch_trace
     assert validate_cover(g, res.cover).valid
