@@ -156,7 +156,10 @@ def long_path(v: BipartiteView) -> Path:
     for y in v.Y:
         pool = v.adjacency[y] if prev is None else v.adjacency[prev] & v.adjacency[y]
         pool = pool - used
-        assert pool, "degree bound guarantees a fresh common neighbour"
+        if not pool:
+            raise PreconditionViolated(
+                "degree bound guarantees a fresh common neighbour", witness=y
+            )
         x = min(pool)
         used.add(x)
         verts.append(x)
@@ -192,7 +195,8 @@ def decompose(v: BipartiteView) -> tuple[Path, ...]:
 
 def _interleave_xy(xs: list[int], ys: list[int], colour: Colour) -> Path:
     # x1 y1 x2 y2 ... xk with len(ys) == len(xs) - 1
-    assert len(ys) == len(xs) - 1
+    if len(ys) != len(xs) - 1:
+        raise PreconditionViolated("|ys| == |xs| - 1", witness=(len(xs), len(ys)))
     verts: list[int] = []
     for i, x in enumerate(xs):
         verts.append(x)
@@ -213,7 +217,8 @@ def _complete_chunks(
         if cover_y and i == 0:
             # first chunk is full (caller guarantees |xs| > |ys|) and
             # threads every y exactly once
-            assert len(chunk) == step
+            if len(chunk) != step:
+                raise PreconditionViolated("|xs| > |ys|", witness=(len(xs), len(ys)))
             out.append(_interleave_xy(chunk, ys, colour))
         else:
             out.append(_interleave_xy(chunk, ys[: len(chunk) - 1], colour))
@@ -257,14 +262,25 @@ def decompose_full(v: BipartiteView) -> tuple[Path, ...]:
             return tuple(paths)
         y0a = [y for y in ys if alive <= adj[y]]
         y1a = [y for y in ys if not alive <= adj[y]]
-        assert y0a and y1a, "deficient x forces a deficient y and vice versa"
-        assert len(x0a) >= len(y1a) + 1, "(i)+(ii) guarantee enough full-degree x"
+        if not (y0a and y1a):
+            raise PreconditionViolated(
+                "a deficient x forces a deficient y and vice versa",
+                witness=(len(y0a), len(y1a)),
+            )
+        if len(x0a) < len(y1a) + 1:
+            raise PreconditionViolated(
+                "(i)+(ii) guarantee enough full-degree x",
+                witness=(len(x0a), len(y1a)),
+            )
 
         p_xs = x0a[: len(y1a) + 1]
         q_from_x1 = x1a[: min(len(y0a), len(x1a))]
         spare = [x for x in x0a if x not in set(p_xs)]
         q_xs = q_from_x1 + spare[: len(y0a) - len(q_from_x1)]
-        assert len(q_xs) == len(y0a)
+        if len(q_xs) != len(y0a):
+            raise PreconditionViolated(
+                "enough x to thread Y0", witness=(len(q_xs), len(y0a))
+            )
         r_verts = list(_interleave_xy(p_xs, y1a, v.colour).vertices)
         for y, x in zip(y0a, q_xs):
             r_verts.append(y)
@@ -281,7 +297,11 @@ def decompose_full(v: BipartiteView) -> tuple[Path, ...]:
         # |X'| <= |Y| with a deficient x left: close with one more path
         y0n = [y for y in ys if alive <= adj[y]]
         x0n = sorted(alive & x0_all)
-        assert len(y0n) > len(x1_next) and x0n
+        if not (len(y0n) > len(x1_next) and x0n):
+            raise PreconditionViolated(
+                "the closing path has |Y0| > |X1| and a full-degree x",
+                witness=(len(y0n), len(x1_next), len(x0n)),
+            )
         q2_ys = y0n[: len(x1_next) + 1]
         q2: list[int] = []
         for i, x in enumerate(x1_next):

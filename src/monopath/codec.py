@@ -4,6 +4,8 @@ decode tolerates any number of them."""
 
 from __future__ import annotations
 
+import re
+
 from .core import Colouring, MonopathError, edge_count
 
 
@@ -31,9 +33,13 @@ class BadCharacter(CodecError):
         self.char = char
 
 
+_NOT_RB = re.compile("[^RB]")
+_DIGITS_TO_RB = str.maketrans("10", "RB")
+_RB_TO_DIGITS = bytes.maketrans(b"RB", b"10")
+
+
 def encode(g: Colouring) -> str:
-    chars = "".join("R" if bit else "B" for bit in g.edge_bits())
-    return f"{g.n}\n{chars}"
+    return f"{g.n}\n{g._edge_digits().translate(_DIGITS_TO_RB)}"
 
 
 def decode(text: str) -> Colouring:
@@ -54,7 +60,7 @@ def decode(text: str) -> Colouring:
     m = edge_count(n)
     if len(body) != m:
         raise BadLength(m, len(body))
-    for i, ch in enumerate(body):
-        if ch not in "RB":
-            raise BadCharacter(2, i + 1, ch)
-    return Colouring.from_edge_bits(n, (ch == "R" for ch in body))
+    bad = _NOT_RB.search(body)
+    if bad:
+        raise BadCharacter(2, bad.start() + 1, bad.group())
+    return Colouring._from_digits(n, body.encode("ascii").translate(_RB_TO_DIGITS))

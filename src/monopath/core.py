@@ -10,6 +10,7 @@ operations and keeps induced-subgraph extraction cheap.
 from __future__ import annotations
 
 import enum
+import itertools
 import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
@@ -45,9 +46,7 @@ BLUE = Colour.BLUE
 
 def iter_edges(n: int) -> Iterator[tuple[int, int]]:
     """Edges of K_n in row-major order: (1,2), (1,3), ..., (1,n), (2,3), ..."""
-    for u in range(1, n + 1):
-        for v in range(u + 1, n + 1):
-            yield (u, v)
+    return itertools.combinations(range(1, n + 1), 2)
 
 
 def edge_count(n: int) -> int:
@@ -75,6 +74,11 @@ def mask_vertices(mask: int) -> list[int]:
         mask ^= b
         out.append(b.bit_length())
     return out
+
+
+# edge colours as bytes: 0/1 values <-> the ASCII digits int(..., 2) reads
+_BOOL_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_DIGIT_BOOLS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class Colouring:
@@ -122,22 +126,30 @@ class Colouring:
         """Build from booleans in iter_edges order (True = red)."""
         if n < 1:
             raise ValueError(f"need n >= 1, got {n}")
-        bits = list(red_bits)
-        if len(bits) != edge_count(n):
-            raise ValueError(f"expected {edge_count(n)} edge bits, got {len(bits)}")
-        # bytearray rows instead of int |= per edge: growing-int churn is
-        # quadratic in n per row and dominates everything at n in the thousands
-        rows = [bytearray((n + 7) >> 3) for _ in range(n)]
+        digits = bytes(map(bool, red_bits)).translate(_BOOL_DIGITS)
+        if len(digits) != edge_count(n):
+            raise ValueError(f"expected {edge_count(n)} edge bits, got {len(digits)}")
+        return cls._from_digits(n, digits)
+
+    @classmethod
+    def _from_digits(cls, n: int, digits: bytes) -> "Colouring":
+        # digits: the upper triangle as ASCII, b"1" = red, in iter_edges
+        # order; the caller has checked that there are edge_count(n) of them.
+        # Row u's digits go into an n*n digit matrix at columns u+1..n, so
+        # vertex v's full row is its column down to the diagonal (the
+        # transpose) plus its own suffix: C-level slices, no work per edge
+        buf = bytearray(b"0") * (n * n)
         i = 0
-        for u in range(1, n + 1):
-            ub_idx, ub_bit = (u - 1) >> 3, 1 << ((u - 1) & 7)
-            row_u = rows[u - 1]
-            for v in range(u + 1, n + 1):
-                if bits[i]:
-                    row_u[(v - 1) >> 3] |= 1 << ((v - 1) & 7)
-                    rows[v - 1][ub_idx] |= ub_bit
-                i += 1
-        return cls._trusted(n, [int.from_bytes(r, "little") for r in rows])
+        for u in range(1, n):
+            row = (u - 1) * n
+            buf[row + u:row + n] = digits[i:i + n - u]
+            i += n - u
+        masks = []
+        for v in range(1, n + 1):
+            row = (v - 1) * n
+            full_row = buf[v - 1:row + v:n] + buf[row + v:row + n]
+            masks.append(int(full_row[::-1], 2))  # vertex w is bit w-1
+        return cls._trusted(n, masks)
 
     @classmethod
     def from_function(cls, n: int, fn: Callable[[int, int], Colour]) -> "Colouring":
@@ -208,8 +220,19 @@ class Colouring:
         sub = Colouring._trusted(len(old), masks)
         return sub, {i + 1: v for i, v in enumerate(old)}
 
+    def _edge_digits(self) -> str:
+        # the edge colours as "1" (red) and "0" (blue), in iter_edges order:
+        # in row u's n-digit binary string vertex v is the digit at n - v, so
+        # reading it backwards from n-u-1 gives vertices u+1..n
+        n = self.n
+        width = f"0{n}b"
+        return "".join(
+            format(self._red[u - 1], width)[n - u - 1::-1] for u in range(1, n)
+        )
+
     def edge_bits(self) -> list[bool]:
-        return [self._red[u - 1] & _bit(v) != 0 for u, v in iter_edges(self.n)]
+        digits = self._edge_digits().encode("ascii").translate(_DIGIT_BOOLS)
+        return list(map(bool, digits))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Colouring):

@@ -45,19 +45,15 @@ def extremal(n: int) -> Colouring:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     a_size = n - max(0, math.isqrt(n) - 1)
-    return Colouring.from_edge_bits(
-        n, (v > a_size for u, v in iter_edges(n))
-    )
+    return Colouring.from_edge_bits(n, [v > a_size for _, v in iter_edges(n)])
 
 
 def random_colouring(n: int, p: float, seed: int) -> Colouring:
     """Each edge independently red with probability p."""
     if not 0 <= p <= 1:
         raise ValueError(f"need 0 <= p <= 1, got {p}")
-    rng = random.Random(seed)
-    return Colouring.from_edge_bits(
-        n, (rng.random() < p for _ in range(edge_count(n)))
-    )
+    draw = random.Random(seed).random
+    return Colouring.from_edge_bits(n, [draw() < p for _ in range(edge_count(n))])
 
 
 def indexed_colouring(n: int, index: int) -> Colouring:
@@ -65,7 +61,9 @@ def indexed_colouring(n: int, index: int) -> Colouring:
     m = edge_count(n)
     if not 0 <= index < 1 << m:
         raise ValueError(f"index {index} outside 0..2^{m}-1")
-    return Colouring.from_edge_bits(n, (bool(index >> i & 1) for i in range(m)))
+    # the low bit first, without re-shifting the whole index once per edge
+    digits = format(index, f"0{m}b")[::-1][:m]  # [:m]: 0 formats as "0" at m = 0
+    return Colouring._from_digits(n, digits.encode("ascii"))
 
 
 def _default_score(g: Colouring) -> int:

@@ -21,6 +21,11 @@ class TooLarge(MonopathError):
     """Instance exceeds the subset-DP resource guard."""
 
 
+class TableInconsistent(MonopathError):
+    """The subset DP's own tables contradict each other: a bug, never a
+    property of the input colouring."""
+
+
 def _guard(n: int, threshold: int) -> None:
     if n > threshold:
         raise TooLarge(f"n={n} exceeds oracle threshold {threshold}")
@@ -64,7 +69,8 @@ def _spanning_path(ends: list[int], adj: list[int], mask: int) -> list[int]:
             if ends[m2] & b:
                 nxt = b
                 break
-        assert nxt, "endpoint table inconsistent"
+        if not nxt:
+            raise TableInconsistent(f"no predecessor of {cur} in mask {m:#x}")
         cur = nxt.bit_length()
         out.append(cur)
         m = m2
@@ -156,7 +162,8 @@ def min_cover_colour(
             c = cost(t) + 1
             if best is None or c < best[0]:
                 best = (c, w)
-        assert best is not None, "singletons are always traceable"
+        if best is None:
+            raise TableInconsistent(f"vertex {v + 1} lies on no maximal set")
         memo[s] = best[0]
         choice[s] = best[1]
         return best[0]

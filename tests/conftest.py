@@ -13,17 +13,15 @@ from itertools import combinations
 import pytest
 
 from monopath.core import BLUE, RED, Colour, Colouring, Path, edge_count, iter_edges
+from monopath.gen import indexed_colouring
 
 
 def from_int(n: int, x: int) -> Colouring:
-    """Colouring number x: bit i of x reddens the i-th edge of iter_edges."""
-    m = edge_count(n)
-    # reversed bin() string rather than x >> i per bit, which reshifts the
-    # whole integer every time and goes quadratic for big n
-    low_first = bin(x)[:1:-1]
-    return Colouring.from_edge_bits(
-        n, (i < len(low_first) and low_first[i] == "1" for i in range(m))
-    )
+    """Colouring number x: bit i of x reddens the i-th edge of iter_edges.
+
+    The same numbering as gen.indexed_colouring, which test_row_io checks
+    against a per-edge reference."""
+    return indexed_colouring(n, x)
 
 
 def all_colourings(n: int):

@@ -1,0 +1,42 @@
+"""Internal invariants raise typed errors, which `python -O` keeps."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import monopath
+from monopath.bipartite import PreconditionViolated, _complete_chunks, _interleave_xy
+from monopath.core import RED, MonopathError
+from monopath.oracle import TableInconsistent, _spanning_path
+
+
+def test_no_assert_statements_in_the_package():
+    root = Path(monopath.__file__).parent
+    found = [
+        f"{path.relative_to(root)}:{node.lineno}"
+        for path in sorted(root.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_interleave_needs_one_fewer_y():
+    assert _interleave_xy([1, 2], [3], RED).vertices == (1, 3, 2)
+    with pytest.raises(PreconditionViolated):
+        _interleave_xy([1, 2], [3, 4], RED)
+
+
+def test_complete_chunks_need_more_x_than_y():
+    with pytest.raises(PreconditionViolated):
+        _complete_chunks([1, 2], [3, 4], RED, cover_y=True)
+
+
+def test_inconsistent_endpoint_table_is_typed():
+    # mask {1, 2} claims vertex 2 as an end, but {1} is marked unreachable
+    ends = [0, 0, 0b10, 0b10]
+    adj = [0b10, 0b01]
+    assert issubclass(TableInconsistent, MonopathError)
+    with pytest.raises(TableInconsistent):
+        _spanning_path(ends, adj, 0b11)
