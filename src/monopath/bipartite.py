@@ -12,7 +12,7 @@ on that: Y is kept whole while X shrinks, so later paths revisit Y.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .core import RED, Colour, Colouring, MonopathError, Path
@@ -47,29 +47,31 @@ class PreconditionViolated(MonopathError):
 class BipartiteView:
     """One colour class of the edges between two disjoint vertex sets.
 
-    `adjacency[y]` is the subset of X joined to y in the chosen colour.
-    Pairs absent from the adjacency are implicitly the opposite colour, which
-    is what ramsey_path reads.  `m` is the slack parameter of the stripping
+    `adjacency[y]` is the bitmask of the X-vertices joined to y in the chosen
+    colour, bit x-1 for vertex x as core.vertex_mask builds it.  Pairs absent
+    from the adjacency are implicitly the opposite colour, which is what
+    ramsey_path reads.  `m` is the slack parameter of the stripping
     decomposition and is ignored by the other operations.
     """
 
     X: tuple[int, ...]
     Y: tuple[int, ...]
-    adjacency: Mapping[int, frozenset[int]]
+    adjacency: Mapping[int, int]
     m: int = 0
     colour: Colour = RED
 
     def __post_init__(self):
         xs = tuple(sorted(set(self.X)))
         ys = tuple(sorted(set(self.Y)))
-        if set(xs) & set(ys):
+        xmask = vertex_mask(xs)
+        if xmask & vertex_mask(ys):
             raise ValueError("X and Y must be disjoint")
         if self.m < 0:
             raise ValueError("m must be non-negative")
         adj = {}
         for y in ys:
-            nbrs = frozenset(self.adjacency.get(y, frozenset()))
-            if not nbrs <= set(xs):
+            nbrs = self.adjacency.get(y, 0)
+            if nbrs & ~xmask:
                 raise ValueError(f"adjacency of {y} leaves X")
             adj[y] = nbrs
         extra = set(self.adjacency) - set(ys)
@@ -88,21 +90,20 @@ class BipartiteView:
         colour: Colour = RED,
         m: int = 0,
     ) -> "BipartiteView":
-        xs = sorted(set(xs))
-        ys = sorted(set(ys))
+        xs, ys = tuple(xs), tuple(ys)
         xmask = vertex_mask(xs)
-        adj = {y: frozenset(mask_vertices(g.mask(y, colour) & xmask)) for y in ys}
-        return cls(tuple(xs), tuple(ys), adj, m=m, colour=colour)
+        adj = {y: g.mask(y, colour) & xmask for y in ys}
+        return cls(xs, ys, adj, m=m, colour=colour)
 
     def degree(self, y: int) -> int:
-        return len(self.adjacency[y])
+        return self.adjacency[y].bit_count()
 
-    def restrict_x(self, keep: Iterable[int]) -> "BipartiteView":
-        alive = set(keep)
+    def restrict_x(self, keep: int) -> "BipartiteView":
+        """The view on the X-vertices of the mask `keep`."""
         return BipartiteView(
-            tuple(sorted(alive)),
+            tuple(mask_vertices(keep)),
             self.Y,
-            {y: self.adjacency[y] & alive for y in self.Y},
+            {y: self.adjacency[y] & keep for y in self.Y},
             m=self.m,
             colour=self.colour,
         )
@@ -117,16 +118,14 @@ class DegreeClasses:
 
     @classmethod
     def from_view(cls, v: BipartiteView) -> "DegreeClasses":
-        ny = len(v.Y)
-        xdeg = {x: 0 for x in v.X}
+        xmask = vertex_mask(v.X)
+        common = xmask  # the x joined to every y
         for y in v.Y:
-            for x in v.adjacency[y]:
-                xdeg[x] += 1
-        x0 = tuple(x for x in v.X if xdeg[x] == ny)
-        x1 = tuple(x for x in v.X if xdeg[x] != ny)
-        nx = len(v.X)
-        y0 = tuple(y for y in v.Y if len(v.adjacency[y]) == nx)
-        y1 = tuple(y for y in v.Y if len(v.adjacency[y]) != nx)
+            common &= v.adjacency[y]
+        x0 = tuple(mask_vertices(common))
+        x1 = tuple(mask_vertices(xmask & ~common))
+        y0 = tuple(y for y in v.Y if v.adjacency[y] == xmask)
+        y1 = tuple(y for y in v.Y if v.adjacency[y] != xmask)
         return cls(x0, x1, y0, y1)
 
 
@@ -150,19 +149,19 @@ def long_path(v: BipartiteView) -> Path:
     for y in v.Y:
         if 2 * v.degree(y) < total:
             raise PreconditionViolated("2*deg(y) >= |X| + |Y|", witness=y)
-    used: set[int] = set()
+    used = 0
     verts: list[int] = []
     prev = None
     for y in v.Y:
         pool = v.adjacency[y] if prev is None else v.adjacency[prev] & v.adjacency[y]
-        pool = pool - used
+        pool &= ~used
         if not pool:
             raise PreconditionViolated(
                 "degree bound guarantees a fresh common neighbour", witness=y
             )
-        x = min(pool)
-        used.add(x)
-        verts.append(x)
+        xbit = pool & -pool
+        used |= xbit
+        verts.append(xbit.bit_length())
         verts.append(y)
         prev = y
     return Path(tuple(verts), v.colour)
@@ -184,12 +183,12 @@ def decompose(v: BipartiteView) -> tuple[Path, ...]:
         if v.degree(y) < floor_deg:
             raise PreconditionViolated("deg(y) >= |X| - m", witness=y)
     paths: list[Path] = []
-    alive = set(v.X)
+    alive = vertex_mask(v.X)
     limit = len(v.Y) + 2 * v.m
-    while len(alive) > limit:
+    while alive.bit_count() > limit:
         p = long_path(v.restrict_x(alive))
         paths.append(p)
-        alive -= set(p.vertices)
+        alive &= ~vertex_mask(p.vertices)
     return tuple(paths)
 
 
@@ -248,20 +247,20 @@ def decompose_full(v: BipartiteView) -> tuple[Path, ...]:
             raise PreconditionViolated("(ii) |X0|*|Y0| > 2*|X1|*|Y1|")
 
     ys = list(v.Y)
-    x0_all = set(cl.x0)  # x-classes are fixed: Y never shrinks
+    x0_all = vertex_mask(cl.x0)  # x-classes are fixed: Y never shrinks
     adj = v.adjacency
     paths: list[Path] = []
-    alive = set(v.X)
+    alive = vertex_mask(v.X)
     cover_y = True
     while alive:
-        x0a = sorted(alive & x0_all)
-        x1a = sorted(alive - x0_all)
+        x0a = mask_vertices(alive & x0_all)
+        x1a = mask_vertices(alive & ~x0_all)
         if not x1a:
             # every remaining x sees all of Y: plain chunking finishes
-            paths.extend(_complete_chunks(sorted(alive), ys, v.colour, cover_y))
+            paths.extend(_complete_chunks(mask_vertices(alive), ys, v.colour, cover_y))
             return tuple(paths)
-        y0a = [y for y in ys if alive <= adj[y]]
-        y1a = [y for y in ys if not alive <= adj[y]]
+        y0a = [y for y in ys if not alive & ~adj[y]]
+        y1a = [y for y in ys if alive & ~adj[y]]
         if not (y0a and y1a):
             raise PreconditionViolated(
                 "a deficient x forces a deficient y and vice versa",
@@ -275,7 +274,7 @@ def decompose_full(v: BipartiteView) -> tuple[Path, ...]:
 
         p_xs = x0a[: len(y1a) + 1]
         q_from_x1 = x1a[: min(len(y0a), len(x1a))]
-        spare = [x for x in x0a if x not in set(p_xs)]
+        spare = x0a[len(p_xs) :]
         q_xs = q_from_x1 + spare[: len(y0a) - len(q_from_x1)]
         if len(q_xs) != len(y0a):
             raise PreconditionViolated(
@@ -286,17 +285,17 @@ def decompose_full(v: BipartiteView) -> tuple[Path, ...]:
             r_verts.append(y)
             r_verts.append(x)
         paths.append(Path(tuple(r_verts), v.colour))
-        alive -= set(p_xs) | set(q_xs)
+        alive &= ~vertex_mask(p_xs + q_xs)
         cover_y = False  # R covered all of Y
 
         if not alive:
             return tuple(paths)
-        x1_next = sorted(alive - x0_all)
-        if not x1_next or len(alive) > len(ys):
+        x1_next = mask_vertices(alive & ~x0_all)
+        if not x1_next or alive.bit_count() > len(ys):
             continue  # complete finish or recursion, both handled above
         # |X'| <= |Y| with a deficient x left: close with one more path
-        y0n = [y for y in ys if alive <= adj[y]]
-        x0n = sorted(alive & x0_all)
+        y0n = [y for y in ys if not alive & ~adj[y]]
+        x0n = mask_vertices(alive & x0_all)
         if not (len(y0n) > len(x1_next) and x0n):
             raise PreconditionViolated(
                 "the closing path has |Y0| > |X1| and a full-degree x",
@@ -308,8 +307,8 @@ def decompose_full(v: BipartiteView) -> tuple[Path, ...]:
             q2.append(q2_ys[i])
             q2.append(x)
         q2.append(q2_ys[-1])
-        taken = set(q2_ys)
-        p2_ys = [y for y in ys if y not in taken][: len(x0n) - 1]
+        taken = vertex_mask(q2_ys)
+        p2_ys = [y for y in ys if not taken >> (y - 1) & 1][: len(x0n) - 1]
         r2 = list(_interleave_xy(x0n, p2_ys, v.colour).vertices) + q2
         paths.append(Path(tuple(r2), v.colour))
         return tuple(paths)
@@ -327,8 +326,8 @@ def _vertex_masks(v: BipartiteView) -> tuple[dict[int, int], dict[int, int]]:
     ymask = vertex_mask(v.Y)
     main: dict[int, int] = {x: 0 for x in v.X}
     for y in v.Y:
-        main[y] = vertex_mask(v.adjacency[y])
-        for x in v.adjacency[y]:
+        main[y] = v.adjacency[y]
+        for x in mask_vertices(main[y]):
             main[x] |= 1 << (y - 1)
     other = {}
     for x in v.X:
@@ -423,9 +422,7 @@ def _exact_path(
     return None
 
 
-def ramsey_path(
-    v: BipartiteView, k: int, l: int, *, exact_threshold: int = RAMSEY_EXACT_THRESHOLD
-) -> RamseyOutcome:
+def ramsey_path(v: BipartiteView, k: int, l: int) -> RamseyOutcome:
     """A view-colour path with >= k edges or a complement path with >= l.
 
     The view is read as a complete bipartite graph: listed pairs carry the
@@ -433,7 +430,7 @@ def ramsey_path(
     sides at least ceil((k+l)/2); under those hypotheses one of the two
     targets always exists.
 
-    Small instances (both sides <= exact_threshold) are solved by exact
+    Small instances (both sides <= RAMSEY_EXACT_THRESHOLD) are solved by exact
     search.  Larger ones try greedy grow-and-rotate on both colours first;
     exact search above the threshold is not feasible, so if the greedy pass
     certifies neither target, CannotCertify is raised for the caller to
@@ -448,7 +445,7 @@ def ramsey_path(
         )
     main_adj, other_adj = _vertex_masks(v)
     verts = sorted(v.X + v.Y)
-    small = max(len(v.X), len(v.Y)) <= exact_threshold
+    small = max(len(v.X), len(v.Y)) <= RAMSEY_EXACT_THRESHOLD
     main_colour = v.colour
     other_colour = v.colour.complement
 

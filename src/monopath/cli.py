@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -43,9 +42,6 @@ SWEEP_COLUMNS = (
     "wall_time_ms",
     "error",
 )
-
-# number of sweep workers when --workers is not given; default 1
-WORKERS_ENV = "MONOPATH_SWEEP_WORKERS"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -261,11 +257,8 @@ def run_sweep(plan: SweepPlan) -> str:
 
 
 def _cmd_sweep(args) -> int:
-    workers = args.workers
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
-    if workers < 1:
-        raise ValueError(f"need workers >= 1, got {workers}")
+    if args.workers < 1:
+        raise ValueError(f"need workers >= 1, got {args.workers}")
     for tag in args.generators:
         _spec_for(tag, 1, 0)  # reject malformed tags before spawning work
     plan = SweepPlan(
@@ -274,7 +267,7 @@ def _cmd_sweep(args) -> int:
         seeds=tuple(_parse_int_list(args.seeds)),
         oracle=args.oracle,
         oracle_threshold=args.threshold,
-        workers=workers,
+        workers=args.workers,
     )
     text = run_sweep(plan)
     if args.output:
@@ -334,7 +327,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--seeds", default="0", help="e.g. 0..9 or 0,3,7")
     p.add_argument("--oracle", action="store_true", help="add exact values where feasible")
     p.add_argument("--threshold", type=int, default=DEFAULT_ORACLE_THRESHOLD)
-    p.add_argument("--workers", type=int, default=None, help=f"default ${WORKERS_ENV} or 1")
+    p.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
     p.add_argument("-o", "--output", help="output path (default stdout)")
     p.set_defaults(func=_cmd_sweep)
 

@@ -122,19 +122,21 @@ def rotate_or_extend(
     that, the predecessors form an opposite-colour clique, returned as a
     certificate when |B| exceeds degree_bound, else SmallDegree(|B|).
     """
-    p = list(path.vertices)
+    p = path.vertices
     gamma = path.colour
-    if y in set(p):
+    pmask = vertex_mask(p)
+    if pmask >> (y - 1) & 1:
         raise ValueError(f"{y} already on the path")
-    bmask = g.mask(y, gamma) & vertex_mask(p)
+    bmask = g.mask(y, gamma) & pmask
     if not bmask:
         return SmallDegree(0)
     if bmask & (1 << (p[0] - 1)):
         return LongerPath(Path((y, *p), gamma))
     if bmask & (1 << (p[-1] - 1)):
         return LongerPath(Path((*p, y), gamma))
-    pos = {v: i for i, v in enumerate(p)}
-    bpos = sorted(pos[b] for b in mask_vertices(bmask))
+    # the positions of B on the path, in one scan
+    bits = format(bmask, f"0{g.n}b")[::-1]
+    bpos = [i for i, v in enumerate(p) if bits[v - 1] == "1"]
     for a, b in zip(bpos, bpos[1:]):
         if b == a + 1:
             return LongerPath(Path((*p[: a + 1], y, *p[a + 1 :]), gamma))
@@ -161,24 +163,22 @@ def refine_path(
 
     Returns (path, outcome) where outcome is a RedCliqueCertificate or, when
     all outside vertices come back SmallDegree, a dict of their degrees.
+    That dict is keyed by exactly the vertices off the path, in ascending
+    order, so callers read the outside set from it.
     """
     p = maximal_path(g, gamma, seed_path)
+    everyone = (1 << g.n) - 1
     while True:
-        used = set(p.vertices)
         degs: dict[int, int] = {}
-        improved = False
-        for y in range(1, g.n + 1):
-            if y in used:
-                continue
+        for y in mask_vertices(everyone & ~vertex_mask(p.vertices)):
             res = rotate_or_extend(g, p, y, bound)
             if isinstance(res, LongerPath):
                 p = maximal_path(g, gamma, res.path)
-                improved = True
                 break
             if isinstance(res, RedCliqueCertificate):
                 return p, res
             degs[y] = res.degree
-        if not improved:
+        else:
             return p, degs
 
 
@@ -225,9 +225,8 @@ def find_long_path_structure(g: Colouring, c1: float, c2: float):
 
     def structure(path: Path, y_degs: dict[int, int]) -> LongPathStructure:
         gamma = RED if flipped else BLUE
-        outside = tuple(sorted(set(range(1, n + 1)) - set(path.vertices)))
         return LongPathStructure(
-            Path(path.vertices, gamma), gamma, outside, bound_float, dict(y_degs)
+            Path(path.vertices, gamma), gamma, tuple(y_degs), bound_float, dict(y_degs)
         )
 
     def witness(s, red2, blue2) -> ReductionWitness:
@@ -244,15 +243,16 @@ def find_long_path_structure(g: Colouring, c1: float, c2: float):
 
     half = n // 2
     q = base.vertices[:half]
-    qset = set(q)
-    w = [v for v in range(1, n + 1) if v not in qset][:half]
+    qmask = vertex_mask(q)
+    w = mask_vertices(((1 << n) - 1) & ~qmask)[:half]
+    wmask = vertex_mask(w)
     t = arith.ceil_of_coeff_sqrt(2 * dp, n)  # witness size target
 
     # red edges between q and w only
-    qmask, wmask = vertex_mask(q), vertex_mask(w)
-    adj = {v: g2.mask(v, RED) & (wmask if v in qset else qmask) for v in (*q, *w)}
+    adj = {v: g2.mask(v, RED) & wmask for v in q}
+    adj.update((v, g2.mask(v, RED) & qmask) for v in w)
     probe = _best_greedy(adj, sorted(adj))
-    s = sorted(set(probe) & qset)
+    s = mask_vertices(vertex_mask(probe) & qmask)
     if len(s) >= t and len(probe) > 1:
         return witness(s, [Path(tuple(probe), RED)], [Path(q, BLUE)])
 
@@ -264,7 +264,7 @@ def find_long_path_structure(g: Colouring, c1: float, c2: float):
         try:
             out = ramsey_path(view, k_red, l_blue)
             if out.colour is RED:
-                s = sorted(set(out.path.vertices) & qset)
+                s = mask_vertices(vertex_mask(out.path.vertices) & qmask)
                 if len(s) >= t:
                     return witness(s, [out.path], [Path(q, BLUE)])
             else:
@@ -278,7 +278,7 @@ def find_long_path_structure(g: Colouring, c1: float, c2: float):
         d = outcome.vertices
         return witness(d, [Path(d, RED)], [p])
 
-    y = sorted(set(range(1, n + 1)) - set(p.vertices))
+    y = list(outcome)
     if arith.le_sqrt_plus_quartic(len(y), n, 8 * dp):
         return structure(p, outcome)
 
@@ -292,10 +292,10 @@ def find_long_path_structure(g: Colouring, c1: float, c2: float):
         raise GuardFailed(f"stripping step unavailable: {exc}") from exc
     if not red_paths:
         raise GuardFailed("stripping step produced no paths")
-    covered: set[int] = set()
+    covered = 0
     for rp in red_paths:
-        covered |= set(rp.vertices)
-    s = sorted(covered & set(p.vertices))
+        covered |= vertex_mask(rp.vertices)
+    s = mask_vertices(covered & vertex_mask(p.vertices))
     if not s:
         raise GuardFailed("stripping step covered no path vertices")
     return witness(s, list(red_paths), [p])

@@ -15,6 +15,10 @@ from .core import RED, Colour, Colouring, MonopathError, Path, PathCover
 from .core import mask_vertices, vertex_mask
 
 DEFAULT_ORACLE_THRESHOLD = 14
+# the largest n the subset DP accepts whatever threshold is asked for: its
+# tables hold 2**n entries, 25-40 bytes each under tracemalloc, so a peak
+# of 1.6-2.6 MB at n = 16, and each further vertex doubles it
+ORACLE_MAX_N = 16
 
 
 class TooLarge(MonopathError):
@@ -29,6 +33,8 @@ class TableInconsistent(MonopathError):
 def _guard(n: int, threshold: int) -> None:
     if n > threshold:
         raise TooLarge(f"n={n} exceeds oracle threshold {threshold}")
+    if n > ORACLE_MAX_N:
+        raise TooLarge(f"n={n} exceeds the oracle's ceiling {ORACLE_MAX_N}")
 
 
 def _ends_table(g: Colouring, gamma: Colour) -> tuple[list[int], list[int]]:
@@ -85,12 +91,11 @@ class TraceableFamily:
         self.colour = gamma
         self.n = g.n
         self._ends, self._adj = _ends_table(g, gamma)
-        self.sets = frozenset(
-            frozenset(mask_vertices(m)) for m in range(1, 1 << g.n) if self._ends[m]
-        )
 
     def __contains__(self, subset) -> bool:
-        return frozenset(subset) in self.sets
+        return all(1 <= v <= self.n for v in subset) and bool(
+            self._ends[vertex_mask(subset)]
+        )
 
     def witness_path(self, subset) -> Path:
         for v in subset:

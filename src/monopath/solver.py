@@ -43,7 +43,7 @@ from .core import (
     validate_cover,
     vertex_mask,
 )
-from .oracle import exact_f
+from .oracle import ORACLE_MAX_N, exact_f
 
 
 class NoCommonNeighbour(MonopathError):
@@ -69,8 +69,11 @@ class SolverConfig:
             raise ValueError(f"need c1 >= c2 >= 0, got {self.c1}, {self.c2}")
         if self.c <= 0:
             raise ValueError(f"need c > 0, got {self.c}")
-        if self.oracle_threshold < 1:
-            raise ValueError("oracle_threshold must be at least 1")
+        if not 1 <= self.oracle_threshold <= ORACLE_MAX_N:
+            raise ValueError(
+                f"oracle_threshold must be in 1..{ORACLE_MAX_N}, "
+                f"got {self.oracle_threshold}"
+            )
 
 
 @dataclass(frozen=True)
@@ -101,23 +104,19 @@ def _pick(
 def reduce(
     g: Colouring,
     w: ReductionWitness,
-    cfg: SolverConfig,
     recurse: Callable[[Colouring], PathCover],
     *,
-    c1: float | None = None,
-    c2: float | None = None,
+    c1: float,
+    c2: float,
 ) -> PathCover:
     """Cover [n] \\ S recursively, then append the witness paths matching the
     recursion's colour.  The arithmetic guard is checked exactly first."""
-    c1 = cfg.c1 if c1 is None else c1
-    c2 = cfg.c2 if c2 is None else c2
     n = g.n
-    s = set(w.S)
-    if not arith.reduce_guard(n, len(s), c1, c2, w.k):
-        raise GuardFailed(
-            f"sqrt({n}-{len(s)}) + {c1} + {w.k} > sqrt({n}) + {c2}"
-        )
-    keep = [v for v in range(1, n + 1) if v not in s]
+    s = vertex_mask(w.S)
+    size = s.bit_count()
+    if not arith.reduce_guard(n, size, c1, c2, w.k):
+        raise GuardFailed(f"sqrt({n}-{size}) + {c1} + {w.k} > sqrt({n}) + {c2}")
+    keep = mask_vertices(((1 << n) - 1) & ~s)
     if not keep:
         return PathCover(RED, w.red_paths, n)
     sub, mapping = g.induced(keep)
@@ -183,8 +182,7 @@ def _greedy_cover(g: Colouring) -> PathCover:
 
 def _structure_attempt(g: Colouring, gamma) -> PathCover:
     p, outcome = refine_path(g, gamma)
-    outside = tuple(sorted(set(range(1, g.n + 1)) - set(p.vertices)))
-    s = LongPathStructure(p, gamma, outside, float("inf"), dict(outcome))
+    s = LongPathStructure(p, gamma, tuple(outcome), float("inf"), dict(outcome))
     return cover_from_structure(g, s)
 
 
@@ -204,10 +202,10 @@ def _strip_and_mop(g: Colouring, s: LongPathStructure) -> PathCover:
     paths = list(decompose(view))
     if not paths:
         raise GuardFailed("stripping produced no paths")
-    covered: set[int] = set()
+    covered = 0
     for p in paths:
-        covered |= set(p.vertices)
-    leftover = [x for x in xs if x not in covered]
+        covered |= vertex_mask(p.vertices)
+    leftover = [x for x in xs if not covered >> (x - 1) & 1]
     if leftover:
         y0 = _gamma_isolated(g, s)
         if not y0:
@@ -255,8 +253,7 @@ def _bounded_candidates(
                 # vertices; recursing into solve() instead would fork two
                 # fresh pipelines per level and blow up exponentially
                 cov = reduce(
-                    g, found, cfg,
-                    lambda sub: cover_bounded(sub, cfg).cover,
+                    g, found, lambda sub: cover_bounded(sub, cfg).cover,
                     c1=cfg.c, c2=cfg.c,
                 )
                 add(cov, "bounded:reduce")
@@ -297,8 +294,7 @@ def _sqrt_step(g: Colouring, cfg: SolverConfig, trace: list[str]) -> PathCover |
             # the hypothesis f(m) < sqrt(m) + c comes from the bounded
             # induction, so that is what the recursion re-enters
             cov = reduce(
-                g, found, cfg,
-                lambda sub: cover_bounded(sub, cfg).cover,
+                g, found, lambda sub: cover_bounded(sub, cfg).cover,
                 c1=cfg.c, c2=0.0,
             )
         except GuardFailed:

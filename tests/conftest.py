@@ -13,6 +13,7 @@ from itertools import combinations
 import pytest
 
 from monopath.core import BLUE, RED, Colour, Colouring, Path, edge_count, iter_edges
+from monopath.core import vertex_mask
 from monopath.gen import indexed_colouring
 
 
@@ -154,7 +155,7 @@ def _view(a: int, b: int, adj: dict[int, set[int]], m: int = 0):
 
     xs = tuple(range(1, a + 1))
     ys = tuple(range(a + 1, a + b + 1))
-    return BipartiteView(xs, ys, {y: frozenset(adj[y]) for y in ys}, m=m)
+    return BipartiteView(xs, ys, {y: vertex_mask(adj[y]) for y in ys}, m=m)
 
 
 def long_path_instance(rng: random.Random, max_side: int = 30):
@@ -214,7 +215,7 @@ def alternating_in_view(v, path) -> bool:
             x, y = t, s
         else:
             return False
-        if x not in v.adjacency[y]:
+        if not v.adjacency[y] >> (x - 1) & 1:
             return False
     return all(w in xset or w in yset for w in vs)
 
@@ -224,7 +225,7 @@ def bip_colour_adjacency(v, of_view_colour: bool) -> dict[int, set[int]]:
     adj = {w: set() for w in (*v.X, *v.Y)}
     for y in v.Y:
         for x in v.X:
-            if (x in v.adjacency[y]) == of_view_colour:
+            if bool(v.adjacency[y] >> (x - 1) & 1) == of_view_colour:
                 adj[x].add(y)
                 adj[y].add(x)
     return adj

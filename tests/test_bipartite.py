@@ -7,6 +7,7 @@ from conftest import (
     alternating_in_view,
     bip_colour_adjacency,
     from_int,
+    random_colouring_with,
     has_mono_path_with_edges,
     long_path_instance,
     decompose_instance,
@@ -27,37 +28,46 @@ from monopath.bipartite import (
     long_path,
     ramsey_path,
 )
-from monopath.core import BLUE, RED, Colouring
+from monopath.core import BLUE, RED, Colouring, vertex_mask
 
 
 class TestView:
     def test_sorts_and_freezes(self):
-        v = BipartiteView((3, 1), (5, 4), {4: frozenset({1}), 5: frozenset()})
+        v = BipartiteView((3, 1), (5, 4), {4: 0b1, 5: 0})
         assert v.X == (1, 3) and v.Y == (4, 5)
         assert v.degree(4) == 1 and v.degree(5) == 0
 
     def test_rejects_overlap_and_stray_keys(self):
         with pytest.raises(ValueError):
-            BipartiteView((1, 2), (2, 3), {2: frozenset(), 3: frozenset()})
+            BipartiteView((1, 2), (2, 3), {2: 0, 3: 0})
         with pytest.raises(ValueError):
-            BipartiteView((1,), (2,), {9: frozenset()})
+            BipartiteView((1,), (2,), {9: 0})
         with pytest.raises(ValueError):
-            BipartiteView((1,), (2,), {2: frozenset({2})})
+            BipartiteView((1,), (2,), {2: 0b10})
         with pytest.raises(ValueError):
-            BipartiteView((1,), (2,), {2: frozenset()}, m=-1)
+            BipartiteView((1,), (2,), {2: 0}, m=-1)
 
     def test_from_colouring_picks_colour_class(self):
         g = Colouring.from_function(4, lambda u, v: RED if u == 1 else BLUE)
         v = BipartiteView.from_colouring(g, [1, 2], [3, 4], RED)
-        assert v.adjacency[3] == {1} and v.adjacency[4] == {1}
+        assert v.adjacency[3] == 0b1 and v.adjacency[4] == 0b1
         w = BipartiteView.from_colouring(g, [1, 2], [3, 4], BLUE)
-        assert w.adjacency[3] == {2} and w.adjacency[4] == {2}
+        assert w.adjacency[3] == 0b10 and w.adjacency[4] == 0b10
+
+    def test_from_colouring_adjacency_is_masks(self, rng):
+        g = random_colouring_with(rng, 12)
+        v = BipartiteView.from_colouring(g, range(1, 7), range(7, 13), BLUE, m=1)
+        for y in v.Y:
+            assert type(v.adjacency[y]) is int
+            assert v.adjacency[y] == vertex_mask(
+                x for x in v.X if g.colour(x, y) is BLUE
+            )
 
     def test_restrict_x(self):
         v = _view(4, 2, {5: {1, 2, 3}, 6: {2, 4}})
-        r = v.restrict_x([2, 4])
+        r = v.restrict_x(vertex_mask([2, 4]))
         assert r.X == (2, 4)
-        assert r.adjacency[5] == {2} and r.adjacency[6] == {2, 4}
+        assert r.adjacency[5] == 0b10 and r.adjacency[6] == 0b1010
 
 
 class TestDegreeClasses:
@@ -178,7 +188,7 @@ def _check_outcome(v, out: RamseyOutcome, k: int, l: int):
     for s, t in zip(vs, vs[1:]):
         x, y = (s, t) if s in xset else (t, s)
         assert x in xset and y in yset
-        present = x in v.adjacency[y]
+        present = bool(v.adjacency[y] >> (x - 1) & 1)
         assert present == (out.colour is v.colour)
     need = k if out.colour is v.colour else l
     assert p.length >= need

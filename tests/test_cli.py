@@ -82,6 +82,13 @@ class TestOracleCommand:
         assert code == 1
         assert "threshold" in err
 
+    def test_threshold_above_ceiling_is_input_error(self, tmp_path, capsys):
+        f = tmp_path / "big.k2c"
+        run(capsys, "gen", "--extremal", "-n", "40", "-o", str(f))
+        code, _, err = run(capsys, "oracle", str(f), "--threshold", "40")
+        assert code == 1
+        assert "ceiling" in err
+
 
 class TestVerifyCommand:
     def write(self, tmp_path, name, text):
@@ -167,16 +174,6 @@ class TestSweepCommand:
             for row in text.strip().split("\n")
         ]
         assert strip(run_sweep(plan1)) == strip(run_sweep(plan4))
-
-    def test_env_var_worker_default(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("MONOPATH_SWEEP_WORKERS", "2")
-        target = tmp_path / "s.csv"
-        code, _, _ = run(
-            capsys, "sweep", "--ns", "6", "--generators", "extremal", "-o", str(target)
-        )
-        assert code == 0
-        rows = list(csv.DictReader(target.open()))
-        assert len(rows) == 1 and rows[0]["n"] == "6"
 
     def test_branch_trace_has_no_commas(self, capsys):
         code, out, _ = run(capsys, "sweep", "--ns", "20", "--generators", "extremal")

@@ -23,7 +23,7 @@ from monopath.construct import (
     rotate_or_extend,
     two_path_cover,
 )
-from monopath.core import BLUE, RED, Colouring, GuardFailed, Path
+from monopath.core import BLUE, RED, Colouring, GuardFailed, Path, iter_edges
 from monopath.gen import extremal
 
 
@@ -302,6 +302,28 @@ class TestFindLongPathStructure:
                 witnesses += 1
                 _check_witness(g, out)
         assert structures  # the common exit at these sizes
+
+    def test_clique_certificate_becomes_the_witness(self):
+        # refine_path meets an outside vertex with more path neighbours than
+        # its bound and no rotation: their predecessors form the witness S
+        hub = {1, 3, 4, 11, 12, 15, 17, 18, 19}
+        g = Colouring.from_edge_bits(
+            20, (u in hub or v in hub for u, v in iter_edges(20))
+        )
+        out = find_long_path_structure(g, 0.0, 0.0)
+        assert isinstance(out, ReductionWitness)
+        assert out.S == (2, 5, 6, 7, 8, 9, 10, 13, 16)
+        assert out.blue_paths == (Path(out.S, BLUE),)  # the clique itself
+        _check_witness(g, out)
+
+    def test_stripping_step_guard(self):
+        # a red star at 1: unseeded, refine_path starts at vertex 1, which
+        # has no blue edge, so the path stays (1,) with 36 vertices outside;
+        # too many for the structure, and |X| = 1 < |Y| + 2m for the strip
+        g = Colouring.from_edge_bits(37, (u == 1 for u, _ in iter_edges(37)))
+        with pytest.raises(GuardFailed) as err:
+            find_long_path_structure(g, 0.5, 0.0)
+        assert str(err.value) == "stripping step unavailable: |X| >= |Y| + 2m"
 
     def test_dp_must_be_positive(self):
         with pytest.raises(ValueError):

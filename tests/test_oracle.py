@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -12,10 +13,11 @@ from conftest import (
     path_ok,
     random_colouring_with,
 )
-from monopath.core import BLUE, RED, Colouring, validate_cover
+from monopath.core import BLUE, RED, Colouring, mask_vertices, validate_cover
 from monopath.gen import extremal
 from monopath.oracle import (
     DEFAULT_ORACLE_THRESHOLD,
+    ORACLE_MAX_N,
     OracleResult,
     TooLarge,
     TraceableFamily,
@@ -35,13 +37,16 @@ class TestTraceableFamily:
                 for sub in combinations(range(1, 5), size):
                     ind, back = g.induced(sub)
                     expected = longest_mono_path(ind, RED) == size
-                    assert (frozenset(sub) in fam.sets) == expected
+                    assert (sub in fam) == expected
 
     def test_witness_paths_are_real(self, rng):
         for _ in range(30):
             g = random_colouring_with(rng, 7)
             fam = traceable_sets(g, BLUE)
-            for s in fam.sets:
+            for m in range(1, 1 << 7):
+                s = mask_vertices(m)
+                if s not in fam:
+                    continue
                 p = fam.witness_path(s)
                 assert path_ok(g, p)
                 assert set(p.vertices) == set(s)
@@ -54,6 +59,8 @@ class TestTraceableFamily:
         blue = traceable_sets(g, BLUE)
         assert frozenset({1, 2}) not in blue
         assert frozenset({2}) in blue
+        assert frozenset() not in fam
+        assert {1, 4} not in fam and (0,) not in fam  # outside 1..n
 
 
 class TestMinCoverColour:
@@ -109,6 +116,20 @@ class TestExactF:
             min_cover_colour(extremal(20), RED)
         # raising the threshold unlocks bigger instances
         assert exact_f(extremal(16), threshold=16).value == 4
+
+    def test_ceiling_rejects_before_allocating(self):
+        # a threshold above the ceiling must not buy a 2**n-entry table
+        g = extremal(40)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge):
+                exact_f(g, threshold=40)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        with pytest.raises(TooLarge):
+            traceable_sets(extremal(ORACLE_MAX_N + 1), RED, threshold=64)
 
     def test_result_shape(self):
         res = exact_f(extremal(6))

@@ -21,7 +21,7 @@ from monopath.core import (
     validate_cover,
 )
 from monopath.gen import extremal, random_colouring
-from monopath.oracle import exact_f
+from monopath.oracle import ORACLE_MAX_N, exact_f
 from monopath.solver import (
     Guarantee,
     SolverConfig,
@@ -46,6 +46,10 @@ class TestSolverConfig:
             SolverConfig(c=0.0)
         with pytest.raises(ValueError):
             SolverConfig(oracle_threshold=0)
+        with pytest.raises(ValueError):
+            SolverConfig(oracle_threshold=ORACLE_MAX_N + 1)
+        # the README's sweep example runs the oracle at n = 16
+        assert SolverConfig(oracle_threshold=16).oracle_threshold <= ORACLE_MAX_N
         with pytest.raises(ValueError):
             SolverConfig(c2=-1.0, c1=0.0)
 
@@ -101,9 +105,6 @@ class TestSolveRandom:
 
 
 class TestReduce:
-    def cfg(self):
-        return SolverConfig(c1=2.0, c2=0.0, c=2.0)
-
     def witness(self, g):
         # S = {9, 10}, both covered by one red path and two blue singletons
         return ReductionWitness(
@@ -116,7 +117,7 @@ class TestReduce:
         g = Colouring.monochromatic(10, RED)
         w = self.witness(g)
         cover = reduce(
-            g, w, self.cfg(), lambda sub: exact_f(sub).witness, c1=0.0, c2=2.0
+            g, w, lambda sub: exact_f(sub).witness, c1=0.0, c2=2.0
         )
         assert validate_cover(g, cover).valid
         assert cover.colour is RED
@@ -126,7 +127,7 @@ class TestReduce:
         g = Colouring.monochromatic(10, BLUE)
         w = self.witness(g)
         cover = reduce(
-            g, w, self.cfg(), lambda sub: exact_f(sub).witness, c1=0.0, c2=2.0
+            g, w, lambda sub: exact_f(sub).witness, c1=0.0, c2=2.0
         )
         assert validate_cover(g, cover).valid
         assert cover.colour is BLUE
@@ -136,7 +137,7 @@ class TestReduce:
         g = Colouring.monochromatic(10, RED)
         w = self.witness(g)
         with pytest.raises(GuardFailed):
-            reduce(g, w, self.cfg(), lambda sub: exact_f(sub).witness,
+            reduce(g, w, lambda sub: exact_f(sub).witness,
                    c1=0.0, c2=0.0)
 
     def test_empty_keep_returns_red_family(self):
@@ -147,7 +148,7 @@ class TestReduce:
             blue_paths=(Path((1,), BLUE), Path((2,), BLUE), Path((3,), BLUE)),
         )
         cover = reduce(
-            g, w, self.cfg(), lambda sub: exact_f(sub).witness, c1=0.0, c2=2.0
+            g, w, lambda sub: exact_f(sub).witness, c1=0.0, c2=2.0
         )
         assert validate_cover(g, cover).valid
         assert cover.paths == w.red_paths
@@ -161,7 +162,7 @@ class TestReduce:
         blue = (Path(s, BLUE),) if g.colour(3, 7) is BLUE else (Path((3,), BLUE), Path((7,), BLUE))
         w = ReductionWitness(S=s, red_paths=red, blue_paths=blue)
         cover = reduce(
-            g, w, SolverConfig(), lambda sub: exact_f(sub).witness, c1=0.0, c2=3.0
+            g, w, lambda sub: exact_f(sub).witness, c1=0.0, c2=3.0
         )
         assert validate_cover(g, cover).valid
 
@@ -253,6 +254,12 @@ class TestPipelines:
         assert "sqrt:decompose" in res.branch_trace
         assert res.cover.size <= math.isqrt(n)
         assert res.guarantee is Guarantee.SQRT
+
+    def test_cover_sqrt_falls_back_on_its_own(self):
+        g = random_colouring(17, 0.2, 24)
+        res = cover_sqrt(g, SolverConfig())
+        assert res.branch_trace[:2] == ("sqrt:classes-fail", "sqrt:fallback")
+        assert validate_cover(g, res.cover).valid
 
     def test_solve_picks_the_minimum(self, rng):
         g = Colouring.monochromatic(10, BLUE)
