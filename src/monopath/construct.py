@@ -165,18 +165,28 @@ def refine_path(
     all outside vertices come back SmallDegree, a dict of their degrees.
     That dict is keyed by exactly the vertices off the path, in ascending
     order, so callers read the outside set from it.
+
+    For a fixed path P, rotate_or_extend's outcome for y reads nothing of y
+    but B = N_gamma(y) & P, its same-colour neighbours on the path, so
+    outside vertices with equal B share one call.  Only SmallDegree is
+    memoised: a LongerPath contains y, and it or a certificate ends the scan
+    anyway.
     """
     p = maximal_path(g, gamma, seed_path)
     everyone = (1 << g.n) - 1
     while True:
         degs: dict[int, int] = {}
-        for y in mask_vertices(everyone & ~vertex_mask(p.vertices)):
-            res = rotate_or_extend(g, p, y, bound)
+        pmask = vertex_mask(p.vertices)
+        small: dict[int, SmallDegree] = {}  # B's mask -> its outcome on p
+        for y in mask_vertices(everyone & ~pmask):
+            bmask = g.mask(y, gamma) & pmask
+            res = small.get(bmask) or rotate_or_extend(g, p, y, bound)
             if isinstance(res, LongerPath):
                 p = maximal_path(g, gamma, res.path)
                 break
             if isinstance(res, RedCliqueCertificate):
                 return p, res
+            small[bmask] = res
             degs[y] = res.degree
         else:
             return p, degs

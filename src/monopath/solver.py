@@ -11,9 +11,11 @@ final cover size, never assumed from the branch taken.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable
 
 from . import arith
@@ -221,6 +223,17 @@ def _strip_and_mop(g: Colouring, s: LongPathStructure) -> PathCover:
     return PathCover(red, tuple(paths), n)
 
 
+@contextmanager
+def _dropped_on_error(tag: str, trace: list[str]):
+    """Run one candidate builder; a MonopathError it raises drops that
+    candidate, the trace records <tag>:error(<exception name>) and the caller
+    carries on.  Guards the builders handle themselves keep their own tags."""
+    try:
+        yield
+    except MonopathError as exc:
+        trace.append(f"{tag}:error({type(exc).__name__})")
+
+
 def _bounded_candidates(
     g: Colouring, cfg: SolverConfig
 ) -> tuple[list[tuple[str, PathCover]], list[str]]:
@@ -235,41 +248,50 @@ def _bounded_candidates(
         cands.append((tag, cover))
 
     if n <= cfg.oracle_threshold:
-        add(exact_f(g, cfg.oracle_threshold).witness, "base:oracle")
+        with _dropped_on_error("base:oracle", trace):
+            add(exact_f(g, cfg.oracle_threshold).witness, "base:oracle")
     for gamma in (RED, BLUE):
-        add(_structure_attempt(g, gamma), f"base:structure-{gamma.value}")
+        tag = f"base:structure-{gamma.value}"
+        with _dropped_on_error(tag, trace):
+            add(_structure_attempt(g, gamma), tag)
+    # unguarded: the greedy cover is the candidate that is always there
     add(_greedy_cover(g), "base:greedy")
 
     if n > cfg.c:
         trace.append("bounded:pipeline")
-        try:
-            found = find_long_path_structure(g, cfg.c, cfg.c)
-        except GuardFailed:
-            found = None
-            trace.append("bounded:pipeline-guard-failed")
-        if isinstance(found, ReductionWitness):
+        found = None
+        with _dropped_on_error("bounded:pipeline", trace):
             try:
-                # the inductive hypothesis is this same procedure on fewer
-                # vertices; recursing into solve() instead would fork two
-                # fresh pipelines per level and blow up exponentially
-                cov = reduce(
-                    g, found, lambda sub: cover_bounded(sub, cfg).cover,
-                    c1=cfg.c, c2=cfg.c,
-                )
-                add(cov, "bounded:reduce")
+                found = find_long_path_structure(g, cfg.c, cfg.c)
             except GuardFailed:
-                trace.append("bounded:reduce-guard-failed")
+                trace.append("bounded:pipeline-guard-failed")
+        if isinstance(found, ReductionWitness):
+            with _dropped_on_error("bounded:reduce", trace):
+                try:
+                    # the inductive hypothesis is this same procedure on fewer
+                    # vertices; recursing into solve() instead would fork two
+                    # fresh pipelines per level and blow up exponentially
+                    cov = reduce(
+                        g, found, lambda sub: cover_bounded(sub, cfg).cover,
+                        c1=cfg.c, c2=cfg.c,
+                    )
+                    add(cov, "bounded:reduce")
+                except GuardFailed:
+                    trace.append("bounded:reduce-guard-failed")
         elif isinstance(found, LongPathStructure):
             y0 = _gamma_isolated(g, found)
             if 4 * len(y0) ** 2 <= n:
-                add(cover_from_structure(g, found), "bounded:y0-exit")
+                with _dropped_on_error("bounded:y0-exit", trace):
+                    add(cover_from_structure(g, found), "bounded:y0-exit")
             elif len(found.Y) ** 2 <= n:
-                add(cover_from_structure(g, found), "bounded:y-exit")
+                with _dropped_on_error("bounded:y-exit", trace):
+                    add(cover_from_structure(g, found), "bounded:y-exit")
             else:
-                try:
-                    add(_strip_and_mop(g, found), "bounded:strip")
-                except (PreconditionViolated, GuardFailed) as exc:
-                    trace.append(f"bounded:strip-failed({exc})")
+                with _dropped_on_error("bounded:strip", trace):
+                    try:
+                        add(_strip_and_mop(g, found), "bounded:strip")
+                    except (PreconditionViolated, GuardFailed) as exc:
+                        trace.append(f"bounded:strip-failed({exc})")
     return cands, trace
 
 
@@ -280,8 +302,15 @@ def cover_bounded(g: Colouring, cfg: SolverConfig) -> SolveResult:
 
 
 def _sqrt_step(g: Colouring, cfg: SolverConfig, trace: list[str]) -> PathCover | None:
-    """The sqrt-bound step, or None when one of its guards fails; the trace
-    records the branch taken or the guard that failed."""
+    """The sqrt-bound step, or None when one of its guards fails or a builder
+    raises; the trace records the branch taken, the guard that failed or
+    sqrt:error(<exception name>)."""
+    with _dropped_on_error("sqrt", trace):
+        return _sqrt_branch(g, cfg, trace)
+    return None
+
+
+def _sqrt_branch(g: Colouring, cfg: SolverConfig, trace: list[str]) -> PathCover | None:
     n = g.n
     try:
         found = find_long_path_structure(g, cfg.c, 0.0)
@@ -380,4 +409,19 @@ def solve(g: Colouring, cfg: SolverConfig | None = None) -> SolveResult:
     trace.extend(bounded.branch_trace)
     add(bounded.cover, "bounded")
     add(built["base:greedy"], "greedy")
-    return _pick(g.n, cfg, cands, trace)
+    res = _pick(g.n, cfg, cands, trace)
+    labels = _labels(g.n)
+    paths = tuple(
+        Path(tuple(map(labels.__getitem__, p.vertices)), p.colour)
+        for p in res.cover.paths
+    )
+    return replace(res, cover=PathCover(res.cover.colour, paths, g.n))
+
+
+@lru_cache(maxsize=4)
+def _labels(n: int) -> tuple[int, ...]:
+    """0..n, one tuple per n.  The constructions compute vertex labels
+    afresh, so a result would own one int object per vertex (28 bytes each,
+    about 2/3 of a kept n=2000 result); solve takes its result's labels from
+    here, so results of the same n share them."""
+    return tuple(range(n + 1))

@@ -23,7 +23,9 @@ from monopath.construct import (
     rotate_or_extend,
     two_path_cover,
 )
+from monopath import construct
 from monopath.core import BLUE, RED, Colouring, GuardFailed, Path, iter_edges
+from monopath.core import mask_vertices, vertex_mask
 from monopath.gen import extremal
 
 
@@ -198,7 +200,54 @@ class TestRotateOrExtend:
             rotate_or_extend(g, Path((1, 2, 3), BLUE), 2)
 
 
+def _refine_path_uncached(g, gamma, seed_path=None, bound=None):
+    """refine_path without the memo: one rotate_or_extend call per outside
+    vertex on every scan of the path."""
+    p = maximal_path(g, gamma, seed_path)
+    everyone = (1 << g.n) - 1
+    while True:
+        degs = {}
+        for y in mask_vertices(everyone & ~vertex_mask(p.vertices)):
+            res = rotate_or_extend(g, p, y, bound)
+            if isinstance(res, LongerPath):
+                p = maximal_path(g, gamma, res.path)
+                break
+            if isinstance(res, RedCliqueCertificate):
+                return p, res
+            degs[y] = res.degree
+        else:
+            return p, degs
+
+
 class TestRefinePath:
+    def test_memo_matches_uncached_reference(self, rng):
+        for _ in range(300):
+            g = noisy_colouring(rng, rng.randint(2, 60))
+            for gamma in (RED, BLUE):
+                for seed in (None, maximal_path(g, gamma)):
+                    for bound in (None, 0, 2, 4):
+                        want = _refine_path_uncached(g, gamma, seed, bound)
+                        assert refine_path(g, gamma, seed, bound) == want
+
+    @pytest.mark.parametrize(
+        "g", [red_hub(400, 361), extremal(400)], ids=["red_hub", "extremal"]
+    )
+    def test_one_rotation_per_distinct_neighbourhood(self, monkeypatch, g):
+        # every outside vertex sees the same hub on the path, so the scan
+        # makes one rotate_or_extend call; without the memo it made 319 on
+        # the red hub and 361 on extremal(400)
+        calls = []
+        real = construct.rotate_or_extend
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(construct, "rotate_or_extend", counted)
+        p, outcome = refine_path(g, RED)
+        assert len(calls) == 1
+        assert path_ok(g, p) and len(outcome) == g.n - len(p.vertices)
+
     def test_chord_search_makes_no_colour_queries(self, monkeypatch):
         # the red hub on 361..400 rotates through long predecessor lists; the
         # pairwise chord search asked for 248,820 edge colours here

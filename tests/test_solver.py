@@ -21,7 +21,7 @@ from monopath.core import (
     validate_cover,
 )
 from monopath.gen import extremal, random_colouring
-from monopath.oracle import ORACLE_MAX_N, exact_f
+from monopath.oracle import ORACLE_MAX_N, TableInconsistent, exact_f
 from monopath.solver import (
     Guarantee,
     SolverConfig,
@@ -378,3 +378,58 @@ def test_decompose_overrun_falls_back(monkeypatch):
     assert {"sqrt:decompose-failed", "sqrt:fallback"} <= set(res.branch_trace)
     assert "sqrt:decompose" not in res.branch_trace
     assert validate_cover(g, res.cover).valid
+
+
+class TestFailingCandidate:
+    """A candidate builder's MonopathError drops that candidate, not the solve."""
+
+    @pytest.mark.parametrize(
+        "cfg, bounded_tag",
+        [(SolverConfig(), None), (SolverConfig(1.0, 0.0, 1.0), "bounded:y-exit")],
+        ids=["default", "1,0,1"],
+    )
+    def test_cover_from_structure_error(self, monkeypatch, cfg, bounded_tag):
+        g = extremal(100)
+
+        def fail(g, s):
+            raise solver.NoCommonNeighbour("injected")
+
+        monkeypatch.setattr(solver, "cover_from_structure", fail)
+        res = solve(g, cfg)
+        assert validate_cover(g, res.cover).valid
+        want = {
+            "sqrt:error(NoCommonNeighbour)",
+            "sqrt:fallback",
+            "base:structure-R:error(NoCommonNeighbour)",
+            "base:structure-B:error(NoCommonNeighbour)",
+        }
+        if bounded_tag:
+            want.add(f"{bounded_tag}:error(NoCommonNeighbour)")
+        assert want <= set(res.branch_trace)
+        assert not {"base:structure-R", "base:structure-B"} & set(res.branch_trace)
+
+    def test_oracle_error(self, monkeypatch):
+        g = random_colouring(10, 0.5, 3)
+
+        def fail(g, threshold):
+            raise TableInconsistent("injected")
+
+        monkeypatch.setattr(solver, "exact_f", fail)
+        res = solve(g)
+        assert validate_cover(g, res.cover).valid
+        assert "base:oracle:error(TableInconsistent)" in res.branch_trace
+        assert "oracle" not in res.branch_trace
+
+
+def test_results_share_vertex_labels():
+    # vertices above 256 are distinct int objects unless shared; a kept
+    # n=400 result would otherwise own one per vertex
+    g = extremal(400)
+    first, second = solve(g).cover, solve(g).cover
+    assert first == second
+    pairs = [
+        (u, v)
+        for p, q in zip(first.paths, second.paths)
+        for u, v in zip(p.vertices, q.vertices)
+    ]
+    assert len(pairs) == 400 and all(u is v for u, v in pairs)
