@@ -430,11 +430,10 @@ def ramsey_path(v: BipartiteView, k: int, l: int) -> RamseyOutcome:
     sides at least ceil((k+l)/2); under those hypotheses one of the two
     targets always exists.
 
-    Small instances (both sides <= RAMSEY_EXACT_THRESHOLD) are solved by exact
-    search.  Larger ones try greedy grow-and-rotate on both colours first;
-    exact search above the threshold is not feasible, so if the greedy pass
-    certifies neither target, CannotCertify is raised for the caller to
-    handle.
+    Greedy grow-and-rotate tries both colours first.  If it certifies
+    neither target, small instances (both sides <= RAMSEY_EXACT_THRESHOLD)
+    go to exact search; above the threshold that is not feasible, so
+    CannotCertify is raised for the caller to handle.
     """
     if k == l:
         raise EqualLengths(f"k = l = {k}")
@@ -445,28 +444,21 @@ def ramsey_path(v: BipartiteView, k: int, l: int) -> RamseyOutcome:
         )
     main_adj, other_adj = _vertex_masks(v)
     verts = sorted(v.X + v.Y)
-    small = max(len(v.X), len(v.Y)) <= RAMSEY_EXACT_THRESHOLD
     main_colour = v.colour
     other_colour = v.colour.complement
 
-    if not small:
-        gm = _best_greedy(main_adj, verts)
-        if len(gm) - 1 >= k:
-            return RamseyOutcome(main_colour, Path(tuple(gm), main_colour))
-        go = _best_greedy(other_adj, verts)
-        if len(go) - 1 >= l:
-            return RamseyOutcome(other_colour, Path(tuple(go), other_colour))
+    gm = _best_greedy(main_adj, verts)
+    if len(gm) - 1 >= k:
+        return RamseyOutcome(main_colour, Path(tuple(gm), main_colour))
+    go = _best_greedy(other_adj, verts)
+    if len(go) - 1 >= l:
+        return RamseyOutcome(other_colour, Path(tuple(go), other_colour))
+    if max(len(v.X), len(v.Y)) > RAMSEY_EXACT_THRESHOLD:
         raise CannotCertify(
             f"greedy paths reached {len(gm) - 1}/{k} and {len(go) - 1}/{l} edges"
         )
 
     # exact regime: search the colour closer to its target first
-    gm = _best_greedy(main_adj, verts)
-    go = _best_greedy(other_adj, verts)
-    if len(gm) - 1 >= k:
-        return RamseyOutcome(main_colour, Path(tuple(gm), main_colour))
-    if len(go) - 1 >= l:
-        return RamseyOutcome(other_colour, Path(tuple(go), other_colour))
     deficit_main = (k - (len(gm) - 1)) / k if k > 0 else 0.0
     deficit_other = (l - (len(go) - 1)) / l if l > 0 else 0.0
     order = [(main_adj, k, main_colour), (other_adj, l, other_colour)]

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import arith
 from .bipartite import BipartiteView, PreconditionViolated, decompose, ramsey_path
-from .bipartite import CannotCertify, EqualLengths, SidesTooSmall, _best_greedy
+from .bipartite import CannotCertify, _best_greedy
 from .core import BLUE, RED, Colour, Colouring, GuardFailed, Path
 from .core import mask_vertices, vertex_mask
 
@@ -266,20 +266,23 @@ def find_long_path_structure(g: Colouring, c1: float, c2: float):
     if len(s) >= t and len(probe) > 1:
         return witness(s, [Path(tuple(probe), RED)], [Path(q, BLUE)])
 
+    # k_red is odd, l_blue even and both sides hold ceil((k_red + l_blue)/2)
+    # vertices, so of ramsey_path's errors only CannotCertify can occur
     seed = None
-    k_red = 2 * t - 1
-    l_blue = 2 * half - k_red - 1
-    if 1 <= k_red and 1 <= l_blue and k_red != l_blue:
+    k_red, l_blue = 2 * t - 1, 2 * half - 2 * t
+    if l_blue >= 1:
         view = BipartiteView.from_colouring(g2, q, w, colour=RED)
         try:
             out = ramsey_path(view, k_red, l_blue)
-            if out.colour is RED:
-                s = mask_vertices(vertex_mask(out.path.vertices) & qmask)
-                if len(s) >= t:
-                    return witness(s, [out.path], [Path(q, BLUE)])
-            else:
+            if out.colour is BLUE:
                 seed = out.path
-        except (SidesTooSmall, EqualLengths, CannotCertify):
+            else:
+                # only ramsey_path's exact search (n <= 29) gets here: its
+                # greedy opening is the probe's, and a red path of >= 2t - 1
+                # edges alternates, so it holds >= t vertices of q
+                s = mask_vertices(vertex_mask(out.path.vertices) & qmask)
+                return witness(s, [out.path], [Path(q, BLUE)])
+        except CannotCertify:
             pass
 
     bound_int = arith.floor_of_coeff_sqrt(2 * dp, n)
@@ -302,10 +305,9 @@ def find_long_path_structure(g: Colouring, c1: float, c2: float):
         raise GuardFailed(f"stripping step unavailable: {exc}") from exc
     if not red_paths:
         raise GuardFailed("stripping step produced no paths")
+    # each red path covers |Y| >= 1 path vertices, so s is never empty
     covered = 0
     for rp in red_paths:
         covered |= vertex_mask(rp.vertices)
     s = mask_vertices(covered & vertex_mask(p.vertices))
-    if not s:
-        raise GuardFailed("stripping step covered no path vertices")
     return witness(s, list(red_paths), [p])

@@ -45,7 +45,12 @@ def extremal(n: int) -> Colouring:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     a_size = n - max(0, math.isqrt(n) - 1)
-    return Colouring.from_edge_bits(n, [v > a_size for _, v in iter_edges(n)])
+    # clique vertices are red exactly to the hub, hub vertices to all others
+    full = (1 << n) - 1
+    hub = full >> a_size << a_size
+    return Colouring._trusted(
+        n, [hub] * a_size + [full ^ (1 << (v - 1)) for v in range(a_size + 1, n + 1)]
+    )
 
 
 def random_colouring(n: int, p: float, seed: int) -> Colouring:

@@ -22,7 +22,6 @@ from . import arith
 from .bipartite import (
     BipartiteView,
     DegreeClasses,
-    PreconditionViolated,
     decompose,
     decompose_full,
 )
@@ -46,11 +45,6 @@ from .core import (
     vertex_mask,
 )
 from .oracle import ORACLE_MAX_N, exact_f
-
-
-class NoCommonNeighbour(MonopathError):
-    """A pair of outside vertices has no connection through the path; the
-    structure invariant was violated upstream."""
 
 
 class Guarantee(Enum):
@@ -145,15 +139,13 @@ def cover_from_structure(g: Colouring, s: LongPathStructure) -> PathCover:
     paths = [Path(pv, gamma)]
     pos = {v: i for i, v in enumerate(pv)}
     for a, b in zip(y1[::2], y1[1::2]):
-        common = g.mask(a, gamma) & g.mask(b, gamma) & pm
+        am = g.mask(a, gamma) & pm
+        bm = g.mask(b, gamma) & pm
+        common = am & bm
         if common:
             x = (common & -common).bit_length()
             paths.append(Path((a, x, b), gamma))
             continue
-        am = g.mask(a, gamma) & pm
-        bm = g.mask(b, gamma) & pm
-        if not am or not bm:
-            raise NoCommonNeighbour(f"pair ({a}, {b}) cannot reach the path")
         # no common neighbour: connect through a path segment instead
         i = min(pos[v] for v in mask_vertices(am))
         j = min(pos[v] for v in mask_vertices(bm))
@@ -225,9 +217,10 @@ def _strip_and_mop(g: Colouring, s: LongPathStructure) -> PathCover:
 
 @contextmanager
 def _dropped_on_error(tag: str, trace: list[str]):
-    """Run one candidate builder; a MonopathError it raises drops that
-    candidate, the trace records <tag>:error(<exception name>) and the caller
-    carries on.  Guards the builders handle themselves keep their own tags."""
+    """Run one stage of the solve; a MonopathError it raises, a failed guard
+    included, drops what the stage would have built, the trace records
+    <tag>:error(<exception name>) and the caller carries on.  This is the
+    module's only exception handler."""
     try:
         yield
     except MonopathError as exc:
@@ -261,37 +254,26 @@ def _bounded_candidates(
         trace.append("bounded:pipeline")
         found = None
         with _dropped_on_error("bounded:pipeline", trace):
-            try:
-                found = find_long_path_structure(g, cfg.c, cfg.c)
-            except GuardFailed:
-                trace.append("bounded:pipeline-guard-failed")
+            found = find_long_path_structure(g, cfg.c, cfg.c)
         if isinstance(found, ReductionWitness):
             with _dropped_on_error("bounded:reduce", trace):
-                try:
-                    # the inductive hypothesis is this same procedure on fewer
-                    # vertices; recursing into solve() instead would fork two
-                    # fresh pipelines per level and blow up exponentially
-                    cov = reduce(
-                        g, found, lambda sub: cover_bounded(sub, cfg).cover,
-                        c1=cfg.c, c2=cfg.c,
-                    )
-                    add(cov, "bounded:reduce")
-                except GuardFailed:
-                    trace.append("bounded:reduce-guard-failed")
+                # the inductive hypothesis is this same procedure on fewer
+                # vertices; recursing into solve() instead would fork two
+                # fresh pipelines per level and blow up exponentially
+                cov = reduce(
+                    g, found, lambda sub: cover_bounded(sub, cfg).cover,
+                    c1=cfg.c, c2=cfg.c,
+                )
+                add(cov, "bounded:reduce")
         elif isinstance(found, LongPathStructure):
-            y0 = _gamma_isolated(g, found)
-            if 4 * len(y0) ** 2 <= n:
-                with _dropped_on_error("bounded:y0-exit", trace):
-                    add(cover_from_structure(g, found), "bounded:y0-exit")
+            if 4 * len(_gamma_isolated(g, found)) ** 2 <= n:
+                tag, build = "bounded:y0-exit", cover_from_structure
             elif len(found.Y) ** 2 <= n:
-                with _dropped_on_error("bounded:y-exit", trace):
-                    add(cover_from_structure(g, found), "bounded:y-exit")
+                tag, build = "bounded:y-exit", cover_from_structure
             else:
-                with _dropped_on_error("bounded:strip", trace):
-                    try:
-                        add(_strip_and_mop(g, found), "bounded:strip")
-                    except (PreconditionViolated, GuardFailed) as exc:
-                        trace.append(f"bounded:strip-failed({exc})")
+                tag, build = "bounded:strip", _strip_and_mop
+            with _dropped_on_error(tag, trace):
+                add(build(g, found), tag)
     return cands, trace
 
 
@@ -302,9 +284,10 @@ def cover_bounded(g: Colouring, cfg: SolverConfig) -> SolveResult:
 
 
 def _sqrt_step(g: Colouring, cfg: SolverConfig, trace: list[str]) -> PathCover | None:
-    """The sqrt-bound step, or None when one of its guards fails or a builder
+    """The sqrt-bound step, or None when one of its guards fails or a stage
     raises; the trace records the branch taken, the guard that failed or
-    sqrt:error(<exception name>)."""
+    <stage>:error(<exception name>), the stage being sqrt:pipeline,
+    sqrt:reduce or, for the structure exits, sqrt."""
     with _dropped_on_error("sqrt", trace):
         return _sqrt_branch(g, cfg, trace)
     return None
@@ -312,32 +295,28 @@ def _sqrt_step(g: Colouring, cfg: SolverConfig, trace: list[str]) -> PathCover |
 
 def _sqrt_branch(g: Colouring, cfg: SolverConfig, trace: list[str]) -> PathCover | None:
     n = g.n
-    try:
-        found = find_long_path_structure(g, cfg.c, 0.0)
-    except GuardFailed:
-        trace.append("sqrt:pipeline-guard-failed")
-        return None
-
-    if isinstance(found, ReductionWitness):
-        try:
+    s = None
+    with _dropped_on_error("sqrt:pipeline", trace):
+        s = find_long_path_structure(g, cfg.c, 0.0)
+    if isinstance(s, ReductionWitness):
+        with _dropped_on_error("sqrt:reduce", trace):
             # the hypothesis f(m) < sqrt(m) + c comes from the bounded
             # induction, so that is what the recursion re-enters
             cov = reduce(
-                g, found, lambda sub: cover_bounded(sub, cfg).cover,
+                g, s, lambda sub: cover_bounded(sub, cfg).cover,
                 c1=cfg.c, c2=0.0,
             )
-        except GuardFailed:
-            trace.append("sqrt:reduce-guard-failed")
-            return None
-        trace.append("sqrt:reduce")
-        return cov
+            trace.append("sqrt:reduce")
+            return cov
+    if not isinstance(s, LongPathStructure):
+        return None
 
-    s = found
     y0 = _gamma_isolated(g, s)
     coeff = 18 * Fraction(cfg.c)
     if arith.le_sqrt_minus_quartic(len(y0), n, coeff) or (len(s.Y) + 1) ** 2 <= n:
+        cov = cover_from_structure(g, s)
         trace.append("sqrt:y-exit")
-        return cover_from_structure(g, s)
+        return cov
 
     xs = s.path.vertices
     ys = s.Y
@@ -353,11 +332,8 @@ def _sqrt_branch(g: Colouring, cfg: SolverConfig, trace: list[str]) -> PathCover
     if not balanced:
         trace.append("sqrt:classes-fail")
         return None
-    try:
-        paths = decompose_full(view)
-    except PreconditionViolated:
-        paths = None
-    if paths is None or len(paths) > arith.ceil_div(len(xs), len(ys) + 1):
+    paths = decompose_full(view)
+    if len(paths) > arith.ceil_div(len(xs), len(ys) + 1):
         trace.append("sqrt:decompose-failed")
         return None
     trace.append("sqrt:decompose")

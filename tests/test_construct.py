@@ -26,7 +26,7 @@ from monopath.construct import (
 from monopath import construct
 from monopath.core import BLUE, RED, Colouring, GuardFailed, Path, iter_edges
 from monopath.core import mask_vertices, vertex_mask
-from monopath.gen import extremal
+from monopath.gen import extremal, indexed_colouring
 
 
 class TestTwoPathCover:
@@ -325,6 +325,11 @@ def _check_witness(g, w: ReductionWitness):
     assert w.k == max(len(w.red_paths), len(w.blue_paths))
 
 
+RED_RAMSEY_25 = int(
+    "8c65248809037e5f99f240f207481c4bc72fc5481c72071240a2240a30df8e5c81c619038c2", 16
+)
+
+
 class TestFindLongPathStructure:
     def test_extremal_gives_structure(self):
         for n in (9, 16, 25, 49, 100):
@@ -373,6 +378,41 @@ class TestFindLongPathStructure:
         with pytest.raises(GuardFailed) as err:
             find_long_path_structure(g, 0.5, 0.0)
         assert str(err.value) == "stripping step unavailable: |X| >= |Y| + 2m"
+
+    def test_stripping_step_success(self, monkeypatch):
+        # the red hub on 457..600: the blue clique is the long path, its 144
+        # outside vertices are too many for the structure, and one stripping
+        # pass (|X| = 456, |Y| = 144, m = 147) covers 144 path vertices
+        g = red_hub(600, 457)
+        passes = []
+        real = construct.decompose
+        monkeypatch.setattr(
+            construct, "decompose", lambda v: passes.append(v.m) or real(v)
+        )
+        out = find_long_path_structure(g, 2.0, 0.0)
+        assert passes == [147]
+        assert isinstance(out, ReductionWitness)
+        assert len(out.red_paths) == 1 and len(out.S) == 144
+        _check_witness(g, out)
+
+    def test_exact_ramsey_red_path_is_the_witness(self, monkeypatch):
+        # found by fuzzing n = 16..29, where ramsey_path may search exactly:
+        # the probe's greedy red path is too short, the exact search finds
+        # one of k = 2t - 1 = 19 edges, and it holds t = 10 vertices of q
+        g = indexed_colouring(25, RED_RAMSEY_25)
+        outcomes = []
+        real = construct.ramsey_path
+        monkeypatch.setattr(
+            construct,
+            "ramsey_path",
+            lambda v, k, l: outcomes.append(real(v, k, l)) or outcomes[-1],
+        )
+        out = find_long_path_structure(g, 1.0, 1.0)
+        assert [o.colour for o in outcomes] == [RED]
+        assert isinstance(out, ReductionWitness) and len(out.S) == 10
+        # the two-path cover's long path was red, so colours come back swapped
+        assert out.blue_paths == (Path(outcomes[0].path.vertices, BLUE),)
+        _check_witness(g, out)
 
     def test_dp_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monopath.core import BLUE, RED, iter_edges
+from monopath.core import BLUE, RED, Colouring, iter_edges
 from monopath.gen import (
     GENERATOR_NAME,
     GenSpec,
@@ -25,6 +25,16 @@ class TestExtremal:
         a = n - max(0, math.isqrt(n) - 1)
         for u, v in iter_edges(n):
             assert g.colour(u, v) is (RED if v > a else BLUE)
+
+    def test_masks_match_the_per_edge_build(self):
+        # every n up to 64, then the hub width changes at squares
+        sizes = set(range(1, 65)) | {300}
+        sizes |= {k * k + d for k in range(8, 18) for d in (-1, 0, 1)}
+        for n in sorted(sizes):
+            a = n - max(0, math.isqrt(n) - 1)
+            ref = Colouring.from_edge_bits(n, [v > a for _, v in iter_edges(n)])
+            g = extremal(n)
+            assert (g._red, g._blue) == (ref._red, ref._blue), n
 
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):

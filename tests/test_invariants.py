@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import monopath
+from monopath import solver
 from monopath.bipartite import PreconditionViolated, _complete_chunks, _interleave_xy
 from monopath.core import RED, MonopathError
 from monopath.oracle import TableInconsistent, _spanning_path
@@ -20,6 +21,19 @@ def test_no_assert_statements_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_solver_handles_exceptions_only_in_dropped_on_error():
+    # one failure path: a failing solver stage is dropped and traced as
+    # <stage>:error(<name>) by _dropped_on_error, never caught on the side
+    tree = ast.parse(Path(solver.__file__).read_text())
+    where = [
+        (getattr(top, "name", None), node.lineno)
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.ExceptHandler)
+    ]
+    assert where and {name for name, _ in where} == {"_dropped_on_error"}, where
 
 
 def test_interleave_needs_one_fewer_y():

@@ -392,21 +392,23 @@ class TestFailingCandidate:
         g = extremal(100)
 
         def fail(g, s):
-            raise solver.NoCommonNeighbour("injected")
+            raise GuardFailed("injected")
 
         monkeypatch.setattr(solver, "cover_from_structure", fail)
         res = solve(g, cfg)
         assert validate_cover(g, res.cover).valid
         want = {
-            "sqrt:error(NoCommonNeighbour)",
+            "sqrt:error(GuardFailed)",
             "sqrt:fallback",
-            "base:structure-R:error(NoCommonNeighbour)",
-            "base:structure-B:error(NoCommonNeighbour)",
+            "base:structure-R:error(GuardFailed)",
+            "base:structure-B:error(GuardFailed)",
         }
         if bounded_tag:
-            want.add(f"{bounded_tag}:error(NoCommonNeighbour)")
+            want.add(f"{bounded_tag}:error(GuardFailed)")
         assert want <= set(res.branch_trace)
-        assert not {"base:structure-R", "base:structure-B"} & set(res.branch_trace)
+        # an exit is listed only once its builder has returned
+        taken = {"base:structure-R", "base:structure-B", "sqrt:y-exit", bounded_tag}
+        assert not taken & set(res.branch_trace)
 
     def test_oracle_error(self, monkeypatch):
         g = random_colouring(10, 0.5, 3)

@@ -1,0 +1,215 @@
+"""Tag census: every trace tag solver.py can write, each reached by a pinned
+instance whose solve returns a validated cover.
+
+The tags are read from solver.py itself: every string literal handed to
+`trace.append`, `add` or `_dropped_on_error`, or assigned to `tag`.  An
+f-string stands for every entry that matches it with its fields filled in;
+a stage handed to `_dropped_on_error` is reached by the stage's own entry or
+by `<stage>:error(<ExceptionName>)`.  A tag literal added to solver.py
+without an entry in CENSUS fails `test_every_tag_literal_has_an_instance`.
+
+Entries with a stand-in (their fourth field) are reached only through a
+monkeypatched failure, since no correct input reaches them:
+
+* `<tag>:invalid-dropped` needs a builder that returns an invalid cover;
+* `sqrt:decompose-failed` needs decompose_full to overrun its ceiling;
+* `sqrt:error(...)` and `base:oracle:error(...)` need cover_from_structure
+  or exact_f to raise.
+
+`bounded:reduce:error(...)` has no entry.  The bounded pipeline runs with
+c1 = c2, so the reduce guard asks sqrt(n) - sqrt(n - |S|) >= k.  Witnesses
+from the probe, the Ramsey path or a clique certificate have k = 1 and
+|S| >= 2 sqrt(n), which always passes.  A stripping witness of k paths has
+|S| = k|Y|; over every n <= 20000 and every |Y| the stripping step admits,
+the margin sqrt(n) - sqrt(n - k|Y|) - k is at least 0.67, and it grows
+with n.
+"""
+
+from __future__ import annotations
+
+import ast
+import random
+import re
+from pathlib import Path as FilePath
+
+import pytest
+
+from conftest import noisy_colouring, red_hub
+from monopath import arith, solver
+from monopath.core import (
+    BLUE,
+    RED,
+    Colouring,
+    GuardFailed,
+    Path,
+    PathCover,
+    iter_edges,
+    validate_cover,
+)
+from monopath.gen import extremal, random_colouring
+from monopath.oracle import TableInconsistent
+from monopath.solver import SolverConfig, cover_sqrt, solve
+
+DEFAULT = SolverConfig()
+C2 = SolverConfig(c1=2.0, c2=0.0, c=2.0)
+C1 = SolverConfig(c1=1.0, c2=0.0, c=1.0)
+C222 = SolverConfig(c1=2.0, c2=2.0, c=2.0)
+
+
+def red_star(n: int) -> Colouring:
+    """Every edge at vertex 1 red, the rest blue."""
+    return Colouring.from_function(n, lambda u, v: RED if u == 1 else BLUE)
+
+
+def forced_red_star(seed: int) -> Colouring:
+    """A noisy colouring with every edge at vertex 1 made red.  Vertex 1 has
+    no blue edge, so when ramsey_path cannot certify a blue seed the long
+    path stays (1,) and the stripping step's preconditions fail."""
+    rng = random.Random(seed)
+    n = rng.randint(30, 70)
+    bits = noisy_colouring(rng, n).edge_bits()
+    return Colouring.from_edge_bits(
+        n, [u == 1 or red for (u, _), red in zip(iter_edges(n), bits)]
+    )
+
+
+def _raise_guard(*args):
+    raise GuardFailed("injected")
+
+
+def _raise_table(*args):
+    raise TableInconsistent("injected")
+
+
+def _path_only(g, s):
+    """An invalid structure cover: the path without its outside vertices."""
+    return PathCover(s.gamma, (Path(s.path.vertices, s.gamma),), g.n)
+
+
+def _overrun(view):
+    paths = _real_decompose_full(view)
+    ceiling = arith.ceil_div(len(view.X), len(view.Y) + 1)
+    return paths + paths[:1] * (ceiling + 1 - len(paths))
+
+
+_real_decompose_full = solver.decompose_full
+
+# trace entry -> (colouring, config, entry point, injected (name, stand-in))
+CENSUS = {
+    "oracle": (lambda: random_colouring(10, 0.5, 3), DEFAULT, solve, None),
+    "base:oracle": (lambda: random_colouring(10, 0.5, 3), DEFAULT, solve, None),
+    "base:oracle:error(TableInconsistent)": (
+        lambda: random_colouring(10, 0.5, 3), DEFAULT, solve,
+        ("exact_f", _raise_table),
+    ),
+    "base:structure-R": (lambda: extremal(100), DEFAULT, solve, None),
+    "base:greedy": (lambda: extremal(100), DEFAULT, solve, None),
+    "greedy": (lambda: extremal(100), DEFAULT, solve, None),
+    "bounded": (lambda: extremal(100), DEFAULT, solve, None),
+    "sqrt": (lambda: extremal(100), DEFAULT, solve, None),
+    "pick:sqrt": (lambda: extremal(100), DEFAULT, solve, None),
+    "sqrt:y-exit": (lambda: extremal(100), DEFAULT, solve, None),
+    "sqrt:error(GuardFailed)": (
+        lambda: extremal(100), DEFAULT, solve,
+        ("cover_from_structure", _raise_guard),
+    ),
+    "sqrt:invalid-dropped": (
+        lambda: extremal(100), DEFAULT, solve,
+        ("cover_from_structure", _path_only),
+    ),
+    "sqrt:xy-ratio-fail": (lambda: red_star(16), DEFAULT, solve, None),
+    "sqrt:fallback": (lambda: red_star(16), DEFAULT, solve, None),
+    "sqrt:classes-fail": (
+        lambda: random_colouring(17, 0.2, 24), DEFAULT, cover_sqrt, None,
+    ),
+    "sqrt:decompose": (lambda: red_hub(10, 7), DEFAULT, solve, None),
+    "sqrt:decompose-failed": (
+        lambda: red_hub(64, 49), DEFAULT, solve, ("decompose_full", _overrun),
+    ),
+    # the long path stays (1,): too short for the stripping step
+    "sqrt:pipeline:error(GuardFailed)": (
+        lambda: red_star(37), SolverConfig(0.5, 0.0, 0.5), solve, None,
+    ),
+    # find_long_path_structure's stripping step succeeds: one decompose pass
+    # (|X| = 456, |Y| = 144, m = 147) gives a one-path witness that passes
+    # the reduce guard
+    "sqrt:reduce": (lambda: red_hub(600, 457), C222, solve, None),
+    # the same step with |Y| = 154 gives a witness that fails it
+    "sqrt:reduce:error(GuardFailed)": (
+        lambda: red_hub(760, 607), C222, solve, None,
+    ),
+    "bounded:pipeline": (lambda: red_hub(10, 8), C2, solve, None),
+    "bounded:pipeline:error(GuardFailed)": (
+        lambda: forced_red_star(1762), C1, solve, None,
+    ),
+    "bounded:reduce": (lambda: random_colouring(90, 0.5, 0), C1, solve, None),
+    "bounded:y0-exit": (lambda: red_star(20), C2, solve, None),
+    "bounded:y-exit": (lambda: red_hub(10, 8), C2, solve, None),
+    "bounded:strip": (lambda: red_hub(41, 35), C2, solve, None),
+    "bounded:strip:error(PreconditionViolated)": (
+        lambda: red_hub(10, 7), C2, solve, None,
+    ),
+}
+
+
+def _field_pattern(node: ast.AST) -> str | None:
+    """A regex for the entries a string literal or f-string can write."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return re.escape(node.value)
+    if isinstance(node, ast.JoinedStr):
+        return "".join(
+            re.escape(part.value) if isinstance(part, ast.Constant) else ".+"
+            for part in node.values
+        )
+    return None
+
+
+def tag_patterns() -> set[str]:
+    """One regex per tag literal in solver.py, each matching whole entries."""
+    tree = ast.parse(FilePath(solver.__file__).read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "attr", getattr(func, "id", ""))
+            suffix = r"(:error\(\w+\))?" if name == "_dropped_on_error" else ""
+            if name in ("append", "add", "_dropped_on_error"):
+                for arg in node.args:
+                    pattern = _field_pattern(arg)
+                    if pattern is not None:
+                        found.add(pattern + suffix)
+        elif isinstance(node, ast.Assign):
+            target, value = node.targets[0], node.value
+            pairs = [(target, value)]
+            if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
+                pairs = zip(target.elts, value.elts)
+            for t, v in pairs:
+                pattern = _field_pattern(v)
+                if isinstance(t, ast.Name) and t.id == "tag" and pattern:
+                    found.add(pattern)
+    return found
+
+
+def test_every_tag_literal_has_an_instance():
+    patterns = tag_patterns()
+    assert {re.escape("sqrt:y-exit"), "pick:.+", r".+:error\(.+\)"} <= patterns
+    unreached = [
+        p for p in sorted(patterns) if not any(re.fullmatch(p, e) for e in CENSUS)
+    ]
+    assert unreached == []
+    stale = [
+        e for e in sorted(CENSUS) if not any(re.fullmatch(p, e) for p in patterns)
+    ]
+    assert stale == []
+
+
+@pytest.mark.parametrize("entry", sorted(CENSUS))
+def test_census_entry_is_reached(monkeypatch, entry):
+    build, cfg, entry_point, injected = CENSUS[entry]
+    if injected:
+        monkeypatch.setattr(solver, *injected)
+    g = build()
+    res = entry_point(g, cfg)
+    assert entry in res.branch_trace, res.branch_trace
+    assert validate_cover(g, res.cover).valid
+    assert not any("|" in t for t in res.branch_trace)
