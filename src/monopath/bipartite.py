@@ -98,16 +98,6 @@ class BipartiteView:
     def degree(self, y: int) -> int:
         return self.adjacency[y].bit_count()
 
-    def restrict_x(self, keep: int) -> "BipartiteView":
-        """The view on the X-vertices of the mask `keep`."""
-        return BipartiteView(
-            tuple(mask_vertices(keep)),
-            self.Y,
-            {y: self.adjacency[y] & keep for y in self.Y},
-            m=self.m,
-            colour=self.colour,
-        )
-
 
 @dataclass(frozen=True)
 class DegreeClasses:
@@ -149,18 +139,19 @@ def long_path(v: BipartiteView) -> Path:
     for y in v.Y:
         if 2 * v.degree(y) < total:
             raise PreconditionViolated("2*deg(y) >= |X| + |Y|", witness=y)
-    used = 0
+    return _long_path(v, vertex_mask(v.X))
+
+
+def _long_path(v: BipartiteView, free: int) -> Path:
+    """long_path on the X-vertices of the mask `free`, whose degree bound
+    within `free` the caller has established."""
     verts: list[int] = []
     prev = None
     for y in v.Y:
         pool = v.adjacency[y] if prev is None else v.adjacency[prev] & v.adjacency[y]
-        pool &= ~used
-        if not pool:
-            raise PreconditionViolated(
-                "degree bound guarantees a fresh common neighbour", witness=y
-            )
+        pool &= free
         xbit = pool & -pool
-        used |= xbit
+        free ^= xbit
         verts.append(xbit.bit_length())
         verts.append(y)
         prev = y
@@ -186,7 +177,9 @@ def decompose(v: BipartiteView) -> tuple[Path, ...]:
     alive = vertex_mask(v.X)
     limit = len(v.Y) + 2 * v.m
     while alive.bit_count() > limit:
-        p = long_path(v.restrict_x(alive))
+        # long_path's bound holds within alive: y misses at most m of X, so
+        # 2*deg_alive(y) >= 2(|alive| - m) > |alive| + |Y|
+        p = _long_path(v, alive)
         paths.append(p)
         alive &= ~vertex_mask(p.vertices)
     return tuple(paths)
@@ -235,16 +228,12 @@ def decompose_full(v: BipartiteView) -> tuple[Path, ...]:
     always retires exactly |Y| + 1 X-vertices; that exact count is what
     makes the ceiling bound close under the recursion.
     """
-    if not v.X and not v.Y:
-        raise PreconditionViolated("nonempty")
     if len(v.X) <= len(v.Y):
         raise PreconditionViolated("(i) |X| > |Y|")
     cl = DegreeClasses.from_view(v)
-    if cl.x1 or cl.y1:
-        if not cl.y0:
-            raise PreconditionViolated("(ii) |X0|*|Y0| > 2*|X1|*|Y1|")
-        if len(cl.x0) * len(cl.y0) <= 2 * len(cl.x1) * len(cl.y1):
-            raise PreconditionViolated("(ii) |X0|*|Y0| > 2*|X1|*|Y1|")
+    # an empty Y0 fails the product test, so (ii) leaves Y0 nonempty
+    if (cl.x1 or cl.y1) and len(cl.x0) * len(cl.y0) <= 2 * len(cl.x1) * len(cl.y1):
+        raise PreconditionViolated("(ii) |X0|*|Y0| > 2*|X1|*|Y1|")
 
     ys = list(v.Y)
     x0_all = vertex_mask(cl.x0)  # x-classes are fixed: Y never shrinks
@@ -259,13 +248,10 @@ def decompose_full(v: BipartiteView) -> tuple[Path, ...]:
             # every remaining x sees all of Y: plain chunking finishes
             paths.extend(_complete_chunks(mask_vertices(alive), ys, v.colour, cover_y))
             return tuple(paths)
+        # both nonempty: an alive X1 vertex misses some y, and y0a holds
+        # the entry Y0, which (ii) leaves nonempty
         y0a = [y for y in ys if not alive & ~adj[y]]
         y1a = [y for y in ys if alive & ~adj[y]]
-        if not (y0a and y1a):
-            raise PreconditionViolated(
-                "a deficient x forces a deficient y and vice versa",
-                witness=(len(y0a), len(y1a)),
-            )
         if len(x0a) < len(y1a) + 1:
             raise PreconditionViolated(
                 "(i)+(ii) guarantee enough full-degree x",
@@ -273,13 +259,10 @@ def decompose_full(v: BipartiteView) -> tuple[Path, ...]:
             )
 
         p_xs = x0a[: len(y1a) + 1]
-        q_from_x1 = x1a[: min(len(y0a), len(x1a))]
-        spare = x0a[len(p_xs) :]
-        q_xs = q_from_x1 + spare[: len(y0a) - len(q_from_x1)]
-        if len(q_xs) != len(y0a):
-            raise PreconditionViolated(
-                "enough x to thread Y0", witness=(len(q_xs), len(y0a))
-            )
+        # Q threads y0a through x1a first, then the x0a that P left: |alive|
+        # > |Y| in every round (by (i) in the first, by the continue test
+        # after), so these hold |alive| - |y1a| - 1 >= |y0a| vertices
+        q_xs = (x1a + x0a[len(p_xs) :])[: len(y0a)]
         r_verts = list(_interleave_xy(p_xs, y1a, v.colour).vertices)
         for y, x in zip(y0a, q_xs):
             r_verts.append(y)
@@ -288,11 +271,9 @@ def decompose_full(v: BipartiteView) -> tuple[Path, ...]:
         alive &= ~vertex_mask(p_xs + q_xs)
         cover_y = False  # R covered all of Y
 
-        if not alive:
-            return tuple(paths)
         x1_next = mask_vertices(alive & ~x0_all)
         if not x1_next or alive.bit_count() > len(ys):
-            continue  # complete finish or recursion, both handled above
+            continue  # done, complete finish or recursion
         # |X'| <= |Y| with a deficient x left: close with one more path
         y0n = [y for y in ys if not alive & ~adj[y]]
         x0n = mask_vertices(alive & x0_all)
@@ -389,10 +370,8 @@ def _exact_path(
 
     Depth-first with early exit; failed (endpoint, visited) states are
     memoised, which keeps the search tractable on the small sides this is
-    meant for.
+    meant for.  ramsey_path calls it only with target_edges >= 1.
     """
-    if target_edges <= 0:
-        return [verts[0]] if verts else None
     dead: set[tuple[int, int]] = set()
     stack: list[int] = []
 
@@ -458,9 +437,10 @@ def ramsey_path(v: BipartiteView, k: int, l: int) -> RamseyOutcome:
             f"greedy paths reached {len(gm) - 1}/{k} and {len(go) - 1}/{l} edges"
         )
 
-    # exact regime: search the colour closer to its target first
-    deficit_main = (k - (len(gm) - 1)) / k if k > 0 else 0.0
-    deficit_other = (l - (len(go) - 1)) / l if l > 0 else 0.0
+    # exact regime (k, l >= 1, since the greedy paths meet any target <= 0):
+    # search the colour closer to its target first
+    deficit_main = (k - (len(gm) - 1)) / k
+    deficit_other = (l - (len(go) - 1)) / l
     order = [(main_adj, k, main_colour), (other_adj, l, other_colour)]
     if deficit_other < deficit_main:
         order.reverse()
@@ -468,4 +448,4 @@ def ramsey_path(v: BipartiteView, k: int, l: int) -> RamseyOutcome:
         found = _exact_path(adj, verts, target)
         if found is not None:
             return RamseyOutcome(colour, Path(tuple(found), colour))
-    raise RuntimeError("no path of either target length; hypothesis violated")
+    raise CannotCertify("no path of either target length; hypothesis violated")

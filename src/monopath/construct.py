@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import arith
-from .bipartite import BipartiteView, PreconditionViolated, decompose, ramsey_path
+from .bipartite import BipartiteView, decompose, ramsey_path
 from .bipartite import CannotCertify, _best_greedy
 from .core import BLUE, RED, Colour, Colouring, GuardFailed, Path
 from .core import mask_vertices, vertex_mask
@@ -215,8 +215,9 @@ class ReductionWitness:
 def find_long_path_structure(g: Colouring, c1: float, c2: float):
     """Run the long-path pipeline; return LongPathStructure or ReductionWitness.
 
-    Raises GuardFailed when no branch can close its arithmetic (small n with
-    large constants); callers fall back to unconditional strategies.
+    Raises decompose's PreconditionViolated, or GuardFailed when it strips
+    nothing, if no branch can close its arithmetic (small n with large
+    constants); callers fall back to unconditional strategies.
     """
     n = g.n
     dp = Fraction(c1) - Fraction(c2) + 1  # the recurring C1 - C2 + 1 factor
@@ -299,10 +300,7 @@ def find_long_path_structure(g: Colouring, c1: float, c2: float):
     # hand the covered part back as a witness
     m = arith.ceil_of_coeff_sqrt(2 * dp, n)
     view = BipartiteView.from_colouring(g2, p.vertices, y, colour=RED, m=m)
-    try:
-        red_paths = decompose(view)
-    except PreconditionViolated as exc:
-        raise GuardFailed(f"stripping step unavailable: {exc}") from exc
+    red_paths = decompose(view)
     if not red_paths:
         raise GuardFailed("stripping step produced no paths")
     # each red path covers |Y| >= 1 path vertices, so s is never empty

@@ -19,12 +19,7 @@ from functools import lru_cache
 from typing import Callable
 
 from . import arith
-from .bipartite import (
-    BipartiteView,
-    DegreeClasses,
-    decompose,
-    decompose_full,
-)
+from .bipartite import BipartiteView, decompose, decompose_full
 from .construct import (
     LongPathStructure,
     ReductionWitness,
@@ -287,7 +282,7 @@ def _sqrt_step(g: Colouring, cfg: SolverConfig, trace: list[str]) -> PathCover |
     """The sqrt-bound step, or None when one of its guards fails or a stage
     raises; the trace records the branch taken, the guard that failed or
     <stage>:error(<exception name>), the stage being sqrt:pipeline,
-    sqrt:reduce or, for the structure exits, sqrt."""
+    sqrt:reduce, sqrt:decompose or, for the structure exits, sqrt."""
     with _dropped_on_error("sqrt", trace):
         return _sqrt_branch(g, cfg, trace)
     return None
@@ -320,24 +315,16 @@ def _sqrt_branch(g: Colouring, cfg: SolverConfig, trace: list[str]) -> PathCover
 
     xs = s.path.vertices
     ys = s.Y
-    if len(xs) <= len(ys):
-        trace.append("sqrt:xy-ratio-fail")
-        return None
     red = s.gamma.complement
-    view = BipartiteView.from_colouring(g, xs, ys, colour=red)
-    dc = DegreeClasses.from_view(view)
-    balanced = (not dc.x1 and not dc.y1) or (
-        len(dc.x0) * len(dc.y0) > 2 * len(dc.x1) * len(dc.y1)
-    )
-    if not balanced:
-        trace.append("sqrt:classes-fail")
-        return None
-    paths = decompose_full(view)
-    if len(paths) > arith.ceil_div(len(xs), len(ys) + 1):
-        trace.append("sqrt:decompose-failed")
-        return None
-    trace.append("sqrt:decompose")
-    return PathCover(red, tuple(paths), n)
+    with _dropped_on_error("sqrt:decompose", trace):
+        # decompose_full checks its own preconditions (i) and (ii)
+        paths = decompose_full(BipartiteView.from_colouring(g, xs, ys, colour=red))
+        if len(paths) > arith.ceil_div(len(xs), len(ys) + 1):
+            trace.append("sqrt:decompose-failed")
+            return None
+        trace.append("sqrt:decompose")
+        return PathCover(red, tuple(paths), n)
+    return None
 
 
 def cover_sqrt(g: Colouring, cfg: SolverConfig) -> SolveResult:

@@ -28,7 +28,7 @@ from monopath.bipartite import (
     long_path,
     ramsey_path,
 )
-from monopath.core import BLUE, RED, Colouring, vertex_mask
+from monopath.core import BLUE, RED, Colouring, mask_vertices, vertex_mask
 
 
 class TestView:
@@ -62,12 +62,6 @@ class TestView:
             assert v.adjacency[y] == vertex_mask(
                 x for x in v.X if g.colour(x, y) is BLUE
             )
-
-    def test_restrict_x(self):
-        v = _view(4, 2, {5: {1, 2, 3}, 6: {2, 4}})
-        r = v.restrict_x(vertex_mask([2, 4]))
-        assert r.X == (2, 4)
-        assert r.adjacency[5] == 0b10 and r.adjacency[6] == 0b1010
 
 
 class TestDegreeClasses:
@@ -139,6 +133,61 @@ class TestDecompose:
         v = _view(4, 2, {5: {1, 2, 3, 4}, 6: {1, 2, 3, 4}}, m=1)
         assert decompose(v) == ()
 
+    def test_matches_the_per_pass_view_loop(self):
+        # the reference rebuilds and re-checks a view of the alive X-vertices
+        # on every pass; decompose must give the same paths and raises
+        rng = random.Random(25)
+        raised = 0
+        for i in range(600):
+            if i % 2:
+                v = decompose_instance(rng, max_x=24)
+            else:
+                # near the preconditions' edges: each y misses up to m + 1
+                a, b, m = rng.randint(1, 16), rng.randint(0, 6), rng.randint(0, 3)
+                xs = range(1, a + 1)
+                adj = {
+                    y: set(rng.sample(xs, max(0, a - rng.randint(0, m + 1))))
+                    for y in range(a + 1, a + b + 1)
+                }
+                v = _view(a, b, adj, m=m)
+            want, got = _outcome(_decompose_reference, v), _outcome(decompose, v)
+            assert got == want, (v, got, want)
+            raised += want[0] == "raise"
+        assert 0 < raised < 600
+
+
+def _decompose_reference(v):
+    """decompose as a loop of checked long_path calls, one fresh view of the
+    alive X-vertices per pass."""
+    if not v.Y:
+        raise PreconditionViolated("Y nonempty")
+    if len(v.X) < len(v.Y) + 2 * v.m:
+        raise PreconditionViolated("|X| >= |Y| + 2m")
+    for y in v.Y:
+        if v.degree(y) < len(v.X) - v.m:
+            raise PreconditionViolated("deg(y) >= |X| - m", witness=y)
+    paths = []
+    alive = vertex_mask(v.X)
+    while alive.bit_count() > len(v.Y) + 2 * v.m:
+        restricted = BipartiteView(
+            tuple(mask_vertices(alive)),
+            v.Y,
+            {y: v.adjacency[y] & alive for y in v.Y},
+            m=v.m,
+            colour=v.colour,
+        )
+        p = long_path(restricted)
+        paths.append(p)
+        alive &= ~vertex_mask(p.vertices)
+    return tuple(paths)
+
+
+def _outcome(f, v):
+    try:
+        return ("ok", f(v))
+    except PreconditionViolated as exc:
+        return ("raise", exc.condition, exc.witness)
+
 
 class TestDecomposeFull:
     def test_preconditions(self):
@@ -162,6 +211,31 @@ class TestDecomposeFull:
                 assert alternating_in_view(v, p)
                 seen |= set(p.vertices)
             assert seen == set(v.X) | set(v.Y)
+
+    def test_exhaustive_small_views(self):
+        # every view with |X|*|Y| <= 14 that meets (i) and (ii) gets at most
+        # ceil(|X|/(|Y|+1)) alternating paths covering X and Y, no raise
+        covered = 0
+        for a in range(1, 15):
+            for b in range(1, min(a - 1, 14 // a) + 1):  # (i) |X| > |Y|
+                xs, ys = tuple(range(1, a + 1)), tuple(range(a + 1, a + b + 1))
+                full = (1 << a) - 1
+                for index in range(1 << (a * b)):
+                    adj = [index >> (a * j) & full for j in range(b)]
+                    x0 = full
+                    for nbrs in adj:
+                        x0 &= nbrs
+                    x0 = x0.bit_count()
+                    y0 = adj.count(full)
+                    if (x0 < a or y0 < b) and x0 * y0 <= 2 * (a - x0) * (b - y0):
+                        continue  # (ii) fails
+                    v = BipartiteView(xs, ys, dict(zip(ys, adj)))
+                    paths = decompose_full(v)
+                    assert len(paths) <= -(-a // (b + 1))
+                    assert all(alternating_in_view(v, p) for p in paths)
+                    assert set().union(*(p.vertices for p in paths)) == {*xs, *ys}
+                    covered += 1
+        assert covered == 117
 
     def test_single_y_complete(self):
         v = _view(5, 1, {6: {1, 2, 3, 4, 5}})

@@ -23,10 +23,12 @@ from monopath.construct import (
     rotate_or_extend,
     two_path_cover,
 )
-from monopath import construct
+from monopath import bipartite, construct
+from monopath.bipartite import PreconditionViolated
 from monopath.core import BLUE, RED, Colouring, GuardFailed, Path, iter_edges
-from monopath.core import mask_vertices, vertex_mask
+from monopath.core import mask_vertices, validate_cover, vertex_mask
 from monopath.gen import extremal, indexed_colouring
+from monopath.solver import SolverConfig, solve
 
 
 class TestTwoPathCover:
@@ -375,9 +377,17 @@ class TestFindLongPathStructure:
         # has no blue edge, so the path stays (1,) with 36 vertices outside;
         # too many for the structure, and |X| = 1 < |Y| + 2m for the strip
         g = Colouring.from_edge_bits(37, (u == 1 for u, _ in iter_edges(37)))
-        with pytest.raises(GuardFailed) as err:
+        with pytest.raises(PreconditionViolated) as err:
             find_long_path_structure(g, 0.5, 0.0)
-        assert str(err.value) == "stripping step unavailable: |X| >= |Y| + 2m"
+        assert err.value.condition == "|X| >= |Y| + 2m"
+
+    def test_stripping_step_strips_nothing(self):
+        # the red hub on 428..568: the stripping step's preconditions hold
+        # with |X| = 427 = |Y| + 2m exactly (|Y| = 141, m = 143), so
+        # decompose makes no pass
+        with pytest.raises(GuardFailed) as err:
+            find_long_path_structure(red_hub(568, 428), 2.0, 0.0)
+        assert str(err.value) == "stripping step produced no paths"
 
     def test_stripping_step_success(self, monkeypatch):
         # the red hub on 457..600: the blue clique is the long path, its 144
@@ -413,6 +423,15 @@ class TestFindLongPathStructure:
         # the two-path cover's long path was red, so colours come back swapped
         assert out.blue_paths == (Path(outcomes[0].path.vertices, BLUE),)
         _check_witness(g, out)
+
+    def test_ramsey_path_without_an_exact_path_is_typed(self, monkeypatch):
+        # a search that finds neither target ends in CannotCertify, which
+        # the pipeline catches, so solve still returns a cover
+        monkeypatch.setattr(bipartite, "_exact_path", lambda *args: None)
+        g = indexed_colouring(25, RED_RAMSEY_25)
+        res = solve(g, SolverConfig(1.0, 0.0, 1.0))
+        assert validate_cover(g, res.cover).valid
+        assert "bounded:y0-exit" in res.branch_trace
 
     def test_dp_must_be_positive(self):
         with pytest.raises(ValueError):

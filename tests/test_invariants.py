@@ -1,6 +1,7 @@
 """Internal invariants raise typed errors, which `python -O` keeps."""
 
 import ast
+import builtins
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,27 @@ def test_no_assert_statements_in_the_package():
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def test_no_builtin_raises_but_the_input_checks():
+    # ValueError and TypeError reject bad arguments; any other built-in
+    # exception is not a MonopathError, so it would escape the solver's
+    # failure path and crash solve
+    root = Path(monopath.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            kind = getattr(builtins, getattr(exc, "id", ""), None)
+            if (
+                isinstance(kind, type)
+                and issubclass(kind, BaseException)
+                and kind not in (ValueError, TypeError)
+            ):
+                found.append(f"{path.relative_to(root)}:{node.lineno} {kind.__name__}")
     assert found == []
 
 

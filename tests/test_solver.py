@@ -74,6 +74,16 @@ class TestSolveSmall:
         assert res.branch_trace
         assert res.branch_trace[-1].startswith("pick:")
 
+    def test_no_guarantee_when_the_cover_misses_the_bound(self):
+        # the red hub 13..15 under a tiny c: the best cover solve finds has
+        # 4 paths, above sqrt(15) + 0.01, where 3 would do
+        g = red_hub(15, 13)
+        res = solve(g, SolverConfig(c=0.01))
+        assert validate_cover(g, res.cover).valid
+        assert res.cover.size == 4 and res.branch_trace[-1] == "pick:sqrt"
+        assert res.guarantee is Guarantee.NONE
+        assert exact_f(g, 15).value == 3
+
 
 class TestSolveExtremal:
     def test_sizes_are_isqrt(self):
@@ -258,7 +268,10 @@ class TestPipelines:
     def test_cover_sqrt_falls_back_on_its_own(self):
         g = random_colouring(17, 0.2, 24)
         res = cover_sqrt(g, SolverConfig())
-        assert res.branch_trace[:2] == ("sqrt:classes-fail", "sqrt:fallback")
+        assert res.branch_trace[:2] == (
+            "sqrt:decompose:error(PreconditionViolated)",
+            "sqrt:fallback",
+        )
         assert validate_cover(g, res.cover).valid
 
     def test_solve_picks_the_minimum(self, rng):

@@ -48,7 +48,7 @@ from monopath.core import (
 )
 from monopath.gen import extremal, random_colouring
 from monopath.oracle import TableInconsistent
-from monopath.solver import SolverConfig, cover_sqrt, solve
+from monopath.solver import SolverConfig, solve
 
 DEFAULT = SolverConfig()
 C2 = SolverConfig(c1=2.0, c2=0.0, c=2.0)
@@ -117,18 +117,23 @@ CENSUS = {
         lambda: extremal(100), DEFAULT, solve,
         ("cover_from_structure", _path_only),
     ),
-    "sqrt:xy-ratio-fail": (lambda: red_star(16), DEFAULT, solve, None),
     "sqrt:fallback": (lambda: red_star(16), DEFAULT, solve, None),
-    "sqrt:classes-fail": (
-        lambda: random_colouring(17, 0.2, 24), DEFAULT, cover_sqrt, None,
+    # |X| = 1 <= |Y| = 15 fails decompose_full's (i)
+    "sqrt:decompose:error(PreconditionViolated)": (
+        lambda: red_star(16), DEFAULT, solve, None,
     ),
     "sqrt:decompose": (lambda: red_hub(10, 7), DEFAULT, solve, None),
     "sqrt:decompose-failed": (
         lambda: red_hub(64, 49), DEFAULT, solve, ("decompose_full", _overrun),
     ),
     # the long path stays (1,): too short for the stripping step
-    "sqrt:pipeline:error(GuardFailed)": (
+    "sqrt:pipeline:error(PreconditionViolated)": (
         lambda: red_star(37), SolverConfig(0.5, 0.0, 0.5), solve, None,
+    ),
+    # |X| = |Y| + 2m exactly (427 = 141 + 2*143): the stripping step makes
+    # no pass
+    "sqrt:pipeline:error(GuardFailed)": (
+        lambda: red_hub(568, 428), C222, solve, None,
     ),
     # find_long_path_structure's stripping step succeeds: one decompose pass
     # (|X| = 456, |Y| = 144, m = 147) gives a one-path witness that passes
@@ -139,7 +144,7 @@ CENSUS = {
         lambda: red_hub(760, 607), C222, solve, None,
     ),
     "bounded:pipeline": (lambda: red_hub(10, 8), C2, solve, None),
-    "bounded:pipeline:error(GuardFailed)": (
+    "bounded:pipeline:error(PreconditionViolated)": (
         lambda: forced_red_star(1762), C1, solve, None,
     ),
     "bounded:reduce": (lambda: random_colouring(90, 0.5, 0), C1, solve, None),
