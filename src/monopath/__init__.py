@@ -57,7 +57,6 @@ from .oracle import (
     TraceableFamily,
     exact_f,
     min_cover_colour,
-    traceable_sets,
 )
 from .solver import Guarantee, SolveResult, SolverConfig, cover_bounded, cover_sqrt, solve
 
@@ -111,7 +110,6 @@ __all__ = [
     "refine_path",
     "rotate_or_extend",
     "solve",
-    "traceable_sets",
     "two_path_cover",
     "validate_cover",
     "__version__",

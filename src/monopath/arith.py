@@ -22,26 +22,6 @@ def _frac(x) -> Fraction:
     raise TypeError(f"expected a rational or float coefficient, got {type(x).__name__}")
 
 
-def ge_coeff_sqrt(count: int, coeff, n: int) -> bool:
-    """count >= coeff * sqrt(n), for coeff >= 0."""
-    c = _frac(coeff)
-    if c < 0:
-        raise ValueError("coefficient must be non-negative")
-    if count < 0:
-        return False
-    return Fraction(count) ** 2 >= c * c * n
-
-
-def le_coeff_sqrt(count: int, coeff, n: int) -> bool:
-    """count <= coeff * sqrt(n), for count, coeff >= 0."""
-    c = _frac(coeff)
-    if c < 0:
-        raise ValueError("coefficient must be non-negative")
-    if count <= 0:
-        return True
-    return Fraction(count) ** 2 <= c * c * n
-
-
 def le_sqrt_plus_quartic(count: int, n: int, coeff) -> bool:
     """count <= sqrt(n) + coeff * n**(1/4), for coeff >= 0.
 
@@ -78,16 +58,16 @@ def le_sqrt_minus_quartic(count: int, n: int, coeff) -> bool:
     return Fraction(n + a * a) ** 2 >= (2 * a + k * k) ** 2 * n
 
 
-def reduce_guard(n: int, s: int, c1, c2, k: int) -> bool:
-    """sqrt(n - s) + c1 + k <= sqrt(n) + c2, for 0 <= s <= n.
+def reduce_guard(n: int, s: int, c, k: int) -> bool:
+    """sqrt(n - s) + c + k <= sqrt(n), for 0 <= s <= n.
 
-    With d = c1 + k - c2: sqrt(n - s) <= sqrt(n) - d.  Non-positive d always
+    With d = c + k: sqrt(n - s) <= sqrt(n) - d.  Non-positive d always
     passes (s >= 0); otherwise needs d**2 <= n and, after squaring,
     2*d*sqrt(n) <= s + d**2, cleared to 4*d**2*n <= (s + d**2)**2.
     """
     if not 0 <= s <= n:
         raise ValueError(f"need 0 <= s <= n, got s={s}, n={n}")
-    d = _frac(c1) + k - _frac(c2)
+    d = _frac(c) + k
     if d <= 0:
         return True
     if d * d > n:

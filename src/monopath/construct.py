@@ -194,10 +194,11 @@ def refine_path(
 
 @dataclass(frozen=True)
 class LongPathStructure:
+    """A path and its outside vertices, each mapped in ascending order to its
+    number of same-colour neighbours on the path; the path's colour is the
+    structure's."""
+
     path: Path
-    gamma: Colour
-    Y: tuple[int, ...]
-    degree_bound: float
     y_degrees: dict[int, int]
 
 
@@ -212,18 +213,21 @@ class ReductionWitness:
         return max(len(self.red_paths), len(self.blue_paths))
 
 
-def find_long_path_structure(g: Colouring, c1: float, c2: float):
+def find_long_path_structure(g: Colouring, slack: float):
     """Run the long-path pipeline; return LongPathStructure or ReductionWitness.
+
+    slack >= 0 is the paper's C1 - C2, the only form in which its constants
+    enter the bounds: the degree bound and the witness size target are
+    2(slack + 1)sqrt(n).
 
     Raises decompose's PreconditionViolated, or GuardFailed when it strips
     nothing, if no branch can close its arithmetic (small n with large
     constants); callers fall back to unconditional strategies.
     """
     n = g.n
-    dp = Fraction(c1) - Fraction(c2) + 1  # the recurring C1 - C2 + 1 factor
-    if dp < 1:
-        raise ValueError("need c1 >= c2")
-    bound_float = float(2 * dp) * n ** 0.5
+    if slack < 0:
+        raise ValueError(f"need slack >= 0, got {slack}")
+    dp = Fraction(slack) + 1
 
     tpc = two_path_cover(g)
     if len(tpc.blue.vertices) >= len(tpc.red.vertices):
@@ -235,10 +239,7 @@ def find_long_path_structure(g: Colouring, c1: float, c2: float):
     # from here the working colouring g2 has a blue path >= floor(n/2)
 
     def structure(path: Path, y_degs: dict[int, int]) -> LongPathStructure:
-        gamma = RED if flipped else BLUE
-        return LongPathStructure(
-            Path(path.vertices, gamma), gamma, tuple(y_degs), bound_float, dict(y_degs)
-        )
+        return LongPathStructure(Path(path.vertices, RED if flipped else BLUE), y_degs)
 
     def witness(s, red2, blue2) -> ReductionWitness:
         if flipped:
@@ -250,7 +251,7 @@ def find_long_path_structure(g: Colouring, c1: float, c2: float):
         )
 
     if len(base.vertices) == n:
-        return structure(Path(base.vertices, BLUE), {})
+        return structure(base, {})
 
     half = n // 2
     q = base.vertices[:half]

@@ -86,7 +86,9 @@ def _spanning_path(ends: list[int], adj: list[int], mask: int) -> list[int]:
 class TraceableFamily:
     """All vertex subsets spanned by a single path of one colour."""
 
-    def __init__(self, g: Colouring, gamma: Colour, threshold: int):
+    def __init__(
+        self, g: Colouring, gamma: Colour, threshold: int = DEFAULT_ORACLE_THRESHOLD
+    ):
         _guard(g.n, threshold)
         self.colour = gamma
         self.n = g.n
@@ -105,12 +107,6 @@ class TraceableFamily:
         if not mask or not self._ends[mask]:
             raise ValueError(f"{sorted(subset)} is not traceable")
         return Path(tuple(_spanning_path(self._ends, self._adj, mask)), self.colour)
-
-
-def traceable_sets(
-    g: Colouring, gamma: Colour, threshold: int = DEFAULT_ORACLE_THRESHOLD
-) -> TraceableFamily:
-    return TraceableFamily(g, gamma, threshold)
 
 
 def _maximal_masks(ends: list[int], n: int) -> list[int]:

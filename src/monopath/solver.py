@@ -56,6 +56,11 @@ class SolverConfig:
     oracle_threshold: int = 14
 
     def __post_init__(self):
+        for name in ("c1", "c2", "c"):
+            value = getattr(self, name)
+            # a comparison, not math.isfinite, so an int too big for a float passes
+            if not -math.inf < value < math.inf:
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.c1 >= self.c2 >= 0:
             raise ValueError(f"need c1 >= c2 >= 0, got {self.c1}, {self.c2}")
         if self.c <= 0:
@@ -96,17 +101,16 @@ def reduce(
     g: Colouring,
     w: ReductionWitness,
     recurse: Callable[[Colouring], PathCover],
-    *,
-    c1: float,
-    c2: float,
+    slack: float,
 ) -> PathCover:
     """Cover [n] \\ S recursively, then append the witness paths matching the
-    recursion's colour.  The arithmetic guard is checked exactly first."""
+    recursion's colour.  The arithmetic guard, with slack the paper's
+    C1 - C2, is checked exactly first."""
     n = g.n
     s = vertex_mask(w.S)
     size = s.bit_count()
-    if not arith.reduce_guard(n, size, c1, c2, w.k):
-        raise GuardFailed(f"sqrt({n}-{size}) + {c1} + {w.k} > sqrt({n}) + {c2}")
+    if not arith.reduce_guard(n, size, slack, w.k):
+        raise GuardFailed(f"sqrt({n}-{size}) + {slack} + {w.k} > sqrt({n})")
     keep = mask_vertices(((1 << n) - 1) & ~s)
     if not keep:
         return PathCover(RED, w.red_paths, n)
@@ -124,14 +128,12 @@ def cover_from_structure(g: Colouring, s: LongPathStructure) -> PathCover:
     """The path itself, one path through P per pair of outside vertices that
     see P, and singletons for the rest.  Size is exactly
     1 + ceil(|Y1|/2) + |Y0|."""
-    gamma = s.gamma
+    gamma = s.path.colour
     pv = s.path.vertices
     pm = vertex_mask(pv)
-    y0: list[int] = []
-    y1: list[int] = []
-    for y in sorted(s.Y):
-        (y1 if g.mask(y, gamma) & pm else y0).append(y)
-    paths = [Path(pv, gamma)]
+    y0 = _gamma_isolated(s)
+    y1 = [y for y, d in s.y_degrees.items() if d]
+    paths = [s.path]
     pos = {v: i for i, v in enumerate(pv)}
     for a, b in zip(y1[::2], y1[1::2]):
         am = g.mask(a, gamma) & pm
@@ -170,24 +172,22 @@ def _greedy_cover(g: Colouring) -> PathCover:
 
 
 def _structure_attempt(g: Colouring, gamma) -> PathCover:
-    p, outcome = refine_path(g, gamma)
-    s = LongPathStructure(p, gamma, tuple(outcome), float("inf"), dict(outcome))
-    return cover_from_structure(g, s)
+    return cover_from_structure(g, LongPathStructure(*refine_path(g, gamma)))
 
 
-def _gamma_isolated(g: Colouring, s: LongPathStructure) -> list[int]:
-    pm = vertex_mask(s.path.vertices)
-    return [y for y in s.Y if not g.mask(y, s.gamma) & pm]
+def _gamma_isolated(s: LongPathStructure) -> list[int]:
+    """The outside vertices with no same-colour neighbour on the path."""
+    return [y for y, d in s.y_degrees.items() if not d]
 
 
 def _strip_and_mop(g: Colouring, s: LongPathStructure) -> PathCover:
     """The large-n branch of the bounded induction: strip long opposite-colour
     paths through Y, then mop up the uncovered path vertices with Y0."""
     n = g.n
-    red = s.gamma.complement
+    red = s.path.colour.complement
     xs = s.path.vertices
     m = arith.ceil_of_coeff_sqrt(2, n)
-    view = BipartiteView.from_colouring(g, xs, s.Y, colour=red, m=m)
+    view = BipartiteView.from_colouring(g, xs, s.y_degrees, colour=red, m=m)
     paths = list(decompose(view))
     if not paths:
         raise GuardFailed("stripping produced no paths")
@@ -196,7 +196,7 @@ def _strip_and_mop(g: Colouring, s: LongPathStructure) -> PathCover:
         covered |= vertex_mask(p.vertices)
     leftover = [x for x in xs if not covered >> (x - 1) & 1]
     if leftover:
-        y0 = _gamma_isolated(g, s)
+        y0 = _gamma_isolated(s)
         if not y0:
             raise GuardFailed("no all-red outside vertices for the mop-up")
         span = len(y0) + 1
@@ -249,21 +249,18 @@ def _bounded_candidates(
         trace.append("bounded:pipeline")
         found = None
         with _dropped_on_error("bounded:pipeline", trace):
-            found = find_long_path_structure(g, cfg.c, cfg.c)
+            found = find_long_path_structure(g, 0)
         if isinstance(found, ReductionWitness):
             with _dropped_on_error("bounded:reduce", trace):
                 # the inductive hypothesis is this same procedure on fewer
                 # vertices; recursing into solve() instead would fork two
                 # fresh pipelines per level and blow up exponentially
-                cov = reduce(
-                    g, found, lambda sub: cover_bounded(sub, cfg).cover,
-                    c1=cfg.c, c2=cfg.c,
-                )
+                cov = reduce(g, found, lambda sub: cover_bounded(sub, cfg).cover, 0)
                 add(cov, "bounded:reduce")
         elif isinstance(found, LongPathStructure):
-            if 4 * len(_gamma_isolated(g, found)) ** 2 <= n:
+            if 4 * len(_gamma_isolated(found)) ** 2 <= n:
                 tag, build = "bounded:y0-exit", cover_from_structure
-            elif len(found.Y) ** 2 <= n:
+            elif len(found.y_degrees) ** 2 <= n:
                 tag, build = "bounded:y-exit", cover_from_structure
             else:
                 tag, build = "bounded:strip", _strip_and_mop
@@ -292,30 +289,27 @@ def _sqrt_branch(g: Colouring, cfg: SolverConfig, trace: list[str]) -> PathCover
     n = g.n
     s = None
     with _dropped_on_error("sqrt:pipeline", trace):
-        s = find_long_path_structure(g, cfg.c, 0.0)
+        s = find_long_path_structure(g, cfg.c)
     if isinstance(s, ReductionWitness):
         with _dropped_on_error("sqrt:reduce", trace):
             # the hypothesis f(m) < sqrt(m) + c comes from the bounded
             # induction, so that is what the recursion re-enters
-            cov = reduce(
-                g, s, lambda sub: cover_bounded(sub, cfg).cover,
-                c1=cfg.c, c2=0.0,
-            )
+            cov = reduce(g, s, lambda sub: cover_bounded(sub, cfg).cover, cfg.c)
             trace.append("sqrt:reduce")
             return cov
     if not isinstance(s, LongPathStructure):
         return None
 
-    y0 = _gamma_isolated(g, s)
+    y0 = _gamma_isolated(s)
     coeff = 18 * Fraction(cfg.c)
-    if arith.le_sqrt_minus_quartic(len(y0), n, coeff) or (len(s.Y) + 1) ** 2 <= n:
+    if arith.le_sqrt_minus_quartic(len(y0), n, coeff) or (len(s.y_degrees) + 1) ** 2 <= n:
         cov = cover_from_structure(g, s)
         trace.append("sqrt:y-exit")
         return cov
 
     xs = s.path.vertices
-    ys = s.Y
-    red = s.gamma.complement
+    ys = s.y_degrees
+    red = s.path.colour.complement
     with _dropped_on_error("sqrt:decompose", trace):
         # decompose_full checks its own preconditions (i) and (ii)
         paths = decompose_full(BipartiteView.from_colouring(g, xs, ys, colour=red))

@@ -23,7 +23,7 @@ from monopath.construct import (
     rotate_or_extend,
     two_path_cover,
 )
-from monopath import bipartite, construct
+from monopath import arith, bipartite, construct
 from monopath.bipartite import PreconditionViolated
 from monopath.core import BLUE, RED, Colouring, GuardFailed, Path, iter_edges
 from monopath.core import mask_vertices, validate_cover, vertex_mask
@@ -303,13 +303,14 @@ class TestRefinePath:
                 assert all(d <= 2 for d in outcome.values())
 
 
-def _check_structure(g, s: LongPathStructure):
+def _check_structure(g, s: LongPathStructure, slack):
     assert path_ok(g, s.path)
     pset = set(s.path.vertices)
-    assert set(s.Y) == set(range(1, g.n + 1)) - pset
-    for y in s.Y:
-        d = sum(1 for w in s.path.vertices if g.colour(y, w) is s.gamma)
-        assert d <= s.degree_bound
+    assert set(s.y_degrees) == set(range(1, g.n + 1)) - pset
+    bound = arith.floor_of_coeff_sqrt(2 * (slack + 1), g.n)
+    for y in s.y_degrees:
+        d = sum(1 for w in s.path.vertices if g.colour(y, w) is s.path.colour)
+        assert d <= bound
         assert s.y_degrees[y] == d
 
 
@@ -336,11 +337,11 @@ class TestFindLongPathStructure:
     def test_extremal_gives_structure(self):
         for n in (9, 16, 25, 49, 100):
             g = extremal(n)
-            out = find_long_path_structure(g, 2.0, 2.0)
+            out = find_long_path_structure(g, 0.0)
             assert isinstance(out, LongPathStructure)
-            _check_structure(g, out)
+            _check_structure(g, out, 0.0)
             # the blue clique spans A, so Y is exactly the red hub set B
-            assert len(out.Y) == math.isqrt(n) - 1
+            assert len(out.y_degrees) == math.isqrt(n) - 1
 
     def test_random_instances_sound(self, rng):
         structures = witnesses = 0
@@ -348,12 +349,12 @@ class TestFindLongPathStructure:
             n = rng.randint(2, 60)
             g = random_colouring_with(rng, n, rng.random())
             try:
-                out = find_long_path_structure(g, 1.0, 1.0)
+                out = find_long_path_structure(g, 0.0)
             except GuardFailed:
                 continue
             if isinstance(out, LongPathStructure):
                 structures += 1
-                _check_structure(g, out)
+                _check_structure(g, out, 0.0)
             else:
                 witnesses += 1
                 _check_witness(g, out)
@@ -366,7 +367,7 @@ class TestFindLongPathStructure:
         g = Colouring.from_edge_bits(
             20, (u in hub or v in hub for u, v in iter_edges(20))
         )
-        out = find_long_path_structure(g, 0.0, 0.0)
+        out = find_long_path_structure(g, 0.0)
         assert isinstance(out, ReductionWitness)
         assert out.S == (2, 5, 6, 7, 8, 9, 10, 13, 16)
         assert out.blue_paths == (Path(out.S, BLUE),)  # the clique itself
@@ -378,7 +379,7 @@ class TestFindLongPathStructure:
         # too many for the structure, and |X| = 1 < |Y| + 2m for the strip
         g = Colouring.from_edge_bits(37, (u == 1 for u, _ in iter_edges(37)))
         with pytest.raises(PreconditionViolated) as err:
-            find_long_path_structure(g, 0.5, 0.0)
+            find_long_path_structure(g, 0.5)
         assert err.value.condition == "|X| >= |Y| + 2m"
 
     def test_stripping_step_strips_nothing(self):
@@ -386,7 +387,7 @@ class TestFindLongPathStructure:
         # with |X| = 427 = |Y| + 2m exactly (|Y| = 141, m = 143), so
         # decompose makes no pass
         with pytest.raises(GuardFailed) as err:
-            find_long_path_structure(red_hub(568, 428), 2.0, 0.0)
+            find_long_path_structure(red_hub(568, 428), 2.0)
         assert str(err.value) == "stripping step produced no paths"
 
     def test_stripping_step_success(self, monkeypatch):
@@ -399,7 +400,7 @@ class TestFindLongPathStructure:
         monkeypatch.setattr(
             construct, "decompose", lambda v: passes.append(v.m) or real(v)
         )
-        out = find_long_path_structure(g, 2.0, 0.0)
+        out = find_long_path_structure(g, 2.0)
         assert passes == [147]
         assert isinstance(out, ReductionWitness)
         assert len(out.red_paths) == 1 and len(out.S) == 144
@@ -417,7 +418,7 @@ class TestFindLongPathStructure:
             "ramsey_path",
             lambda v, k, l: outcomes.append(real(v, k, l)) or outcomes[-1],
         )
-        out = find_long_path_structure(g, 1.0, 1.0)
+        out = find_long_path_structure(g, 0.0)
         assert [o.colour for o in outcomes] == [RED]
         assert isinstance(out, ReductionWitness) and len(out.S) == 10
         # the two-path cover's long path was red, so colours come back swapped
@@ -435,27 +436,28 @@ class TestFindLongPathStructure:
 
     def test_dp_must_be_positive(self):
         with pytest.raises(ValueError):
-            find_long_path_structure(extremal(9), 1.0, 3.0)
+            find_long_path_structure(extremal(9), -2.0)
 
     def test_all_vertices_on_path_shortcut(self):
         g = Colouring.monochromatic(12, BLUE)
-        out = find_long_path_structure(g, 2.0, 2.0)
+        out = find_long_path_structure(g, 0.0)
         assert isinstance(out, LongPathStructure)
-        assert not out.Y and len(out.path.vertices) == 12
+        assert not out.y_degrees and len(out.path.vertices) == 12
 
     def test_large_random_zero_constants(self, big_random_5000):
-        # slow: n = 5000, the regime where the c1 = c2 = 0 guard admits input
-        g = big_random_5000
-        out = find_long_path_structure(g, 0.0, 0.0)
+        # slow: n = 5000, the regime where the slack = 0 guard admits input
+        g, slack = big_random_5000, 0.0
+        out = find_long_path_structure(g, slack)
         if isinstance(out, LongPathStructure):
             assert path_ok(g, out.path)
             on = 0
             for w in out.path.vertices:
                 on |= 1 << (w - 1)
-            assert set(out.Y) == set(range(1, g.n + 1)) - set(out.path.vertices)
-            for y in out.Y:
-                d = (g.mask(y, out.gamma) & on).bit_count()
+            assert set(out.y_degrees) == set(range(1, g.n + 1)) - set(out.path.vertices)
+            bound = arith.floor_of_coeff_sqrt(2 * (slack + 1), g.n)
+            for y in out.y_degrees:
+                d = (g.mask(y, out.path.colour) & on).bit_count()
                 assert d == out.y_degrees[y]
-                assert d <= out.degree_bound
+                assert d <= bound
         else:
             _check_witness(g, out)

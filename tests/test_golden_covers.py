@@ -17,6 +17,8 @@ import json
 import random
 from pathlib import Path as FilePath
 
+import pytest
+
 from monopath.gen import indexed_colouring
 from monopath.solver import SolverConfig, solve
 
@@ -68,6 +70,18 @@ def test_solve_matches_golden_covers():
                 f"solve differs from the golden file in "
                 f"{[k for k in want if got[k] != want[k]]}"
             )
+
+
+@pytest.mark.parametrize("c1, c2", [(0.0, 0.0), (2.0, 2.0), (5.0, 1.0), (160000.0, 0.0)])
+def test_c1_and_c2_are_read_by_nothing(c1, c2):
+    # the pipelines take their one slack from c (0 for the bounded pipeline,
+    # c for the sqrt one), so c1 and c2 change no cover; the instances reach
+    # sqrt:decompose, its failure, bounded:reduce and bounded:strip's failure
+    entries = json.loads(GOLDEN.read_text())
+    cfg = SolverConfig(c1=c1, c2=c2, c=2.0)
+    for i in (13, 20, 40, 60):
+        g = indexed_colouring(entries[i]["n"], int(entries[i]["index"], 16))
+        assert _record(g, cfg) == entries[i]["results"]["2,0,2"], i
 
 
 if __name__ == "__main__":

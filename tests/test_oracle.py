@@ -23,7 +23,6 @@ from monopath.oracle import (
     TraceableFamily,
     exact_f,
     min_cover_colour,
-    traceable_sets,
 )
 
 
@@ -32,7 +31,7 @@ class TestTraceableFamily:
         # a set is traceable iff some ordering is a monochromatic path;
         # recount by brute longest-path DFS on each induced subset
         for g in all_colourings(4):
-            fam = traceable_sets(g, RED)
+            fam = TraceableFamily(g, RED)
             for size in range(1, 5):
                 for sub in combinations(range(1, 5), size):
                     ind, back = g.induced(sub)
@@ -42,7 +41,7 @@ class TestTraceableFamily:
     def test_witness_paths_are_real(self, rng):
         for _ in range(30):
             g = random_colouring_with(rng, 7)
-            fam = traceable_sets(g, BLUE)
+            fam = TraceableFamily(g, BLUE)
             for m in range(1, 1 << 7):
                 s = mask_vertices(m)
                 if s not in fam:
@@ -54,9 +53,9 @@ class TestTraceableFamily:
 
     def test_contains(self):
         g = Colouring.monochromatic(3, RED)
-        fam = traceable_sets(g, RED)
+        fam = TraceableFamily(g, RED)
         assert frozenset({1, 2, 3}) in fam
-        blue = traceable_sets(g, BLUE)
+        blue = TraceableFamily(g, BLUE)
         assert frozenset({1, 2}) not in blue
         assert frozenset({2}) in blue
         assert frozenset() not in fam
@@ -129,7 +128,7 @@ class TestExactF:
             tracemalloc.stop()
         assert peak < 64 * 1024
         with pytest.raises(TooLarge):
-            traceable_sets(extremal(ORACLE_MAX_N + 1), RED, threshold=64)
+            TraceableFamily(extremal(ORACLE_MAX_N + 1), RED, threshold=64)
 
     def test_result_shape(self):
         res = exact_f(extremal(6))

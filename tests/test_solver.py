@@ -53,6 +53,20 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(c2=-1.0, c1=0.0)
 
+    @pytest.mark.parametrize("field", ["c1", "c2", "c"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejects_non_finite_constants(self, field, value):
+        # a non-finite c once passed and crashed solve in Fraction(c)
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SolverConfig(**{field: value})
+
+    def test_accepts_an_int_too_big_for_a_float(self):
+        # finite, so valid; solve once crashed converting 2(c + 1)sqrt(n)
+        # to a float degree bound that nothing read
+        g = extremal(20)
+        res = solve(g, SolverConfig(c1=10**400, c=10**400))
+        assert validate_cover(g, res.cover).valid
+
 
 class TestSolveSmall:
     def test_matches_oracle_on_all_k4(self):
@@ -126,9 +140,7 @@ class TestReduce:
     def test_appends_matching_colour(self):
         g = Colouring.monochromatic(10, RED)
         w = self.witness(g)
-        cover = reduce(
-            g, w, lambda sub: exact_f(sub).witness, c1=0.0, c2=2.0
-        )
+        cover = reduce(g, w, lambda sub: exact_f(sub).witness, -2.0)
         assert validate_cover(g, cover).valid
         assert cover.colour is RED
         assert cover.size == 2  # inner spanning path + the red witness path
@@ -136,9 +148,7 @@ class TestReduce:
     def test_blue_recursion_gets_blue_paths(self):
         g = Colouring.monochromatic(10, BLUE)
         w = self.witness(g)
-        cover = reduce(
-            g, w, lambda sub: exact_f(sub).witness, c1=0.0, c2=2.0
-        )
+        cover = reduce(g, w, lambda sub: exact_f(sub).witness, -2.0)
         assert validate_cover(g, cover).valid
         assert cover.colour is BLUE
         assert cover.size == 3  # inner path + two blue singletons
@@ -147,8 +157,7 @@ class TestReduce:
         g = Colouring.monochromatic(10, RED)
         w = self.witness(g)
         with pytest.raises(GuardFailed):
-            reduce(g, w, lambda sub: exact_f(sub).witness,
-                   c1=0.0, c2=0.0)
+            reduce(g, w, lambda sub: exact_f(sub).witness, 0.0)
 
     def test_empty_keep_returns_red_family(self):
         g = Colouring.monochromatic(3, RED)
@@ -157,9 +166,7 @@ class TestReduce:
             red_paths=(Path((1, 2, 3), RED),),
             blue_paths=(Path((1,), BLUE), Path((2,), BLUE), Path((3,), BLUE)),
         )
-        cover = reduce(
-            g, w, lambda sub: exact_f(sub).witness, c1=0.0, c2=2.0
-        )
+        cover = reduce(g, w, lambda sub: exact_f(sub).witness, -2.0)
         assert validate_cover(g, cover).valid
         assert cover.paths == w.red_paths
 
@@ -171,9 +178,7 @@ class TestReduce:
         red = (Path(s, RED),) if g.colour(3, 7) is RED else (Path((3,), RED), Path((7,), RED))
         blue = (Path(s, BLUE),) if g.colour(3, 7) is BLUE else (Path((3,), BLUE), Path((7,), BLUE))
         w = ReductionWitness(S=s, red_paths=red, blue_paths=blue)
-        cover = reduce(
-            g, w, lambda sub: exact_f(sub).witness, c1=0.0, c2=3.0
-        )
+        cover = reduce(g, w, lambda sub: exact_f(sub).witness, -3.0)
         assert validate_cover(g, cover).valid
 
 
@@ -184,9 +189,7 @@ class TestCoverFromStructure:
         g = Colouring.from_function(
             5, lambda u, v: BLUE if (u, v) in blue_pairs else RED
         )
-        s = LongPathStructure(
-            Path((1, 2, 3), BLUE), BLUE, (4, 5), 2.0, {4: 1, 5: 1}
-        )
+        s = LongPathStructure(Path((1, 2, 3), BLUE), {4: 1, 5: 1})
         cover = cover_from_structure(g, s)
         assert validate_cover(g, cover).valid
         assert cover.size == 2  # 1 + ceil(2/2) + 0
@@ -198,9 +201,7 @@ class TestCoverFromStructure:
         g = Colouring.from_function(
             6, lambda u, v: BLUE if (u, v) in blue_pairs else RED
         )
-        s = LongPathStructure(
-            Path((1, 2, 3, 4), BLUE), BLUE, (5, 6), 2.0, {5: 1, 6: 1}
-        )
+        s = LongPathStructure(Path((1, 2, 3, 4), BLUE), {5: 1, 6: 1})
         cover = cover_from_structure(g, s)
         assert validate_cover(g, cover).valid
         assert cover.size == 2
@@ -213,8 +214,7 @@ class TestCoverFromStructure:
             8, lambda u, v: BLUE if (u, v) in blue_pairs else RED
         )
         s = LongPathStructure(
-            Path((1, 2, 3, 4), BLUE), BLUE, (5, 6, 7, 8), 2.0,
-            {5: 1, 6: 1, 7: 1, 8: 0},
+            Path((1, 2, 3, 4), BLUE), {5: 1, 6: 1, 7: 1, 8: 0}
         )
         cover = cover_from_structure(g, s)
         assert validate_cover(g, cover).valid

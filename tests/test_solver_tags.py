@@ -17,7 +17,7 @@ monkeypatched failure, since no correct input reaches them:
   or exact_f to raise.
 
 `bounded:reduce:error(...)` has no entry.  The bounded pipeline runs with
-c1 = c2, so the reduce guard asks sqrt(n) - sqrt(n - |S|) >= k.  Witnesses
+slack 0, so the reduce guard asks sqrt(n) - sqrt(n - |S|) >= k.  Witnesses
 from the probe, the Ramsey path or a clique certificate have k = 1 and
 |S| >= 2 sqrt(n), which always passes.  A stripping witness of k paths has
 |S| = k|Y|; over every n <= 20000 and every |Y| the stripping step admits,
@@ -83,7 +83,7 @@ def _raise_table(*args):
 
 def _path_only(g, s):
     """An invalid structure cover: the path without its outside vertices."""
-    return PathCover(s.gamma, (Path(s.path.vertices, s.gamma),), g.n)
+    return PathCover(s.path.colour, (s.path,), g.n)
 
 
 def _overrun(view):
