@@ -10,14 +10,18 @@ to be non-negative, so each rewrite is an equivalence, not a relaxation).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isfinite, isqrt
 from numbers import Rational
 
 
 def _frac(x) -> Fraction:
     # Fraction(float) is exact on the binary value, so float-configured
     # constants stay deterministic.
-    if isinstance(x, (Rational, float)):
+    if isinstance(x, Rational):
+        return Fraction(x)
+    if isinstance(x, float):
+        if not isfinite(x):
+            raise ValueError(f"expected a finite coefficient, got {x}")
         return Fraction(x)
     raise TypeError(f"expected a rational or float coefficient, got {type(x).__name__}")
 

@@ -11,7 +11,6 @@ mapped back before returning.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import arith
 from .bipartite import BipartiteView, decompose, ramsey_path
@@ -225,9 +224,9 @@ def find_long_path_structure(g: Colouring, slack: float):
     constants); callers fall back to unconditional strategies.
     """
     n = g.n
-    if slack < 0:
+    dp = arith._frac(slack) + 1
+    if dp < 1:
         raise ValueError(f"need slack >= 0, got {slack}")
-    dp = Fraction(slack) + 1
 
     tpc = two_path_cover(g)
     if len(tpc.blue.vertices) >= len(tpc.red.vertices):

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -109,3 +110,38 @@ class TestMisc:
     @settings(max_examples=200, deadline=None)
     def test_ceil_div(self, a, b):
         assert arith.ceil_div(a, b) == math.ceil(a / b) == -(-a // b)
+
+
+NON_FINITE = [math.inf, -math.inf, math.nan]
+
+
+class TestNonFiniteConstants:
+    # Fraction raises OverflowError on an infinity and an unlabelled
+    # ValueError on nan; _frac owns the check and names the value
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda c: arith.reduce_guard(100, 4, c, 1),
+            lambda c: arith.lt_sqrt_plus_const(3, 100, c),
+            lambda c: arith.le_sqrt_plus_quartic(3, 100, c),
+            lambda c: arith.le_sqrt_minus_quartic(3, 100, c),
+            lambda c: arith.ceil_of_coeff_sqrt(c, 100),
+            lambda c: arith.floor_of_coeff_sqrt(c, 100),
+        ],
+        ids=[
+            "reduce_guard",
+            "lt_sqrt_plus_const",
+            "le_sqrt_plus_quartic",
+            "le_sqrt_minus_quartic",
+            "ceil_of_coeff_sqrt",
+            "floor_of_coeff_sqrt",
+        ],
+    )
+    @pytest.mark.parametrize("value", NON_FINITE, ids=str)
+    def test_rejected_with_value_error_naming_the_value(self, call, value):
+        with pytest.raises(ValueError, match=f"finite coefficient, got {value}$"):
+            call(value)
+
+    def test_int_too_big_for_a_float_is_still_exact(self):
+        assert not arith.reduce_guard(100, 4, 10**400, 1)
+        assert arith.lt_sqrt_plus_const(3, 100, 10**400)

@@ -438,6 +438,13 @@ class TestFindLongPathStructure:
         with pytest.raises(ValueError):
             find_long_path_structure(extremal(9), -2.0)
 
+    @pytest.mark.parametrize("slack", [math.inf, -math.inf, math.nan], ids=str)
+    def test_non_finite_slack_is_a_value_error(self, slack):
+        # at n = 20 an infinite slack used to reach Fraction and raise
+        # OverflowError, and nan an unlabelled ValueError
+        with pytest.raises(ValueError, match=f"finite coefficient, got {slack}$"):
+            find_long_path_structure(extremal(20), slack)
+
     def test_all_vertices_on_path_shortcut(self):
         g = Colouring.monochromatic(12, BLUE)
         out = find_long_path_structure(g, 0.0)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 import tracemalloc
 from itertools import combinations
 
@@ -13,8 +14,9 @@ from conftest import (
     path_ok,
     random_colouring_with,
 )
-from monopath.core import BLUE, RED, Colouring, mask_vertices, validate_cover
-from monopath.gen import extremal
+from monopath import oracle
+from monopath.core import BLUE, RED, Colouring, Path, mask_vertices, validate_cover
+from monopath.gen import extremal, random_colouring
 from monopath.oracle import (
     DEFAULT_ORACLE_THRESHOLD,
     ORACLE_MAX_N,
@@ -113,8 +115,6 @@ class TestExactF:
             exact_f(extremal(15))
         with pytest.raises(TooLarge):
             min_cover_colour(extremal(20), RED)
-        # raising the threshold unlocks bigger instances
-        assert exact_f(extremal(16), threshold=16).value == 4
 
     def test_ceiling_rejects_before_allocating(self):
         # a threshold above the ceiling must not buy a 2**n-entry table
@@ -130,6 +130,35 @@ class TestExactF:
         with pytest.raises(TooLarge):
             TraceableFamily(extremal(ORACLE_MAX_N + 1), RED, threshold=64)
 
+    def test_ceiling_instance_fits_in_two_megabytes(self):
+        # raising the threshold unlocks bigger instances; neither colour of
+        # extremal(16) spans, so all three tables and both set covers run
+        tracemalloc.start()
+        try:
+            res = exact_f(extremal(16), threshold=16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.value == 4
+        assert peak < 2_000_000
+
+    def test_one_table_alive_at_a_time(self):
+        # red does not span and blue does, so exact_f builds both tables; red's
+        # must be gone before blue's is built, which would add 8 bytes a mask
+        n = 12
+        g = random_colouring(n, 0.15, 3)
+
+        def peak(call):
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        alone = peak(lambda: min_cover_colour(g, BLUE))
+        assert peak(lambda: exact_f(g)) < alone + 4 * 2**n
+
     def test_result_shape(self):
         res = exact_f(extremal(6))
         assert isinstance(res, OracleResult)
@@ -142,3 +171,164 @@ class TestExactF:
         with pytest.raises(dataclasses.FrozenInstanceError):
             res.value = 0
         assert repr(res) == f"OracleResult(value={res.value}, colour={res.colour!r})"
+
+
+def _reference_ends(g, gamma):
+    """ends[m] by growing every gamma-path one edge at a time from each
+    start vertex.  A (vertex set, end) state is expanded once: what it
+    extends to depends on nothing else."""
+    n = g.n
+    nbrs = [[w for w in range(n) if w != v and g.colour(v + 1, w + 1) is gamma]
+            for v in range(n)]
+    ends = [0] * (1 << n)
+    todo = [(1 << v, v) for v in range(n)]
+    while todo:
+        m, v = todo.pop()
+        if ends[m] >> v & 1:
+            continue
+        ends[m] |= 1 << v
+        todo.extend((m | 1 << w, w) for w in nbrs[v] if not m >> w & 1)
+    return ends
+
+
+def _builder_tables(g, gamma):
+    """The table from each builder run over all of [n]."""
+    n = g.n
+    adj = [g.mask(v, gamma) for v in range(1, n + 1)]
+    out = []
+    for build in (oracle._pull_ends, oracle._push_ends):
+        ends = [0] * (1 << n)
+        build(adj, (1 << n) - 1, ends)
+        out.append(ends)
+    return adj, out
+
+
+class TestEndpointTable:
+    def test_builders_match_the_reference_exhaustively(self):
+        for n in range(1, 6):
+            for g in all_colourings(n):
+                for gamma in (RED, BLUE):
+                    ref = _reference_ends(g, gamma)
+                    _, tables = _builder_tables(g, gamma)
+                    assert tables == [ref, ref]
+                    assert oracle._ends_table(g, gamma)[0] == ref
+
+    @pytest.mark.parametrize(
+        "n, p",
+        # red densities on both sides of the 2/5 cut up to n = 14; at 15 and
+        # 16 the sparse side only, where the reference search stays cheap
+        [(10, 0.2), (10, 0.7), (11, 0.35), (12, 0.6), (13, 0.45),
+         (14, 0.25), (14, 0.42), (15, 0.3), (16, 0.2)],
+    )
+    def test_builders_match_the_reference_fuzzed(self, n, p):
+        g = random_colouring(n, p, seed=n)
+        ref = _reference_ends(g, RED)
+        _, tables = _builder_tables(g, RED)
+        assert tables == [ref, ref]
+
+    def test_spanning_path_walks_out_a_real_path(self):
+        rng = random.Random(7)
+        for n in range(1, 8):
+            for _ in range(6):
+                g = random_colouring_with(rng, n, rng.choice((0.2, 0.5, 0.8)))
+                for gamma in (RED, BLUE):
+                    adj, tables = _builder_tables(g, gamma)
+                    for ends in tables:
+                        for m in range(1, 1 << n):
+                            if not ends[m]:
+                                continue
+                            vs = oracle._spanning_path(ends, adj, m)
+                            assert sorted(vs) == mask_vertices(m)
+                            assert path_ok(g, Path(tuple(vs), gamma))
+
+
+DENSITIES = (0.1, 0.3, 0.5, 0.7, 0.9)
+
+
+def _loop_maximal_masks(ends, n):
+    """Maximal traceable masks by the plain per-mask superset loop."""
+    size = 1 << n
+    anysup = [1 if ends[m] else 0 for m in range(size)]
+    for i in range(n):
+        for m in range(size):
+            if not m >> i & 1 and anysup[m | 1 << i]:
+                anysup[m] = 1
+    return [
+        m
+        for m in range(1, size)
+        if ends[m] and not any(not m >> i & 1 and anysup[m | 1 << i] for i in range(n))
+    ]
+
+
+class TestMaximalMasks:
+    def test_match_the_loop_reference(self):
+        rng = random.Random(5)
+        colourings = [extremal(n) for n in range(1, 13)]
+        colourings += [
+            random_colouring_with(rng, rng.randint(1, 12), rng.choice(DENSITIES))
+            for _ in range(40)
+        ]
+        for g in colourings:
+            for gamma in (RED, BLUE):
+                ends = oracle._ends_table(g, gamma)[0]
+                got = oracle._maximal_masks(ends, g.n)
+                assert got == _loop_maximal_masks(ends, g.n)
+
+
+class TestShortCircuit:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"tables": [], "maximal": 0}
+        table, maximal = oracle._ends_table, oracle._maximal_masks
+
+        def counted_table(g, gamma):
+            calls["tables"].append(gamma)
+            return table(g, gamma)
+
+        def counted_maximal(ends, n):
+            calls["maximal"] += 1
+            return maximal(ends, n)
+
+        monkeypatch.setattr(oracle, "_ends_table", counted_table)
+        monkeypatch.setattr(oracle, "_maximal_masks", counted_maximal)
+        return calls
+
+    def test_red_spans(self, calls):
+        res = exact_f(random_colouring(12, 0.7, 1))
+        assert (res.value, res.colour) == (1, RED)
+        assert calls == {"tables": [RED], "maximal": 0}
+
+    def test_only_blue_spans(self, calls):
+        g = random_colouring(12, 0.15, 1)
+        res = exact_f(g)
+        assert (res.value, res.colour) == (1, BLUE)
+        assert calls == {"tables": [RED, BLUE], "maximal": 0}
+        assert validate_cover(g, res.witness).valid
+
+    def test_neither_spans(self, calls):
+        # red's table is dropped while blue's is built, then built again
+        res = exact_f(extremal(9))
+        assert res.value == 3
+        assert calls == {"tables": [RED, BLUE, RED], "maximal": 2}
+
+    def test_matches_min_cover_colour_with_red_winning_ties(self):
+        rng = random.Random(99)
+        colourings = [
+            random_colouring_with(rng, rng.randint(1, 11), rng.choice(DENSITIES))
+            for _ in range(200)
+        ]
+        # the extremal family is where neither colour spans
+        for n in range(4, 12):
+            colourings += [extremal(n), extremal(n).flipped()]
+        seen = set()
+        for g in colourings:
+            red = min_cover_colour(g, RED)
+            blue = min_cover_colour(g, BLUE)
+            colour, (value, cover) = (BLUE, blue) if blue[0] < red[0] else (RED, red)
+            assert exact_f(g) == OracleResult(value, colour, cover)
+            seen.add((colour, value == 1, red[0] == blue[0]))
+        # every branch of the short-circuit, and a tie, came up
+        assert {(RED, True), (BLUE, True), (RED, False), (BLUE, False)} <= {
+            k[:2] for k in seen
+        }
+        assert any(k[2] for k in seen)
