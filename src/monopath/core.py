@@ -9,6 +9,7 @@ operations and keeps induced-subgraph extraction cheap.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import itertools
 import operator
@@ -206,9 +207,11 @@ class Colouring:
         if not old:
             raise ValueError("cannot induce on an empty vertex set")
         n = self.n
-        for v in old:
-            if not 1 <= v <= n:
-                raise InvalidEdge(f"vertex {v} outside 1..{n}")
+        # old is sorted, so its ends bound the range; the lowest vertex
+        # outside it is old[0] or the first one above n
+        if old[0] < 1 or old[-1] > n:
+            bad = old[0] if old[0] < 1 else old[bisect.bisect_right(old, n)]
+            raise InvalidEdge(f"vertex {bad} outside 1..{n}")
         # in a row's n-digit binary string vertex v is the digit at n - v;
         # gathering the kept digits from the highest label down spells the
         # relabelled row, so each row is one C-level pass, not k bit tests

@@ -226,7 +226,9 @@ def _bounded_candidates(
     g: Colouring, cfg: SolverConfig
 ) -> tuple[list[tuple[str, PathCover]], list[str]]:
     """cover_bounded's tagged candidates in pick order, and its trace: the
-    base strategies always, the bounded-size induction for n above c."""
+    base strategies always, the bounded-size induction for n above c unless
+    a base cover is a single path.  Then bounded:pipeline and the tags under
+    it are absent from the trace, at every level of the recursion."""
     n = g.n
     trace: list[str] = []
     cands: list[tuple[str, PathCover]] = []
@@ -245,7 +247,10 @@ def _bounded_candidates(
     # unguarded: the greedy cover is the candidate that is always there
     add(_greedy_cover(g), "base:greedy")
 
-    if n > cfg.c:
+    # no cover has fewer than one path and ties go to the earlier candidate,
+    # so once a base cover is a single path nothing the induction builds
+    # can win the pick
+    if n > cfg.c and min(cover.size for _, cover in cands) > 1:
         trace.append("bounded:pipeline")
         found = None
         with _dropped_on_error("bounded:pipeline", trace):
@@ -340,7 +345,10 @@ def solve(g: Colouring, cfg: SolverConfig | None = None) -> SolveResult:
 
     Each candidate is built once: the oracle witness and the greedy cover
     are cover_bounded's own base candidates, and the sqrt step falls back to
-    the bounded pick instead of running the bounded induction again.
+    the bounded pick instead of running the bounded induction again.  When
+    a base cover is a single path the bounded induction does not run, so
+    bounded:pipeline and its children are absent from the trace; the sqrt
+    step still runs, since it comes first in the pick order.
     """
     cfg = SolverConfig() if cfg is None else cfg
     base, bounded_trace = _bounded_candidates(g, cfg)

@@ -333,6 +333,13 @@ RED_RAMSEY_25 = int(
 )
 
 
+# no base strategy finds a one-path cover of this colouring, and the bounded
+# pipeline's ramsey_path searches exactly
+MULTI_PATH_BASE_26 = int(
+    "3f42fe0502bbf814a1480a4ffffff7ffffffffffffff8148bfffffc0a47d0291d40523680523ea", 16
+)
+
+
 class TestFindLongPathStructure:
     def test_extremal_gives_structure(self):
         for n in (9, 16, 25, 49, 100):
@@ -427,11 +434,16 @@ class TestFindLongPathStructure:
 
     def test_ramsey_path_without_an_exact_path_is_typed(self, monkeypatch):
         # a search that finds neither target ends in CannotCertify, which
-        # the pipeline catches, so solve still returns a cover
-        monkeypatch.setattr(bipartite, "_exact_path", lambda *args: None)
-        g = indexed_colouring(25, RED_RAMSEY_25)
+        # the pipeline catches, so solve still returns a cover; no base cover
+        # is a single path here, so the bounded pipeline runs
+        searches = []
+        monkeypatch.setattr(
+            bipartite, "_exact_path", lambda *args: searches.append(args) and None
+        )
+        g = indexed_colouring(26, MULTI_PATH_BASE_26)
         res = solve(g, SolverConfig(1.0, 0.0, 1.0))
         assert validate_cover(g, res.cover).valid
+        assert searches
         assert "bounded:y0-exit" in res.branch_trace
 
     def test_dp_must_be_positive(self):

@@ -154,6 +154,14 @@ class TestColouring:
         with pytest.raises(InvalidEdge, match=f"vertex {bad} outside"):
             g.induced(keep)
 
+    @pytest.mark.parametrize(
+        "keep, bad", [([1, 9, 3, 7], 7), ([2, 0, 9, -2], -2), ([6], 6)]
+    )
+    def test_induced_names_the_lowest_out_of_range_vertex(self, keep, bad):
+        g = random_colouring_with(random.Random(5), 5)
+        with pytest.raises(InvalidEdge, match=f"^vertex {bad} outside 1..5$"):
+            g.induced(keep)
+
     def test_degree_and_mask(self):
         g = Colouring.from_edge_bits(3, [True, True, False])
         assert g.degree(1, RED) == 2

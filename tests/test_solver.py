@@ -226,15 +226,20 @@ class TestCoverFromStructure:
 
 class TestPipelines:
     def test_bounded_pipeline_on_large_random(self, rng):
+        # a red hub of 100 random labels: the hub has no blue edge and the red
+        # paths cover at most 201 vertices, so no base cover is a single path
+        # and the bounded pipeline runs
         cfg = SolverConfig(c1=2.0, c2=2.0, c=2.0)
-        g = random_colouring_with(rng, 300, 0.5)
+        hub = set(rng.sample(range(1, 301), 100))
+        g = Colouring.from_function(300, lambda u, v: RED if {u, v} & hub else BLUE)
         res = cover_bounded(g, cfg)
         assert validate_cover(g, res.cover).valid
         assert any(t.startswith("bounded:") for t in res.branch_trace)
 
-    def test_bounded_pipeline_at_five_thousand(self, big_random_5000):
-        # slow: one full-size run through the structure and reduce branches
-        g = big_random_5000
+    def test_bounded_pipeline_at_five_thousand(self):
+        # slow: one full-size run through the pipeline and reduce branches; a
+        # red hub of 2000 leaves both colours without a spanning path
+        g = red_hub(5000, 3001)
         cfg = SolverConfig(c1=2.0, c2=2.0, c=2.0)
         res = cover_bounded(g, cfg)
         assert validate_cover(g, res.cover).valid
@@ -318,7 +323,7 @@ class TestEachCandidateOnce:
         # small constants: both pipelines reduce into sub-colourings, and each
         # sub-colouring gets its own single run
         cfg = SolverConfig(c1=1.0, c2=0.0, c=1.0)
-        g = random_colouring(90, 0.5, 0)
+        g = red_hub(68, 37)
         seen = _count_calls(monkeypatch, "_greedy_cover")
         res = solve(g, cfg)
         assert validate_cover(g, res.cover).valid
@@ -327,6 +332,34 @@ class TestEachCandidateOnce:
         assert len(calls) > 1
         assert len({id(h) for h in calls}) == len(calls)
         assert sum(h is g for h in calls) == 1
+
+
+class TestSizeOneSkip:
+    """A base cover of one path cannot be beaten, so cover_bounded skips the
+    bounded induction; the pick is what the induction would have left."""
+
+    @pytest.mark.parametrize("p, colour", [(0.5, RED), (0.02, BLUE)])
+    def test_single_path_base_skips_the_pipeline(self, monkeypatch, p, colour):
+        # the red structure cover is one path at p = 0.5; at p = 0.02 only the
+        # blue one is, so the pick is the second candidate
+        g = random_colouring(200, p, 0)
+        seen = _count_calls(monkeypatch, "find_long_path_structure")
+        res = cover_bounded(g, SolverConfig(2.0, 2.0, 2.0))
+        assert seen["find_long_path_structure"] == []
+        assert "bounded:pipeline" not in res.branch_trace
+        assert res.branch_trace[-1] == f"pick:base:structure-{colour.value}"
+        assert res.cover == solver._structure_attempt(g, colour)
+        assert res.cover.size == 1
+
+    def test_pipeline_runs_without_a_single_path_base(self, monkeypatch):
+        # one call: the sub-colouring bounded:reduce recurses into has a
+        # single-path base, so the skip holds inside the recursion too
+        g = red_hub(300, 201)
+        seen = _count_calls(monkeypatch, "find_long_path_structure")
+        res = cover_bounded(g, SolverConfig(2.0, 2.0, 2.0))
+        assert seen["find_long_path_structure"] == [g]
+        assert "bounded:pipeline" in res.branch_trace
+        assert validate_cover(g, res.cover).valid
 
 
 def test_bounded_strip_branch_is_reached():

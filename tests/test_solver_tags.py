@@ -147,7 +147,9 @@ CENSUS = {
     "bounded:pipeline:error(PreconditionViolated)": (
         lambda: forced_red_star(1762), C1, solve, None,
     ),
-    "bounded:reduce": (lambda: random_colouring(90, 0.5, 0), C1, solve, None),
+    # a red hub of 8 on 20: no base cover is a single path, so the bounded
+    # pipeline runs, and its witness passes the reduce guard
+    "bounded:reduce": (lambda: red_hub(20, 13), C2, solve, None),
     "bounded:y0-exit": (lambda: red_star(20), C2, solve, None),
     "bounded:y-exit": (lambda: red_hub(10, 8), C2, solve, None),
     "bounded:strip": (lambda: red_hub(41, 35), C2, solve, None),
