@@ -26,7 +26,7 @@ from .core import (
     PathCover,
     validate_cover,
 )
-from .gen import GenSpec, build
+from .gen import MAX_N, GenSpec, build
 from .oracle import DEFAULT_ORACLE_THRESHOLD, exact_f
 from .solver import solve
 
@@ -294,7 +294,7 @@ def _build_parser() -> _Parser:
     kinds.add_argument("--random", dest="kind", action="store_const", const="random")
     kinds.add_argument("--adversarial", dest="kind", action="store_const", const="adversarial")
     kinds.add_argument("--enumerate", dest="kind", action="store_const", const="enumerate")
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=int, required=True, help=f"vertex count, at most {MAX_N}")
     p.add_argument("--p", type=float, default=0.5, help="red probability for --random")
     p.add_argument("--seed", type=int, default=0, help="seed (colouring index for --enumerate)")
     p.add_argument("--iters", type=int, default=0, help="flip attempts for --adversarial")

@@ -71,11 +71,20 @@ def maximal_path(
     path that g.induced(alive vertices) would, without relabelling.
     """
     free = (1 << g.n) - 1 if alive is None else alive
-    if seed_path is not None and len(seed_path.vertices) > 0:
-        verts = list(seed_path.vertices)
-    else:
-        verts = [(free & -free).bit_length()]
-    free &= ~vertex_mask(verts)
+    start = list(seed_path.vertices) if seed_path is not None else []
+    return _grow(g, gamma, start, free & ~vertex_mask(start))[0]
+
+
+def _grow(
+    g: Colouring, gamma: Colour, verts: list[int], free: int
+) -> tuple[Path, int]:
+    """maximal_path from the start `verts` (empty: the lowest vertex of
+    `free`) through the vertices of `free`, which holds none of verts.
+    Returns the path and what is left of free, so a caller that knows the
+    start's mask never rebuilds the path's."""
+    if not verts:
+        low = free & -free
+        verts, free = [low.bit_length()], free ^ low
     grown = True
     while grown:
         grown = False
@@ -92,7 +101,7 @@ def maximal_path(
             verts.insert(0, w)
             free ^= 1 << (w - 1)
             grown = True
-    return Path(tuple(verts), gamma)
+    return Path(tuple(verts), gamma), free
 
 
 @dataclass(frozen=True)
@@ -111,7 +120,11 @@ class SmallDegree:
 
 
 def rotate_or_extend(
-    g: Colouring, path: Path, y: int, degree_bound: int | float | None = None
+    g: Colouring,
+    path: Path,
+    y: int,
+    degree_bound: int | float | None = None,
+    pmask: int | None = None,
 ):
     """One step of the rotation argument for an outside vertex y.
 
@@ -120,10 +133,12 @@ def rotate_or_extend(
     between two predecessors of B allows the detour surgery.  Failing all
     that, the predecessors form an opposite-colour clique, returned as a
     certificate when |B| exceeds degree_bound, else SmallDegree(|B|).
+    A caller that holds the path's vertex mask passes it as pmask.
     """
     p = path.vertices
     gamma = path.colour
-    pmask = vertex_mask(p)
+    if pmask is None:
+        pmask = vertex_mask(p)
     if pmask >> (y - 1) & 1:
         raise ValueError(f"{y} already on the path")
     bmask = g.mask(y, gamma) & pmask
@@ -171,17 +186,19 @@ def refine_path(
     memoised: a LongerPath contains y, and it or a certificate ends the scan
     anyway.
     """
-    p = maximal_path(g, gamma, seed_path)
     everyone = (1 << g.n) - 1
+    start = list(seed_path.vertices) if seed_path is not None else []
+    p, free = _grow(g, gamma, start, everyone & ~vertex_mask(start))
     while True:
         degs: dict[int, int] = {}
-        pmask = vertex_mask(p.vertices)
+        pmask = everyone ^ free
         small: dict[int, SmallDegree] = {}  # B's mask -> its outcome on p
-        for y in mask_vertices(everyone & ~pmask):
+        for y in mask_vertices(free):
             bmask = g.mask(y, gamma) & pmask
-            res = small.get(bmask) or rotate_or_extend(g, p, y, bound)
+            res = small.get(bmask) or rotate_or_extend(g, p, y, bound, pmask)
             if isinstance(res, LongerPath):
-                p = maximal_path(g, gamma, res.path)
+                # the longer path is p plus y, so its mask is known
+                p, free = _grow(g, gamma, [*res.path.vertices], free ^ (1 << (y - 1)))
                 break
             if isinstance(res, RedCliqueCertificate):
                 return p, res
@@ -307,5 +324,5 @@ def find_long_path_structure(g: Colouring, slack: float):
     covered = 0
     for rp in red_paths:
         covered |= vertex_mask(rp.vertices)
-    s = mask_vertices(covered & vertex_mask(p.vertices))
+    s = mask_vertices(covered & ~vertex_mask(y))  # y is everything off p
     return witness(s, list(red_paths), [p])

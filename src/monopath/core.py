@@ -12,7 +12,6 @@ from __future__ import annotations
 import bisect
 import enum
 import itertools
-import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -212,14 +211,20 @@ class Colouring:
         if old[0] < 1 or old[-1] > n:
             bad = old[0] if old[0] < 1 else old[bisect.bisect_right(old, n)]
             raise InvalidEdge(f"vertex {bad} outside 1..{n}")
-        # in a row's n-digit binary string vertex v is the digit at n - v;
-        # gathering the kept digits from the highest label down spells the
-        # relabelled row, so each row is one C-level pass, not k bit tests
-        gather = operator.itemgetter(*(n - v for v in reversed(old)))
+        # in a row's n-digit binary string vertex v is the byte at n - v.
+        # Adding 2 to a dropped vertex's byte makes its digit b"2" or b"3"
+        # (no byte passes b"3", so nothing carries), and translate deletes
+        # those: what is left spells the relabelled row, highest label first.
+        # Each row is a few C-level passes, not k digit gathers
+        marks = bytearray(b"\x02") * n
+        for v in old:
+            marks[n - v] = 0
+        add = int.from_bytes(marks, "big")
         width = f"0{n}b"
-        masks = [
-            int("".join(gather(format(self._red[v - 1], width))), 2) for v in old
-        ]
+        masks = []
+        for v in old:
+            row = int.from_bytes(format(self._red[v - 1], width).encode(), "big") + add
+            masks.append(int(row.to_bytes(n, "big").translate(None, b"23"), 2))
         sub = Colouring._trusted(len(old), masks)
         return sub, {i + 1: v for i, v in enumerate(old)}
 
@@ -316,6 +321,8 @@ def validate_cover(g: Colouring, cover: PathCover) -> CoverReport:
     duplication, then the edge arriving at that vertex).  Coverage of all of
     1..n is checked last, reporting the lowest missing vertex.
     """
+    # every vertex's neighbours in the cover's colour: an edge is one bit test
+    rows = g._red if cover.colour is RED else g._blue
     covered: set[int] = set()
     for idx, p in enumerate(cover.paths):
         if p.colour is not cover.colour:
@@ -328,7 +335,7 @@ def validate_cover(g: Colouring, cover: PathCover) -> CoverReport:
             if v in in_path:
                 return CoverReport(False, FailureKind.DUPLICATE_VERTEX_IN_PATH, v)
             in_path.add(v)
-            if prev is not None and g.colour(prev, v) is not cover.colour:
+            if prev is not None and not rows[prev - 1] >> (v - 1) & 1:
                 return CoverReport(False, FailureKind.WRONG_COLOUR_EDGE, (prev, v))
             prev = v
         covered |= in_path

@@ -17,6 +17,11 @@ GENERATOR_NAME = "monopath-rng-v1"
 
 _KINDS = ("extremal", "random", "adversarial", "enumerate")
 
+# the largest n a GenSpec accepts, checked before anything is built:
+# Colouring._from_digits lays the edges out in an n*n-byte digit matrix,
+# which at 2**14 vertices is 256 MiB
+MAX_N = 1 << 14
+
 
 @dataclass(frozen=True)
 class GenSpec:
@@ -33,8 +38,8 @@ class GenSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
-        if self.n < 1:
-            raise ValueError(f"need n >= 1, got {self.n}")
+        if not 1 <= self.n <= MAX_N:
+            raise ValueError(f"need 1 <= n <= {MAX_N}, got {self.n}")
         if not 0 <= self.p <= 1:
             raise ValueError(f"need 0 <= p <= 1, got {self.p}")
 

@@ -23,8 +23,8 @@ from .bipartite import BipartiteView, decompose, decompose_full
 from .construct import (
     LongPathStructure,
     ReductionWitness,
+    _grow,
     find_long_path_structure,
-    maximal_path,
     refine_path,
 )
 from .core import (
@@ -130,7 +130,7 @@ def cover_from_structure(g: Colouring, s: LongPathStructure) -> PathCover:
     1 + ceil(|Y1|/2) + |Y0|."""
     gamma = s.path.colour
     pv = s.path.vertices
-    pm = vertex_mask(pv)
+    pm = ((1 << g.n) - 1) & ~vertex_mask(s.y_degrees)  # y is everything off P
     y0 = _gamma_isolated(s)
     y1 = [y for y, d in s.y_degrees.items() if d]
     paths = [s.path]
@@ -165,9 +165,8 @@ def _greedy_cover(g: Colouring) -> PathCover:
     alive = (1 << g.n) - 1
     paths = []
     while alive:
-        p = maximal_path(g, gamma, alive=alive)
+        p, alive = _grow(g, gamma, [], alive)
         paths.append(p)
-        alive &= ~vertex_mask(p.vertices)
     return PathCover(gamma, tuple(paths), g.n)
 
 

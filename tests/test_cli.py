@@ -7,7 +7,7 @@ import pytest
 from monopath.cli import SWEEP_COLUMNS, SweepPlan, main, run_sweep
 from monopath.codec import decode, encode
 from monopath.core import RED, Colouring, validate_cover
-from monopath.gen import extremal
+from monopath.gen import MAX_N, extremal
 
 
 def run(capsys, *argv):
@@ -32,6 +32,13 @@ class TestGen:
         code, _, err = run(capsys, "gen", "--enumerate", "-n", "3", "--seed", "99")
         assert code == 1
         assert "index" in err
+
+    def test_n_above_the_ceiling_is_input_error(self, tmp_path, capsys):
+        target = tmp_path / "big.k2c"
+        n = str(MAX_N + 1)
+        code, _, err = run(capsys, "gen", "--extremal", "-n", n, "-o", str(target))
+        assert code == 1 and not target.exists()
+        assert f"need 1 <= n <= {MAX_N}, got {MAX_N + 1}" in err
 
     def test_requires_kind(self, capsys):
         code, _, err = run(capsys, "gen", "-n", "5")

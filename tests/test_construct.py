@@ -27,7 +27,7 @@ from monopath import arith, bipartite, construct
 from monopath.bipartite import PreconditionViolated
 from monopath.core import BLUE, RED, Colouring, GuardFailed, Path, iter_edges
 from monopath.core import mask_vertices, validate_cover, vertex_mask
-from monopath.gen import extremal, indexed_colouring
+from monopath.gen import extremal, indexed_colouring, random_colouring
 from monopath.solver import SolverConfig, solve
 
 
@@ -249,6 +249,31 @@ class TestRefinePath:
         p, outcome = refine_path(g, RED)
         assert len(calls) == 1
         assert path_ok(g, p) and len(outcome) == g.n - len(p.vertices)
+
+    def test_path_masks_are_not_rebuilt(self, monkeypatch):
+        # every rotation here is a LongerPath; rebuilding the path's mask in
+        # refine_path, rotate_or_extend and the regrow after each one made
+        # 115 vertex_mask calls over more than 75 vertices
+        g = random_colouring(300, 0.1, 1)
+        rotations, long_masks = [], []
+        rotate, mask = construct.rotate_or_extend, construct.vertex_mask
+
+        def counted_rotate(*args):
+            rotations.append(args[2])
+            return rotate(*args)
+
+        def counted_mask(vertices):
+            vertices = list(vertices)
+            if len(vertices) > 75:
+                long_masks.append(len(vertices))
+            return mask(vertices)
+
+        monkeypatch.setattr(construct, "rotate_or_extend", counted_rotate)
+        monkeypatch.setattr(construct, "vertex_mask", counted_mask)
+        p, outcome = refine_path(g, RED)
+        assert len(rotations) == 38 and len(long_masks) <= 1
+        monkeypatch.undo()
+        assert path_ok(g, p) and isinstance(outcome, dict)
 
     def test_chord_search_makes_no_colour_queries(self, monkeypatch):
         # the red hub on 361..400 rotates through long predecessor lists; the

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import from_int, random_colouring_with
@@ -46,18 +46,22 @@ def _induced_reference(g, keep):
 
 @st.composite
 def _colouring_and_keep(draw):
-    """A colouring on n <= 30 and a keep list: unsorted with repeats, one
-    vertex, or every vertex in shuffled order."""
-    n = draw(st.integers(1, 30))
+    """A colouring on n <= 130, so rows of every width mod 8 and of more
+    than one machine word, and a keep list: unsorted with repeats, one
+    vertex, every vertex in shuffled order, or a subset without the top
+    label."""
+    n = draw(st.integers(1, 130))
     rng = random.Random(draw(st.integers(0, 2**32)))
     g = random_colouring_with(rng, n, draw(st.floats(0, 1)))
     vertex = st.integers(1, n)
-    keep = draw(st.one_of(
+    keeps = [
         st.lists(vertex, min_size=1, max_size=2 * n),
         vertex.map(lambda v: [v]),
         st.permutations(range(1, n + 1)),
-    ))
-    return g, keep
+    ]
+    if n > 1:
+        keeps.append(st.lists(st.integers(1, n - 1), min_size=1, max_size=n))
+    return g, draw(st.one_of(keeps))
 
 
 class TestColouring:
@@ -131,6 +135,8 @@ class TestColouring:
             assert sub.colour(u, v) is g.colour(back[u], back[v])
 
     @given(_colouring_and_keep())
+    @example((random_colouring_with(random.Random(129), 129), range(1, 129)))
+    @example((random_colouring_with(random.Random(72), 72), range(2, 72, 3)))
     @settings(max_examples=200, deadline=None)
     def test_induced_matches_pairwise_reference(self, case):
         g, keep = case
@@ -193,6 +199,97 @@ class TestPath:
         assert p.reversed() == Path((2, 1, 3), RED)
         assert Path((7,), BLUE).length == 0
         assert Path((), BLUE).length == 0
+
+
+def _validate_reference(g, cover):
+    """validate_cover with one Colouring.colour query per edge."""
+    covered = set()
+    for idx, p in enumerate(cover.paths):
+        if p.colour is not cover.colour:
+            return CoverReport(False, FailureKind.COLOUR_MISMATCH_ACROSS_PATHS, idx)
+        in_path = set()
+        prev = None
+        for v in p.vertices:
+            if not 1 <= v <= g.n:
+                return CoverReport(False, FailureKind.OUT_OF_RANGE_VERTEX, v)
+            if v in in_path:
+                return CoverReport(False, FailureKind.DUPLICATE_VERTEX_IN_PATH, v)
+            in_path.add(v)
+            if prev is not None and g.colour(prev, v) is not cover.colour:
+                return CoverReport(False, FailureKind.WRONG_COLOUR_EDGE, (prev, v))
+            prev = v
+        covered |= in_path
+    for v in range(1, g.n + 1):
+        if v not in covered:
+            return CoverReport(False, FailureKind.MISSING_VERTEX, v)
+    return CoverReport(True)
+
+
+@st.composite
+def _cover_failing_first_with(draw, kind):
+    """A colouring on n <= 40 and a cover whose first failure is `kind`: a
+    valid cover (same-colour runs of a shuffled vertex order, some of them
+    listed twice) with one defect put into it."""
+    n = draw(st.integers(2, 40))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    g = random_colouring_with(rng, n, draw(st.floats(0.05, 0.95)))
+    gamma = draw(st.sampled_from((RED, BLUE)))
+    paths = []
+    for v in draw(st.permutations(range(1, n + 1))):
+        if paths and g.colour(paths[-1][-1], v) is gamma:
+            paths[-1].append(v)
+        else:
+            paths.append([v])
+    colours = [gamma] * len(paths)
+    j = draw(st.integers(0, len(paths) - 1))
+    p = paths[j]
+    if kind is FailureKind.NONE:
+        paths += draw(st.lists(st.sampled_from(paths), max_size=3))
+        colours = [gamma] * len(paths)
+    elif kind is FailureKind.MISSING_VERTEX:
+        del paths[j], colours[j]  # the paths are disjoint: p's vertices go missing
+    elif kind is FailureKind.COLOUR_MISMATCH_ACROSS_PATHS:
+        colours[j] = gamma.complement
+    elif kind is FailureKind.OUT_OF_RANGE_VERTEX:
+        bad = draw(st.sampled_from((-1, 0, n + 1, n + 2)))
+        p.insert(draw(st.integers(0, len(p))), bad)
+    elif kind is FailureKind.DUPLICATE_VERTEX_IN_PATH:
+        i = draw(st.integers(1, len(p)))
+        p.insert(i, p[draw(st.integers(0, i - 1))])
+    else:  # WRONG_COLOUR_EDGE
+        wrong = [(u, v) for u, v in iter_edges(n) if g.colour(u, v) is not gamma]
+        assume(wrong)
+        paths.insert(j, list(draw(st.sampled_from(wrong))))
+        colours.insert(j, gamma)
+    cover = PathCover(gamma, tuple(map(Path, paths, colours)), n)
+    return g, cover
+
+
+@st.composite
+def _any_cover(draw):
+    """A colouring on n <= 12 and paths of arbitrary labels and colours."""
+    n = draw(st.integers(1, 12))
+    g = random_colouring_with(random.Random(draw(st.integers(0, 2**32))), n)
+    colour = st.sampled_from((RED, BLUE))
+    path = st.builds(Path, st.lists(st.integers(-1, n + 2), max_size=6), colour)
+    return g, PathCover(draw(colour), tuple(draw(st.lists(path, max_size=5))), n)
+
+
+class TestValidateCoverReference:
+    @pytest.mark.parametrize("kind", list(FailureKind), ids=lambda k: k.value)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_first_failure_matches_per_edge_reference(self, kind, data):
+        g, cover = data.draw(_cover_failing_first_with(kind))
+        want = _validate_reference(g, cover)
+        assert want.failure_kind is kind
+        assert validate_cover(g, cover) == want
+
+    @given(_any_cover())
+    @settings(max_examples=100, deadline=None)
+    def test_arbitrary_covers_match_per_edge_reference(self, case):
+        g, cover = case
+        assert validate_cover(g, cover) == _validate_reference(g, cover)
 
 
 class TestValidateCover:

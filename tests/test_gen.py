@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from monopath.core import BLUE, RED, Colouring, iter_edges
 from monopath.gen import (
     GENERATOR_NAME,
+    MAX_N,
     GenSpec,
     adversarial_search,
     build,
@@ -119,6 +120,11 @@ class TestGenSpec:
             GenSpec("random", 0)
         with pytest.raises(ValueError):
             GenSpec("random", 5, p=-0.1)
+
+    def test_ceiling(self):
+        assert GenSpec("random", MAX_N).n == MAX_N  # a spec builds nothing
+        with pytest.raises(ValueError, match=f"^need 1 <= n <= {MAX_N}, got"):
+            GenSpec("random", MAX_N + 1)
 
     def test_build_dispatch(self):
         assert build(GenSpec("extremal", 9)) == extremal(9)

@@ -13,13 +13,14 @@ the file and says so:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from pathlib import Path as FilePath
 
 import pytest
 
-from monopath.gen import indexed_colouring
+from monopath.gen import indexed_colouring, random_colouring
 from monopath.solver import SolverConfig, solve
 
 GOLDEN = FilePath(__file__).parent / "data" / "golden_covers.json"
@@ -70,6 +71,19 @@ def test_solve_matches_golden_covers():
                 f"solve differs from the golden file in "
                 f"{[k for k in want if got[k] != want[k]]}"
             )
+
+
+# sha256 of _record as sorted compact JSON for a dense n = 1000 colouring
+# under (2, 2, 2), whose sqrt:reduce recurses on an induced copy: far above
+# the golden file's n <= 80
+LARGE_REDUCE_DIGEST = "8d904a5e4bd6bf189ceb3d1abbd50883451a4d61bc5ca2b088686445d744fceb"
+
+
+def test_large_reduce_matches_pinned_digest():
+    rec = _record(random_colouring(1000, 0.5, 7), SolverConfig(2.0, 2.0, 2.0))
+    assert rec["trace"][0] == "sqrt:reduce"
+    blob = json.dumps(rec, sort_keys=True, separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest() == LARGE_REDUCE_DIGEST
 
 
 @pytest.mark.parametrize("c1, c2", [(0.0, 0.0), (2.0, 2.0), (5.0, 1.0), (160000.0, 0.0)])

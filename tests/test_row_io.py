@@ -18,9 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monopath import codec
+from monopath.cli import _build_parser
 from monopath.codec import BadCharacter, BadLength, MalformedHeader, decode, encode
 from monopath.core import RED, Colouring, edge_count
-from monopath.gen import extremal, indexed_colouring, random_colouring
+from monopath.gen import MAX_N, extremal, indexed_colouring, random_colouring
 
 
 def ref_edges(n):
@@ -246,3 +247,11 @@ class TestSizeChecksComeFirst:
     def test_from_edge_bits(self):
         build = lambda: Colouring.from_edge_bits(100000, [True])  # noqa: E731
         assert _peak_bytes(build, ValueError) < 64 * 1024
+
+    def test_gen_n_above_the_ceiling(self, tmp_path):
+        # unchecked, gen --extremal at this n peaks at about 400 MB under
+        # tracemalloc, most of it the encoded text
+        out = str(tmp_path / "big.k2c")
+        argv = ["gen", "--extremal", "-n", str(MAX_N + 1), "-o", out]
+        args = _build_parser().parse_args(argv)
+        assert _peak_bytes(lambda: args.func(args), ValueError) < 64 * 1024
