@@ -89,16 +89,9 @@ def lt_sqrt_plus_const(size: int, n: int, c) -> bool:
 
 def ceil_of_coeff_sqrt(coeff, n: int) -> int:
     """ceil(coeff * sqrt(n)) for coeff >= 0: least k >= 0 with k**2 >= coeff**2 * n."""
-    c = _frac(coeff)
-    if c < 0:
-        raise ValueError("coefficient must be non-negative")
-    target = c * c * n
-    k = isqrt(target.numerator // target.denominator)
-    while k * k < target:
-        k += 1
-    while k >= 1 and (k - 1) * (k - 1) >= target:
-        k -= 1
-    return k
+    # k = floor(coeff * sqrt(n)) has k**2 <= coeff**2 * n < (k + 1)**2
+    k = floor_of_coeff_sqrt(coeff, n)
+    return k + (k * k < _frac(coeff) ** 2 * n)
 
 
 def floor_of_coeff_sqrt(coeff, n: int) -> int:
@@ -107,12 +100,8 @@ def floor_of_coeff_sqrt(coeff, n: int) -> int:
     if c < 0:
         raise ValueError("coefficient must be non-negative")
     target = c * c * n
-    k = isqrt(target.numerator // target.denominator)
-    while (k + 1) * (k + 1) <= target:
-        k += 1
-    while k >= 1 and k * k > target:
-        k -= 1
-    return k
+    # for an integer k, k**2 <= target exactly when k**2 <= floor(target)
+    return isqrt(target.numerator // target.denominator)
 
 
 def ceil_div(a: int, b: int) -> int:

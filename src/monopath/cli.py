@@ -103,13 +103,18 @@ def _print_cover(cover: PathCover, out) -> None:
         print(p.colour.value, *p.vertices, file=out)
 
 
+# the gen flags each generator kind reads; the others are ignored
+_GEN_FLAGS = {
+    "extremal": (),
+    "random": ("p", "seed"),
+    "adversarial": ("seed", "iters", "restarts"),
+    "enumerate": ("seed",),
+}
+
+
 def _cmd_gen(args) -> int:
-    tag = args.kind
-    if tag == "random":
-        tag = f"random:p={args.p}"
-    elif tag == "adversarial":
-        tag = f"adversarial:iters={args.iters}:restarts={args.restarts}"
-    text = codec.encode(build(_spec_for(tag, args.n, args.seed)))
+    flags = {name: getattr(args, name) for name in _GEN_FLAGS[args.kind]}
+    text = codec.encode(build(GenSpec(args.kind, args.n, **flags)))
     if args.output:
         with open(args.output, "w", encoding="ascii") as fh:
             fh.write(text + "\n")
@@ -181,19 +186,22 @@ def _cmd_verify(args) -> int:
     return 2
 
 
-def _parse_int_list(text: str) -> list[int]:
-    """Comma-separated integers, items may be inclusive ranges "a..b"."""
-    out: list[int] = []
+def _parse_int_list(text: str, most: int | None = None) -> list[int]:
+    """Comma-separated integers, items may be inclusive ranges "a..b".  With
+    `most`, every number and range end must lie in 1..most, checked before
+    any range is expanded."""
+    ends: list[tuple[int, int]] = []
     for item in text.split(","):
         item = item.strip()
         if not item:
             continue
         lo, sep, hi = item.partition("..")
-        if sep:
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(item))
-    return out
+        ends.append((int(lo), int(hi)) if sep else (int(item), int(item)))
+    if most is not None:
+        for end in (e for pair in ends for e in pair):
+            if not 1 <= end <= most:
+                raise ValueError(f"need 1 <= n <= {most}, got {end}")
+    return [v for lo, hi in ends for v in range(lo, hi + 1)]
 
 
 @dataclass(frozen=True)
@@ -262,7 +270,7 @@ def _cmd_sweep(args) -> int:
     for tag in args.generators:
         _spec_for(tag, 1, 0)  # reject malformed tags before spawning work
     plan = SweepPlan(
-        ns=tuple(_parse_int_list(args.ns)),
+        ns=tuple(_parse_int_list(args.ns, MAX_N)),
         generators=tuple(args.generators),
         seeds=tuple(_parse_int_list(args.seeds)),
         oracle=args.oracle,

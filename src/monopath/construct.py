@@ -4,8 +4,9 @@ engine standing in for "longest path", and the long-path structure finder.
 The structure finder returns one of two certificates: a near-spanning path
 whose outside vertices all have small same-colour degree into it, or a
 reduction witness (a vertex set coverable by few paths of both colours).
-Everything runs internally with the long path relabelled blue; outputs are
-mapped back before returning.
+It works on the colouring as given, in the colour of the two-path cover's
+longer path and its complement, so every path it builds carries its true
+colour.
 """
 
 from __future__ import annotations
@@ -229,12 +230,40 @@ class ReductionWitness:
         return max(len(self.red_paths), len(self.blue_paths))
 
 
+def _witness(s, paths) -> ReductionWitness:
+    """S sorted, and the paths split by colour in the order given."""
+    return ReductionWitness(
+        tuple(sorted(s)),
+        tuple(p for p in paths if p.colour is RED),
+        tuple(p for p in paths if p.colour is BLUE),
+    )
+
+
+def strip_paths(g: Colouring, path: Path, ys, m: int) -> tuple[tuple[Path, ...], int]:
+    """The stripping step: decompose the opposite-colour edges from the
+    path's vertices to the outside vertices ys with slack m.  Returns the
+    stripped paths and the mask of the vertices they cover; raises
+    decompose's PreconditionViolated, or GuardFailed when it strips nothing.
+    """
+    other = path.colour.complement
+    view = BipartiteView.from_colouring(g, path.vertices, ys, colour=other, m=m)
+    paths = decompose(view)
+    if not paths:
+        raise GuardFailed("stripping step produced no paths")
+    covered = 0
+    for p in paths:
+        covered |= vertex_mask(p.vertices)
+    return paths, covered
+
+
 def find_long_path_structure(g: Colouring, slack: float):
     """Run the long-path pipeline; return LongPathStructure or ReductionWitness.
 
     slack >= 0 is the paper's C1 - C2, the only form in which its constants
     enter the bounds: the degree bound and the witness size target are
-    2(slack + 1)sqrt(n).
+    2(slack + 1)sqrt(n).  gamma, the colour of the two-path cover's longer
+    path (blue on ties), is the structure's colour; the witnesses pair
+    gamma paths with paths of its complement.
 
     Raises decompose's PreconditionViolated, or GuardFailed when it strips
     nothing, if no branch can close its arithmetic (small n with large
@@ -246,28 +275,12 @@ def find_long_path_structure(g: Colouring, slack: float):
         raise ValueError(f"need slack >= 0, got {slack}")
 
     tpc = two_path_cover(g)
-    if len(tpc.blue.vertices) >= len(tpc.red.vertices):
-        base, flipped = tpc.blue, False
-        g2 = g
-    else:
-        base, flipped = tpc.red, True
-        g2 = g.flipped()
-    # from here the working colouring g2 has a blue path >= floor(n/2)
-
-    def structure(path: Path, y_degs: dict[int, int]) -> LongPathStructure:
-        return LongPathStructure(Path(path.vertices, RED if flipped else BLUE), y_degs)
-
-    def witness(s, red2, blue2) -> ReductionWitness:
-        if flipped:
-            red2, blue2 = blue2, red2
-        return ReductionWitness(
-            tuple(sorted(s)),
-            tuple(Path(p.vertices, RED) for p in red2),
-            tuple(Path(p.vertices, BLUE) for p in blue2),
-        )
-
+    base = tpc.blue if len(tpc.blue.vertices) >= len(tpc.red.vertices) else tpc.red
+    # from here base is a gamma path on >= ceil(n/2) vertices
+    gamma = base.colour
+    other = gamma.complement
     if len(base.vertices) == n:
-        return structure(base, {})
+        return LongPathStructure(base, {})
 
     half = n // 2
     q = base.vertices[:half]
@@ -276,53 +289,47 @@ def find_long_path_structure(g: Colouring, slack: float):
     wmask = vertex_mask(w)
     t = arith.ceil_of_coeff_sqrt(2 * dp, n)  # witness size target
 
-    # red edges between q and w only
-    adj = {v: g2.mask(v, RED) & wmask for v in q}
-    adj.update((v, g2.mask(v, RED) & qmask) for v in w)
+    # opposite-colour edges between q and w only
+    adj = {v: g.mask(v, other) & wmask for v in q}
+    adj.update((v, g.mask(v, other) & qmask) for v in w)
     probe = _best_greedy(adj, sorted(adj))
     s = mask_vertices(vertex_mask(probe) & qmask)
     if len(s) >= t and len(probe) > 1:
-        return witness(s, [Path(tuple(probe), RED)], [Path(q, BLUE)])
+        return _witness(s, [Path(tuple(probe), other), Path(q, gamma)])
 
-    # k_red is odd, l_blue even and both sides hold ceil((k_red + l_blue)/2)
-    # vertices, so of ramsey_path's errors only CannotCertify can occur
+    # k (the opposite colour's target) is odd, l (gamma's) even and both
+    # sides hold ceil((k + l)/2) vertices, so of ramsey_path's errors only
+    # CannotCertify can occur
     seed = None
-    k_red, l_blue = 2 * t - 1, 2 * half - 2 * t
-    if l_blue >= 1:
-        view = BipartiteView.from_colouring(g2, q, w, colour=RED)
+    k, l = 2 * t - 1, 2 * half - 2 * t
+    if l >= 1:
+        view = BipartiteView.from_colouring(g, q, w, colour=other)
         try:
-            out = ramsey_path(view, k_red, l_blue)
-            if out.colour is BLUE:
+            out = ramsey_path(view, k, l)
+            if out.colour is gamma:
                 seed = out.path
             else:
                 # only ramsey_path's exact search (n <= 29) gets here: its
-                # greedy opening is the probe's, and a red path of >= 2t - 1
-                # edges alternates, so it holds >= t vertices of q
+                # greedy opening is the probe's, and an opposite-colour path
+                # of >= 2t - 1 edges alternates, so it holds >= t vertices
+                # of q
                 s = mask_vertices(vertex_mask(out.path.vertices) & qmask)
-                return witness(s, [out.path], [Path(q, BLUE)])
+                return _witness(s, [out.path, Path(q, gamma)])
         except CannotCertify:
             pass
 
     bound_int = arith.floor_of_coeff_sqrt(2 * dp, n)
-    p, outcome = refine_path(g2, BLUE, seed, bound_int)
+    p, outcome = refine_path(g, gamma, seed, bound_int)
     if isinstance(outcome, RedCliqueCertificate):
         d = outcome.vertices
-        return witness(d, [Path(d, RED)], [p])
+        return _witness(d, [Path(d, other), p])
 
-    y = list(outcome)
-    if arith.le_sqrt_plus_quartic(len(y), n, 8 * dp):
-        return structure(p, outcome)
+    if arith.le_sqrt_plus_quartic(len(outcome), n, 8 * dp):
+        return LongPathStructure(p, outcome)
 
-    # outside set too big for the structure: strip red paths through it and
-    # hand the covered part back as a witness
-    m = arith.ceil_of_coeff_sqrt(2 * dp, n)
-    view = BipartiteView.from_colouring(g2, p.vertices, y, colour=RED, m=m)
-    red_paths = decompose(view)
-    if not red_paths:
-        raise GuardFailed("stripping step produced no paths")
-    # each red path covers |Y| >= 1 path vertices, so s is never empty
-    covered = 0
-    for rp in red_paths:
-        covered |= vertex_mask(rp.vertices)
-    s = mask_vertices(covered & ~vertex_mask(y))  # y is everything off p
-    return witness(s, list(red_paths), [p])
+    # outside set too big for the structure: strip opposite-colour paths
+    # through it and hand the covered part back as a witness; each stripped
+    # path covers |Y| >= 1 path vertices, so S is never empty
+    paths, covered = strip_paths(g, p, outcome, t)
+    s = mask_vertices(covered & ~vertex_mask(outcome))  # Y is everything off p
+    return _witness(s, [*paths, p])

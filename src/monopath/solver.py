@@ -19,13 +19,14 @@ from functools import lru_cache
 from typing import Callable
 
 from . import arith
-from .bipartite import BipartiteView, decompose, decompose_full
+from .bipartite import BipartiteView, decompose_full
 from .construct import (
     LongPathStructure,
     ReductionWitness,
     _grow,
     find_long_path_structure,
     refine_path,
+    strip_paths,
 )
 from .core import (
     BLUE,
@@ -39,7 +40,7 @@ from .core import (
     validate_cover,
     vertex_mask,
 )
-from .oracle import ORACLE_MAX_N, exact_f
+from .oracle import DEFAULT_ORACLE_THRESHOLD, exact_f
 
 
 class Guarantee(Enum):
@@ -53,7 +54,6 @@ class SolverConfig:
     c1: float = 160000.0
     c2: float = 0.0
     c: float = 160000.0
-    oracle_threshold: int = 14
 
     def __post_init__(self):
         for name in ("c1", "c2", "c"):
@@ -65,11 +65,6 @@ class SolverConfig:
             raise ValueError(f"need c1 >= c2 >= 0, got {self.c1}, {self.c2}")
         if self.c <= 0:
             raise ValueError(f"need c > 0, got {self.c}")
-        if not 1 <= self.oracle_threshold <= ORACLE_MAX_N:
-            raise ValueError(
-                f"oracle_threshold must be in 1..{ORACLE_MAX_N}, "
-                f"got {self.oracle_threshold}"
-            )
 
 
 @dataclass(frozen=True)
@@ -184,20 +179,13 @@ def _strip_and_mop(g: Colouring, s: LongPathStructure) -> PathCover:
     paths through Y, then mop up the uncovered path vertices with Y0."""
     n = g.n
     red = s.path.colour.complement
-    xs = s.path.vertices
     m = arith.ceil_of_coeff_sqrt(2, n)
-    view = BipartiteView.from_colouring(g, xs, s.y_degrees, colour=red, m=m)
-    paths = list(decompose(view))
-    if not paths:
-        raise GuardFailed("stripping produced no paths")
-    covered = 0
-    for p in paths:
-        covered |= vertex_mask(p.vertices)
-    leftover = [x for x in xs if not covered >> (x - 1) & 1]
+    stripped, covered = strip_paths(g, s.path, s.y_degrees, m)
+    paths = list(stripped)
+    leftover = [x for x in s.path.vertices if not covered >> (x - 1) & 1]
     if leftover:
+        # bounded:strip is chosen only when 4|Y0|**2 > n, so Y0 is never empty
         y0 = _gamma_isolated(s)
-        if not y0:
-            raise GuardFailed("no all-red outside vertices for the mop-up")
         span = len(y0) + 1
         for i in range(0, len(leftover), span):
             block = leftover[i : i + span]
@@ -236,9 +224,9 @@ def _bounded_candidates(
         trace.append(tag)
         cands.append((tag, cover))
 
-    if n <= cfg.oracle_threshold:
+    if n <= DEFAULT_ORACLE_THRESHOLD:
         with _dropped_on_error("base:oracle", trace):
-            add(exact_f(g, cfg.oracle_threshold).witness, "base:oracle")
+            add(exact_f(g).witness, "base:oracle")
     for gamma in (RED, BLUE):
         tag = f"base:structure-{gamma.value}"
         with _dropped_on_error(tag, trace):
@@ -284,12 +272,6 @@ def _sqrt_step(g: Colouring, cfg: SolverConfig, trace: list[str]) -> PathCover |
     raises; the trace records the branch taken, the guard that failed or
     <stage>:error(<exception name>), the stage being sqrt:pipeline,
     sqrt:reduce, sqrt:decompose or, for the structure exits, sqrt."""
-    with _dropped_on_error("sqrt", trace):
-        return _sqrt_branch(g, cfg, trace)
-    return None
-
-
-def _sqrt_branch(g: Colouring, cfg: SolverConfig, trace: list[str]) -> PathCover | None:
     n = g.n
     s = None
     with _dropped_on_error("sqrt:pipeline", trace):
@@ -307,9 +289,11 @@ def _sqrt_branch(g: Colouring, cfg: SolverConfig, trace: list[str]) -> PathCover
     y0 = _gamma_isolated(s)
     coeff = 18 * Fraction(cfg.c)
     if arith.le_sqrt_minus_quartic(len(y0), n, coeff) or (len(s.y_degrees) + 1) ** 2 <= n:
-        cov = cover_from_structure(g, s)
-        trace.append("sqrt:y-exit")
-        return cov
+        with _dropped_on_error("sqrt", trace):
+            cov = cover_from_structure(g, s)
+            trace.append("sqrt:y-exit")
+            return cov
+        return None
 
     xs = s.path.vertices
     ys = s.y_degrees

@@ -7,7 +7,7 @@ import pytest
 from monopath.cli import SWEEP_COLUMNS, SweepPlan, main, run_sweep
 from monopath.codec import decode, encode
 from monopath.core import RED, Colouring, validate_cover
-from monopath.gen import MAX_N, extremal
+from monopath.gen import MAX_N, adversarial_search, extremal, random_colouring
 
 
 def run(capsys, *argv):
@@ -39,6 +39,25 @@ class TestGen:
         code, _, err = run(capsys, "gen", "--extremal", "-n", n, "-o", str(target))
         assert code == 1 and not target.exists()
         assert f"need 1 <= n <= {MAX_N}, got {MAX_N + 1}" in err
+
+    def test_random_matches_the_generator(self, capsys):
+        argv = ["gen", "--random", "-n", "12", "--p", "0.3", "--seed", "5"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == encode(random_colouring(12, 0.3, 5)) + "\n"
+
+    def test_adversarial_matches_the_generator(self, capsys):
+        argv = ["gen", "--adversarial", "-n", "7", "--seed", "2", "--iters", "6"]
+        code, out, _ = run(capsys, *argv, "--restarts", "2")
+        assert code == 0
+        best = adversarial_search(7, 6, 2, restarts=2)[0]
+        assert out == encode(best) + "\n"
+
+    def test_flags_of_other_kinds_are_ignored(self, capsys):
+        # --p is read by --random only, so an out-of-range value is harmless
+        code, out, _ = run(capsys, "gen", "--extremal", "-n", "5", "--p", "2")
+        assert code == 0
+        assert decode(out) == extremal(5)
 
     def test_requires_kind(self, capsys):
         code, _, err = run(capsys, "gen", "-n", "5")
@@ -168,6 +187,13 @@ class TestSweepCommand:
         assert len(rows) == 9
         assert rows[-1]["error"].startswith("ValueError")
         assert all(not r["error"] for r in rows[:-1])
+
+    @pytest.mark.parametrize("ns", [str(MAX_N + 1), "0", f"{MAX_N + 1}..{MAX_N + 6}"])
+    def test_n_outside_the_range_is_input_error(self, capsys, ns):
+        # checked before a range is expanded or any row is run
+        code, out, err = run(capsys, "sweep", "--ns", ns, "--generators", "extremal")
+        assert code == 1 and not out
+        assert f"need 1 <= n <= {MAX_N}, got " in err
 
     def test_bad_generator_tag(self, capsys):
         code, _, err = run(capsys, "sweep", "--ns", "4", "--generators", "warp")

@@ -358,6 +358,21 @@ RED_RAMSEY_25 = int(
 )
 
 
+# the mirror case of RED_RAMSEY_25: the two-path cover's long path is blue
+# and the exact search finds a red path; found by relabelling that
+# instance's q-w pattern, with colours swapped, so that the two-path cover
+# puts q first on a blue path
+BLUE_RAMSEY_25 = int(
+    "2515006b0223094bcd4e481118209466114009bbfefff739dcff9deefdeffb83bfce28fe7c0", 16
+)
+
+
+def _long_colour(g):
+    """The colour of the two-path cover's longer path, blue on ties."""
+    tpc = two_path_cover(g)
+    return BLUE if len(tpc.blue.vertices) >= len(tpc.red.vertices) else RED
+
+
 # no base strategy finds a one-path cover of this colouring, and the bounded
 # pipeline's ramsey_path searches exactly
 MULTI_PATH_BASE_26 = int(
@@ -451,10 +466,59 @@ class TestFindLongPathStructure:
             lambda v, k, l: outcomes.append(real(v, k, l)) or outcomes[-1],
         )
         out = find_long_path_structure(g, 0.0)
+        # the two-path cover's long path is red, so the view and the path
+        # ramsey_path finds in it are blue
+        assert [o.colour for o in outcomes] == [BLUE]
+        assert isinstance(out, ReductionWitness) and len(out.S) == 10
+        assert out.blue_paths == (outcomes[0].path,)
+        _check_witness(g, out)
+
+    def test_clique_certificate_with_a_blue_long_path(self):
+        # the colours of the hub instance above swapped: now the long path
+        # is blue and the clique certificate red
+        hub = {1, 3, 4, 11, 12, 15, 17, 18, 19}
+        g = Colouring.from_edge_bits(
+            20, (u not in hub and v not in hub for u, v in iter_edges(20))
+        )
+        assert _long_colour(g) is BLUE
+        out = find_long_path_structure(g, 0.0)
+        assert isinstance(out, ReductionWitness)
+        assert out.S == (2, 5, 6, 7, 8, 9, 10, 13, 14)
+        assert out.red_paths == (Path(out.S, RED),)  # the clique itself
+        _check_witness(g, out)
+
+    def test_stripping_step_with_a_red_long_path(self, monkeypatch):
+        # red_hub(600, 457) with its colours swapped: the long path is the
+        # red clique and the one stripping pass is blue
+        g = red_hub(600, 457).flipped()
+        assert _long_colour(g) is RED
+        passes = []
+        real = construct.decompose
+        monkeypatch.setattr(
+            construct, "decompose", lambda v: passes.append(v.m) or real(v)
+        )
+        out = find_long_path_structure(g, 2.0)
+        assert passes == [147]
+        assert isinstance(out, ReductionWitness)
+        assert len(out.blue_paths) == 1 and len(out.S) == 144
+        _check_witness(g, out)
+
+    def test_exact_ramsey_path_with_a_blue_long_path(self, monkeypatch):
+        # the exact search in the red view finds a red path of 19 edges,
+        # which holds t = 10 vertices of q
+        g = indexed_colouring(25, BLUE_RAMSEY_25)
+        assert _long_colour(g) is BLUE
+        outcomes = []
+        real = construct.ramsey_path
+        monkeypatch.setattr(
+            construct,
+            "ramsey_path",
+            lambda v, k, l: outcomes.append(real(v, k, l)) or outcomes[-1],
+        )
+        out = find_long_path_structure(g, 0.0)
         assert [o.colour for o in outcomes] == [RED]
         assert isinstance(out, ReductionWitness) and len(out.S) == 10
-        # the two-path cover's long path was red, so colours come back swapped
-        assert out.blue_paths == (Path(outcomes[0].path.vertices, BLUE),)
+        assert out.red_paths == (outcomes[0].path,)
         _check_witness(g, out)
 
     def test_ramsey_path_without_an_exact_path_is_typed(self, monkeypatch):

@@ -21,7 +21,7 @@ from monopath.core import (
     validate_cover,
 )
 from monopath.gen import extremal, random_colouring
-from monopath.oracle import ORACLE_MAX_N, TableInconsistent, exact_f
+from monopath.oracle import TableInconsistent, exact_f
 from monopath.solver import (
     Guarantee,
     SolverConfig,
@@ -44,12 +44,6 @@ class TestSolverConfig:
             SolverConfig(c1=1.0, c2=2.0)
         with pytest.raises(ValueError):
             SolverConfig(c=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(oracle_threshold=0)
-        with pytest.raises(ValueError):
-            SolverConfig(oracle_threshold=ORACLE_MAX_N + 1)
-        # the README's sweep example runs the oracle at n = 16
-        assert SolverConfig(oracle_threshold=16).oracle_threshold <= ORACLE_MAX_N
         with pytest.raises(ValueError):
             SolverConfig(c2=-1.0, c1=0.0)
 
@@ -459,7 +453,7 @@ class TestFailingCandidate:
     def test_oracle_error(self, monkeypatch):
         g = random_colouring(10, 0.5, 3)
 
-        def fail(g, threshold):
+        def fail(g):
             raise TableInconsistent("injected")
 
         monkeypatch.setattr(solver, "exact_f", fail)
