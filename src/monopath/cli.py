@@ -186,10 +186,16 @@ def _cmd_verify(args) -> int:
     return 2
 
 
-def _parse_int_list(text: str, most: int | None = None) -> list[int]:
-    """Comma-separated integers, items may be inclusive ranges "a..b".  With
-    `most`, every number and range end must lie in 1..most, checked before
-    any range is expanded."""
+# the most rows a sweep may plan, n x generators x seeds, counted from the
+# range ends before any range is expanded: every row's task and result are
+# held until the CSV is written
+MAX_SWEEP_ROWS = 10**5
+
+
+def _parse_ranges(text: str, most: int | None = None) -> list[range]:
+    """Comma-separated integers, items may be inclusive ranges "a..b", as
+    unexpanded ranges.  With `most`, every number and range end must lie in
+    1..most."""
     ends: list[tuple[int, int]] = []
     for item in text.split(","):
         item = item.strip()
@@ -201,7 +207,12 @@ def _parse_int_list(text: str, most: int | None = None) -> list[int]:
         for end in (e for pair in ends for e in pair):
             if not 1 <= end <= most:
                 raise ValueError(f"need 1 <= n <= {most}, got {end}")
-    return [v for lo, hi in ends for v in range(lo, hi + 1)]
+    return [range(lo, hi + 1) for lo, hi in ends]
+
+
+def _count(ranges: list[range]) -> int:
+    # from the ends: len() of a range longer than sys.maxsize overflows
+    return sum(max(0, r.stop - r.start) for r in ranges)
 
 
 @dataclass(frozen=True)
@@ -269,10 +280,17 @@ def _cmd_sweep(args) -> int:
         raise ValueError(f"need workers >= 1, got {args.workers}")
     for tag in args.generators:
         _spec_for(tag, 1, 0)  # reject malformed tags before spawning work
+    ns = _parse_ranges(args.ns, MAX_N)
+    seeds = _parse_ranges(args.seeds)
+    rows = _count(ns) * len(args.generators) * _count(seeds)
+    if rows > MAX_SWEEP_ROWS:
+        raise ValueError(
+            f"{rows} sweep rows (n x generators x seeds), over {MAX_SWEEP_ROWS}"
+        )
     plan = SweepPlan(
-        ns=tuple(_parse_int_list(args.ns, MAX_N)),
+        ns=tuple(v for r in ns for v in r),
         generators=tuple(args.generators),
-        seeds=tuple(_parse_int_list(args.seeds)),
+        seeds=tuple(v for r in seeds for v in r),
         oracle=args.oracle,
         oracle_threshold=args.threshold,
         workers=args.workers,

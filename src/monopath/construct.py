@@ -33,12 +33,13 @@ def two_path_cover(g: Colouring) -> TwoPathCover:
     the two paths at its active endpoint, or the endpoint edge between the
     paths lets one endpoint migrate so the new vertex fits.
     """
+    rows = g.rows(RED)  # an edge's colour is one bit of a red row
     red: list[int] = []
     blue: list[int] = []
     for v in range(1, g.n + 1):
-        if red and g.colour(red[-1], v) is RED:
+        if red and rows[red[-1] - 1] >> (v - 1) & 1:
             red.append(v)
-        elif blue and g.colour(blue[-1], v) is BLUE:
+        elif blue and not rows[blue[-1] - 1] >> (v - 1) & 1:
             blue.append(v)
         elif not red:
             red.append(v)
@@ -47,7 +48,7 @@ def two_path_cover(g: Colouring) -> TwoPathCover:
         else:
             x, y = red[-1], blue[-1]
             # here xv is blue and yv is red, so the xy edge decides
-            if g.colour(x, y) is RED:
+            if rows[x - 1] >> (y - 1) & 1:
                 blue.pop()
                 red.append(y)
                 red.append(v)
@@ -82,27 +83,23 @@ def _grow(
     """maximal_path from the start `verts` (empty: the lowest vertex of
     `free`) through the vertices of `free`, which holds none of verts.
     Returns the path and what is left of free, so a caller that knows the
-    start's mask never rebuilds the path's."""
+    start's mask never rebuilds the path's.  free only shrinks, so a stuck
+    end stays stuck: the right end grows until it is, then the left.
+    """
     if not verts:
         low = free & -free
         verts, free = [low.bit_length()], free ^ low
-    grown = True
-    while grown:
-        grown = False
-        cand = g.mask(verts[-1], gamma) & free
-        if cand:
-            w = (cand & -cand).bit_length()
-            verts.append(w)
-            free ^= 1 << (w - 1)
-            grown = True
-            continue
-        cand = g.mask(verts[0], gamma) & free
-        if cand:
-            w = (cand & -cand).bit_length()
-            verts.insert(0, w)
-            free ^= 1 << (w - 1)
-            grown = True
-    return Path(tuple(verts), gamma), free
+    rows = g.rows(gamma)
+    left: list[int] = []
+    for side, end in ((verts, verts[-1]), (left, verts[0])):
+        cand = g.mask(end, gamma) & free  # checks the start's ends
+        while cand:
+            low = cand & -cand
+            free ^= low
+            w = low.bit_length()
+            side.append(w)
+            cand = rows[w - 1] & free
+    return Path((*left[::-1], *verts), gamma), free
 
 
 @dataclass(frozen=True)
@@ -130,7 +127,8 @@ def rotate_or_extend(
     """One step of the rotation argument for an outside vertex y.
 
     With B the same-colour neighbours of y on the path: an endpoint in B or
-    two consecutive members extend the path directly; a same-colour chord
+    two consecutive members extend the path directly, y going in at the
+    first such pair, and the path is read no further; a same-colour chord
     between two predecessors of B allows the detour surgery.  Failing all
     that, the predecessors form an opposite-colour clique, returned as a
     certificate when |B| exceeds degree_bound, else SmallDegree(|B|).
@@ -149,12 +147,13 @@ def rotate_or_extend(
         return LongerPath(Path((y, *p), gamma))
     if bmask & (1 << (p[-1] - 1)):
         return LongerPath(Path((*p, y), gamma))
-    # the positions of B on the path, in one scan
+    # B's positions in path order, up to the first two consecutive ones
     bits = format(bmask, f"0{g.n}b")[::-1]
-    bpos = [i for i, v in enumerate(p) if bits[v - 1] == "1"]
-    for a, b in zip(bpos, bpos[1:]):
-        if b == a + 1:
-            return LongerPath(Path((*p[: a + 1], y, *p[a + 1 :]), gamma))
+    bpos: list[int] = []
+    for i in (i for i, v in enumerate(p) if bits[v - 1] == "1"):
+        if bpos and bpos[-1] == i - 1:
+            return LongerPath(Path((*p[:i], y, *p[i:]), gamma))
+        bpos.append(i)
     preds = [i - 1 for i in bpos]
     # the first predecessor on the path with a same-colour chord to a later
     # one, joined to the earliest such: one mask AND per predecessor

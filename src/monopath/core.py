@@ -172,6 +172,10 @@ class Colouring:
                 raise InvalidEdge(f"vertex {w} outside 1..{self.n}")
         return RED if self._red[u - 1] & _bit(v) else BLUE
 
+    def rows(self, colour: Colour) -> tuple[int, ...]:
+        """Every vertex's mask in the given colour, vertex v's at index v - 1."""
+        return self._red if colour is RED else self._blue
+
     def mask(self, v: int, colour: Colour) -> int:
         """Neighbourhood of v in the given colour, as a bitmask."""
         if not 1 <= v <= self.n:
@@ -200,7 +204,9 @@ class Colouring:
     def induced(self, keep: Iterable[int]) -> tuple["Colouring", dict[int, int]]:
         """Induced sub-colouring on `keep`, relabelled 1..k in sorted order.
 
-        Returns the new colouring and the map new-label -> old-label.
+        Returns the new colouring and the map new-label -> old-label.  Its
+        working memory is one k x n byte matrix for k kept vertices, at most
+        the n*n bytes of _from_digits's, so gen.MAX_N bounds it too.
         """
         old = sorted(set(keep))
         if not old:
@@ -211,21 +217,18 @@ class Colouring:
         if old[0] < 1 or old[-1] > n:
             bad = old[0] if old[0] < 1 else old[bisect.bisect_right(old, n)]
             raise InvalidEdge(f"vertex {bad} outside 1..{n}")
-        # in a row's n-digit binary string vertex v is the byte at n - v.
-        # Adding 2 to a dropped vertex's byte makes its digit b"2" or b"3"
-        # (no byte passes b"3", so nothing carries), and translate deletes
-        # those: what is left spells the relabelled row, highest label first.
-        # Each row is a few C-level passes, not k digit gathers
-        marks = bytearray(b"\x02") * n
-        for v in old:
-            marks[n - v] = 0
-        add = int.from_bytes(marks, "big")
+        # vertex v is the digit at n - v of a row's n-digit binary string.
+        # The kept rows fill a k x n digit matrix, highest label first, so by
+        # symmetry v's relabelled row is its column: one C-level slice per
+        # row and per column, not k digit gathers
+        k = len(old)
         width = f"0{n}b"
-        masks = []
-        for v in old:
-            row = int.from_bytes(format(self._red[v - 1], width).encode(), "big") + add
-            masks.append(int(row.to_bytes(n, "big").translate(None, b"23"), 2))
-        sub = Colouring._trusted(len(old), masks)
+        digits = bytearray(k * n)
+        for i, v in enumerate(reversed(old)):
+            digits[i * n:(i + 1) * n] = format(self._red[v - 1], width).encode()
+        masks = [int(digits[n - v::n], 2) for v in old]
+        del digits  # before the blue masks are built
+        sub = Colouring._trusted(k, masks)
         return sub, {i + 1: v for i, v in enumerate(old)}
 
     def _edge_digits(self) -> str:
@@ -322,7 +325,7 @@ def validate_cover(g: Colouring, cover: PathCover) -> CoverReport:
     1..n is checked last, reporting the lowest missing vertex.
     """
     # every vertex's neighbours in the cover's colour: an edge is one bit test
-    rows = g._red if cover.colour is RED else g._blue
+    rows = g.rows(cover.colour)
     covered: set[int] = set()
     for idx, p in enumerate(cover.paths):
         if p.colour is not cover.colour:

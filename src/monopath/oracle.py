@@ -49,7 +49,7 @@ def _guard(n: int, threshold: int) -> None:
         raise TooLarge(f"n={n} exceeds the oracle's ceiling {ORACLE_MAX_N}")
 
 
-def _ends_table(g: Colouring, gamma: Colour) -> tuple[list[int], list[int]]:
+def _ends_table(g: Colouring, gamma: Colour) -> tuple[list[int], tuple[int, ...]]:
     """ends[mask] = bitmask of vertices ending some gamma-path spanning mask.
 
     A path lies inside one component of the colour, so each component is
@@ -57,7 +57,7 @@ def _ends_table(g: Colouring, gamma: Colour) -> tuple[list[int], list[int]]:
     that meet two components stay 0.
     """
     n = g.n
-    adj = [g.mask(v, gamma) for v in range(1, n + 1)]
+    adj = g.rows(gamma)
     ends = [0] * (1 << n)
     for part in _components(adj):
         k = part.bit_count()
@@ -67,7 +67,7 @@ def _ends_table(g: Colouring, gamma: Colour) -> tuple[list[int], list[int]]:
     return ends, adj
 
 
-def _components(adj: list[int]) -> list[int]:
+def _components(adj: tuple[int, ...]) -> list[int]:
     """Vertex masks of the colour's connected components."""
     seen = 0
     out = []
@@ -90,7 +90,7 @@ def _components(adj: list[int]) -> list[int]:
 # components, visiting the masks in ascending order via m -> (m - part) & part.
 
 
-def _pull_ends(adj: list[int], part: int, ends: list[int]) -> None:
+def _pull_ends(adj: tuple[int, ...], part: int, ends: list[int]) -> None:
     """Dense parts: w ends a path on m iff a neighbour of w ends one on m - w."""
     bits = [(1 << (v - 1), adj[v - 1]) for v in mask_vertices(part)]
     m = 0
@@ -106,7 +106,7 @@ def _pull_ends(adj: list[int], part: int, ends: list[int]) -> None:
             ends[m] = m
 
 
-def _push_ends(adj: list[int], part: int, ends: list[int]) -> None:
+def _push_ends(adj: tuple[int, ...], part: int, ends: list[int]) -> None:
     """Sparse parts: extend only traceable masks, once per new end w."""
     for v in mask_vertices(part):
         ends[1 << (v - 1)] = 1 << (v - 1)
@@ -128,7 +128,7 @@ def _push_ends(adj: list[int], part: int, ends: list[int]) -> None:
             ends[m | wbit] |= wbit
 
 
-def _spanning_path(ends: list[int], adj: list[int], mask: int) -> list[int]:
+def _spanning_path(ends: list[int], adj: tuple[int, ...], mask: int) -> list[int]:
     """Walk one witness path back out of the endpoint table, lowest ids first."""
     ebit = ends[mask] & -ends[mask]
     cur = ebit.bit_length()
@@ -212,7 +212,7 @@ def min_cover_colour(
 
 
 def _min_cover(
-    ends: list[int], adj: list[int], n: int, gamma: Colour
+    ends: list[int], adj: tuple[int, ...], n: int, gamma: Colour
 ) -> tuple[int, PathCover]:
     full = (1 << n) - 1
     if ends[full]:

@@ -129,7 +129,7 @@ def cover_from_structure(g: Colouring, s: LongPathStructure) -> PathCover:
     y0 = _gamma_isolated(s)
     y1 = [y for y, d in s.y_degrees.items() if d]
     paths = [s.path]
-    pos = {v: i for i, v in enumerate(pv)}
+    pos: dict[int, int] = {}  # path positions, built on first use
     for a, b in zip(y1[::2], y1[1::2]):
         am = g.mask(a, gamma) & pm
         bm = g.mask(b, gamma) & pm
@@ -139,6 +139,7 @@ def cover_from_structure(g: Colouring, s: LongPathStructure) -> PathCover:
             paths.append(Path((a, x, b), gamma))
             continue
         # no common neighbour: connect through a path segment instead
+        pos = pos or {v: i for i, v in enumerate(pv)}
         i = min(pos[v] for v in mask_vertices(am))
         j = min(pos[v] for v in mask_vertices(bm))
         seg = pv[i : j + 1] if i < j else pv[j : i + 1][::-1]
@@ -155,7 +156,7 @@ def cover_from_structure(g: Colouring, s: LongPathStructure) -> PathCover:
 
 def _greedy_cover(g: Colouring) -> PathCover:
     """Strip maximal paths of the globally majority colour; always valid."""
-    red_edges = sum(g.mask(v, RED).bit_count() for v in range(1, g.n + 1)) // 2
+    red_edges = sum(map(int.bit_count, g.rows(RED))) // 2
     gamma = RED if 4 * red_edges >= g.n * (g.n - 1) else BLUE
     alive = (1 << g.n) - 1
     paths = []

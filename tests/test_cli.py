@@ -1,10 +1,12 @@
 import csv
 import io
 import os
+import tracemalloc
 
 import pytest
 
-from monopath.cli import SWEEP_COLUMNS, SweepPlan, main, run_sweep
+from monopath.cli import MAX_SWEEP_ROWS, SWEEP_COLUMNS, SweepPlan, _build_parser, main
+from monopath.cli import run_sweep
 from monopath.codec import decode, encode
 from monopath.core import RED, Colouring, validate_cover
 from monopath.gen import MAX_N, adversarial_search, extremal, random_colouring
@@ -194,6 +196,36 @@ class TestSweepCommand:
         code, out, err = run(capsys, "sweep", "--ns", ns, "--generators", "extremal")
         assert code == 1 and not out
         assert f"need 1 <= n <= {MAX_N}, got " in err
+
+    @pytest.mark.parametrize(
+        "ns, generators, seeds, rows",
+        [
+            ("20", "random:p=0.5", "0..1000000000", 1000000001),
+            ("1..1000", "random:p=0.5,extremal", "0..99", 200000),
+            ("5,7..9", "random:p=0.5", f"1..{MAX_SWEEP_ROWS // 4 + 1}", MAX_SWEEP_ROWS + 4),
+        ],
+    )
+    def test_too_many_rows_is_input_error(self, capsys, ns, generators, seeds, rows):
+        # n x generators x seeds, counted from the range ends
+        code, out, err = run(
+            capsys, "sweep", "--ns", ns, "--generators", generators, "--seeds", seeds
+        )
+        assert code == 1 and not out
+        assert f"{rows} sweep rows" in err and str(MAX_SWEEP_ROWS) in err
+
+    def test_seed_range_is_not_expanded_before_the_cap(self):
+        # expanded, a range of 10**9 seeds would need over 100 GB; 0..299999
+        # peaked at 45.8 MB
+        argv = ["sweep", "--ns", "20", "--generators", "random:p=0.5"]
+        args = _build_parser().parse_args([*argv, "--seeds", "0..1000000000"])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^1000000001 sweep rows"):
+                args.func(args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     def test_bad_generator_tag(self, capsys):
         code, _, err = run(capsys, "sweep", "--ns", "4", "--generators", "warp")

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     all_colourings,
@@ -93,6 +95,154 @@ class TestMaximalPath:
         p = maximal_path(g, RED, seed_path=Path((3, 2), RED))
         assert {3, 2} <= set(p.vertices)
         assert len(p.vertices) == 5  # complete red graph extends to everything
+
+
+def _two_path_cover_by_colour(g):
+    """two_path_cover with one Colouring.colour query per edge test."""
+    red, blue = [], []
+    for v in range(1, g.n + 1):
+        if red and g.colour(red[-1], v) is RED:
+            red.append(v)
+        elif blue and g.colour(blue[-1], v) is BLUE:
+            blue.append(v)
+        elif not red:
+            red.append(v)
+        elif not blue:
+            blue.append(v)
+        else:
+            x, y = red[-1], blue[-1]
+            if g.colour(x, y) is RED:
+                blue.pop()
+                red.append(y)
+                red.append(v)
+            else:
+                red.pop()
+                blue.append(x)
+                blue.append(v)
+    return TwoPathCover(Path(tuple(red), RED), Path(tuple(blue), BLUE))
+
+
+def _grow_alternating(g, gamma, verts, free):
+    """construct._grow as one loop that looks up both ends through g.mask
+    after every step, trying the right end first."""
+    if not verts:
+        low = free & -free
+        verts, free = [low.bit_length()], free ^ low
+    grown = True
+    while grown:
+        grown = False
+        cand = g.mask(verts[-1], gamma) & free
+        if cand:
+            w = (cand & -cand).bit_length()
+            verts.append(w)
+            free ^= 1 << (w - 1)
+            grown = True
+            continue
+        cand = g.mask(verts[0], gamma) & free
+        if cand:
+            w = (cand & -cand).bit_length()
+            verts.insert(0, w)
+            free ^= 1 << (w - 1)
+            grown = True
+    return Path(tuple(verts), gamma), free
+
+
+def _rotate_or_extend_full_scan(g, path, y, degree_bound=None, pmask=None):
+    """rotate_or_extend listing all of B's positions before it looks for
+    two consecutive ones."""
+    p = path.vertices
+    gamma = path.colour
+    if pmask is None:
+        pmask = vertex_mask(p)
+    if pmask >> (y - 1) & 1:
+        raise ValueError(f"{y} already on the path")
+    bmask = g.mask(y, gamma) & pmask
+    if not bmask:
+        return SmallDegree(0)
+    if bmask & (1 << (p[0] - 1)):
+        return LongerPath(Path((y, *p), gamma))
+    if bmask & (1 << (p[-1] - 1)):
+        return LongerPath(Path((*p, y), gamma))
+    bits = format(bmask, f"0{g.n}b")[::-1]
+    bpos = [i for i, v in enumerate(p) if bits[v - 1] == "1"]
+    for a, b in zip(bpos, bpos[1:]):
+        if b == a + 1:
+            return LongerPath(Path((*p[: a + 1], y, *p[a + 1 :]), gamma))
+    preds = [i - 1 for i in bpos]
+    later = vertex_mask(p[i] for i in preds)
+    for ai, i in enumerate(preds):
+        later ^= 1 << (p[i] - 1)
+        hit = g.mask(p[i], gamma) & later
+        if hit:
+            j = next(j for j in preds[ai + 1 :] if hit >> (p[j] - 1) & 1)
+            verts = (*p[: i + 1], *p[i + 1 : j + 1][::-1], y, *p[j + 1 :])
+            return LongerPath(Path(verts, gamma))
+    if degree_bound is not None and len(bpos) > degree_bound:
+        return RedCliqueCertificate(tuple(sorted(p[i] for i in preds)))
+    return SmallDegree(len(bpos))
+
+
+@st.composite
+def _colouring_and_colour(draw, least=1):
+    """A colouring on least..130 vertices, so masks of more than one machine
+    word, of drawn density, and a colour."""
+    n = draw(st.integers(least, 130))
+    g = random_colouring_with(random.Random(draw(st.integers(0, 2**32))), n,
+                              draw(st.floats(0, 1)))
+    return g, draw(st.sampled_from((RED, BLUE)))
+
+
+@st.composite
+def _rotation_case(draw):
+    """A colouring, a gamma path and a vertex y off it.  Unless `free_ends`,
+    y's edges to the path's ends are recoloured to the other colour, so the
+    scan for B's positions runs; with `apart`, so is every edge from y to a
+    path vertex whose predecessor is in B, so B has no two consecutive
+    members and the scan reads the whole path."""
+    g, gamma = draw(_colouring_and_colour(least=2))
+    order = draw(st.permutations(range(1, g.n + 1)))
+    size = draw(st.integers(1, g.n - 1))
+    p, y = order[:size], order[size]
+    other = gamma.complement
+    if not draw(st.booleans()):  # free_ends
+        for end in {p[0], p[-1]}:
+            g = g.with_edge(y, end, other)
+    if draw(st.booleans()):  # apart
+        for prev, v in zip(p, p[1:]):
+            if g.colour(y, prev) is gamma and g.colour(y, v) is gamma:
+                g = g.with_edge(y, v, other)
+    return g, Path(tuple(p), gamma), y
+
+
+class TestKernelReferences:
+    """The rewritten kernels against the loops they replaced."""
+
+    @given(_colouring_and_colour(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_grow_matches_alternating_ends(self, case, data):
+        g, gamma = case
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        start = rng.sample(range(1, g.n + 1), rng.choice((0, 1, rng.randint(0, g.n))))
+        free = rng.getrandbits(g.n) & ~vertex_mask(start)
+        if not start:
+            free |= 1 << rng.randrange(g.n)  # the start is free's lowest vertex
+        want = _grow_alternating(g, gamma, list(start), free)
+        assert construct._grow(g, gamma, list(start), free) == want
+
+    @given(_colouring_and_colour())
+    @settings(max_examples=100, deadline=None)
+    def test_two_path_cover_matches_colour_queries(self, case):
+        g, _ = case
+        assert two_path_cover(g) == _two_path_cover_by_colour(g)
+
+    @given(_rotation_case(), st.sampled_from((None, 0, 1, 2, 4)))
+    @settings(max_examples=200, deadline=None)
+    def test_rotate_or_extend_matches_full_scan(self, case, bound):
+        g, path, y = case
+        want = _rotate_or_extend_full_scan(g, path, y, bound)
+        assert rotate_or_extend(g, path, y, bound) == want
+        pmask = vertex_mask(path.vertices)
+        assert rotate_or_extend(g, path, y, bound, pmask) == want
 
 
 def _blue_except(n, red_pairs):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -167,6 +168,31 @@ class TestColouring:
         g = random_colouring_with(random.Random(5), 5)
         with pytest.raises(InvalidEdge, match=f"^vertex {bad} outside 1..5$"):
             g.induced(keep)
+
+    @given(st.integers(1, 130), st.integers(0, 2**32), st.floats(0, 1))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_are_the_masks(self, n, seed, p):
+        g = random_colouring_with(random.Random(seed), n, p)
+        for colour in (RED, BLUE):
+            rows = g.rows(colour)
+            assert len(rows) == n
+            for v in range(1, n + 1):
+                assert rows[v - 1] == g.mask(v, colour)
+
+    def test_induced_peak_memory_is_one_digit_matrix(self):
+        # the kept rows go into one k x n bytearray in place; joining them
+        # into a str and encoding that peaked at about 4.1 MB, twice as much
+        n, k = 2000, 1000
+        g = from_int(n, random.Random(2000).getrandbits(edge_count(n)))
+        keep = random.Random(1000).sample(range(1, n + 1), k)
+        tracemalloc.start()
+        try:
+            sub, _ = g.induced(keep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sub.n == k
+        assert peak < 1.25 * k * n
 
     def test_degree_and_mask(self):
         g = Colouring.from_edge_bits(3, [True, True, False])
