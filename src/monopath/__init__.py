@@ -54,7 +54,6 @@ from .oracle import (
     DEFAULT_ORACLE_THRESHOLD,
     OracleResult,
     TooLarge,
-    TraceableFamily,
     exact_f,
     min_cover_colour,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "SolveResult",
     "SolverConfig",
     "TooLarge",
-    "TraceableFamily",
     "adversarial_search",
     "cover_bounded",
     "cover_sqrt",

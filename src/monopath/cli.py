@@ -26,7 +26,7 @@ from .core import (
     PathCover,
     validate_cover,
 )
-from .gen import MAX_N, GenSpec, build
+from .gen import MAX_N, PARAMS, GenSpec, build
 from .oracle import DEFAULT_ORACLE_THRESHOLD, exact_f
 from .solver import solve
 
@@ -64,27 +64,19 @@ def _parse_tag(tag: str) -> tuple[str, dict[str, str]]:
 
 
 def _spec_for(tag: str, n: int, seed: int) -> GenSpec:
-    """Translate a generator tag like "random:p=0.25" into a GenSpec."""
+    """Translate a generator tag like "random:p=0.25" into a GenSpec.  The
+    tag sets the kind's parameters other than the seed, in gen.PARAMS's
+    types; the seed is the caller's, for a kind that reads one."""
     head, kv = _parse_tag(tag)
-    if head == "extremal":
-        spec = GenSpec("extremal", n)
-    elif head == "random":
-        spec = GenSpec("random", n, p=float(kv.pop("p", "0.5")), seed=seed)
-    elif head == "adversarial":
-        spec = GenSpec(
-            "adversarial",
-            n,
-            seed=seed,
-            iters=int(kv.pop("iters", "0")),
-            restarts=int(kv.pop("restarts", "1")),
-        )
-    elif head == "enumerate":
-        spec = GenSpec("enumerate", n, seed=seed)
-    else:
+    if head not in PARAMS:
         raise ValueError(f"unknown generator kind {head!r}")
+    params = PARAMS[head]
+    args = {k: t(kv.pop(k)) for k, t in params.items() if k != "seed" and k in kv}
     if kv:
         raise ValueError(f"unknown parameters {sorted(kv)} for generator {head!r}")
-    return spec
+    if "seed" in params:
+        args["seed"] = seed
+    return GenSpec(head, n, **args)
 
 
 def _load_colouring(args) -> Colouring:
@@ -103,17 +95,9 @@ def _print_cover(cover: PathCover, out) -> None:
         print(p.colour.value, *p.vertices, file=out)
 
 
-# the gen flags each generator kind reads; the others are ignored
-_GEN_FLAGS = {
-    "extremal": (),
-    "random": ("p", "seed"),
-    "adversarial": ("seed", "iters", "restarts"),
-    "enumerate": ("seed",),
-}
-
-
 def _cmd_gen(args) -> int:
-    flags = {name: getattr(args, name) for name in _GEN_FLAGS[args.kind]}
+    # a flag that the kind does not read is ignored
+    flags = {name: getattr(args, name) for name in PARAMS[args.kind]}
     text = codec.encode(build(GenSpec(args.kind, args.n, **flags)))
     if args.output:
         with open(args.output, "w", encoding="ascii") as fh:
@@ -229,7 +213,9 @@ class SweepPlan:
         for n in self.ns:
             for tag in self.generators:
                 head, _ = _parse_tag(tag)
-                seeds = (0,) if head == "extremal" else self.seeds
+                # a kind without a seed gives one row; an unknown kind gives
+                # one row per seed, each with the error
+                seeds = (0,) if head in PARAMS and "seed" not in PARAMS[head] else self.seeds
                 for seed in seeds:
                     tasks.add((n, tag, seed, self.oracle, self.oracle_threshold))
         return sorted(tasks)
@@ -316,10 +302,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("gen", help="write a colouring file")
     kinds = p.add_mutually_exclusive_group(required=True)
-    kinds.add_argument("--extremal", dest="kind", action="store_const", const="extremal")
-    kinds.add_argument("--random", dest="kind", action="store_const", const="random")
-    kinds.add_argument("--adversarial", dest="kind", action="store_const", const="adversarial")
-    kinds.add_argument("--enumerate", dest="kind", action="store_const", const="enumerate")
+    for kind in PARAMS:
+        kinds.add_argument(f"--{kind}", dest="kind", action="store_const", const=kind)
     p.add_argument("-n", type=int, required=True, help=f"vertex count, at most {MAX_N}")
     p.add_argument("--p", type=float, default=0.5, help="red probability for --random")
     p.add_argument("--seed", type=int, default=0, help="seed (colouring index for --enumerate)")

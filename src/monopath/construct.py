@@ -59,22 +59,29 @@ def two_path_cover(g: Colouring) -> TwoPathCover:
     return TwoPathCover(Path(tuple(red), RED), Path(tuple(blue), BLUE))
 
 
-def maximal_path(
-    g: Colouring,
-    gamma: Colour,
-    seed_path: Path | None = None,
-    *,
-    alive: int | None = None,
-) -> Path:
+def maximal_path(g: Colouring, gamma: Colour, seed_path: Path | None = None) -> Path:
     """Extend a path at both ends until no same-colour edge leaves it.
 
-    Without a seed the path starts at the lowest vertex.  An `alive` bitmask
-    restricts the start and every extension to its vertices, which gives the
-    path that g.induced(alive vertices) would, without relabelling.
+    Without a seed the path starts at the lowest vertex.
     """
-    free = (1 << g.n) - 1 if alive is None else alive
-    start = list(seed_path.vertices) if seed_path is not None else []
-    return _grow(g, gamma, start, free & ~vertex_mask(start))[0]
+    return _grow(g, gamma, *_start(g, gamma, seed_path))[0]
+
+
+def _start(g: Colouring, gamma: Colour, seed_path: Path | None) -> tuple[list[int], int]:
+    """The seed's vertices and the mask of the others, which _grow takes.
+    The seed's vertices must lie in 1..n (InvalidEdge), be distinct and be
+    joined by gamma edges (ValueError)."""
+    verts = [] if seed_path is None else list(seed_path.vertices)
+    free = prev = (1 << g.n) - 1  # the first vertex needs no edge
+    for v in verts:
+        row = g.mask(v, gamma)
+        if not free >> (v - 1) & 1:
+            raise ValueError(f"seed {seed_path.vertices} repeats {v}")
+        if not prev >> (v - 1) & 1:
+            raise ValueError(f"seed edge into {v} is not {gamma.name.lower()}")
+        free ^= 1 << (v - 1)
+        prev = row
+    return verts, free
 
 
 def _grow(
@@ -92,7 +99,7 @@ def _grow(
     rows = g.rows(gamma)
     left: list[int] = []
     for side, end in ((verts, verts[-1]), (left, verts[0])):
-        cand = g.mask(end, gamma) & free  # checks the start's ends
+        cand = rows[end - 1] & free
         while cand:
             low = cand & -cand
             free ^= low
@@ -138,9 +145,10 @@ def rotate_or_extend(
     gamma = path.colour
     if pmask is None:
         pmask = vertex_mask(p)
+    ymask = g.mask(y, gamma)  # raises InvalidEdge first for y outside 1..n
     if pmask >> (y - 1) & 1:
         raise ValueError(f"{y} already on the path")
-    bmask = g.mask(y, gamma) & pmask
+    bmask = ymask & pmask
     if not bmask:
         return SmallDegree(0)
     if bmask & (1 << (p[0] - 1)):
@@ -187,8 +195,7 @@ def refine_path(
     anyway.
     """
     everyone = (1 << g.n) - 1
-    start = list(seed_path.vertices) if seed_path is not None else []
-    p, free = _grow(g, gamma, start, everyone & ~vertex_mask(start))
+    p, free = _grow(g, gamma, *_start(g, gamma, seed_path))
     while True:
         degs: dict[int, int] = {}
         pmask = everyone ^ free

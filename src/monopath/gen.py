@@ -6,7 +6,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable
 
 from .core import Colouring, edge_count, iter_edges
 from .oracle import DEFAULT_ORACLE_THRESHOLD, exact_f
@@ -15,7 +14,15 @@ from .oracle import DEFAULT_ORACLE_THRESHOLD, exact_f
 # give identical colourings across platforms and releases
 GENERATOR_NAME = "monopath-rng-v1"
 
-_KINDS = ("extremal", "random", "adversarial", "enumerate")
+# each kind's parameters and their types, the one table that the CLI's
+# generator tags, its gen flags and the sweep's seed list read; a GenSpec
+# field that its kind does not list keeps its default
+PARAMS: dict[str, dict[str, type]] = {
+    "extremal": {},
+    "random": {"p": float, "seed": int},
+    "adversarial": {"seed": int, "iters": int, "restarts": int},
+    "enumerate": {"seed": int},
+}
 
 # the largest n a GenSpec accepts, checked before anything is built:
 # Colouring._from_digits lays the edges out in an n*n-byte digit matrix,
@@ -36,7 +43,7 @@ class GenSpec:
     restarts: int = 1
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in PARAMS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
         if not 1 <= self.n <= MAX_N:
             raise ValueError(f"need 1 <= n <= {MAX_N}, got {self.n}")
@@ -76,7 +83,7 @@ def indexed_colouring(n: int, index: int) -> Colouring:
     return Colouring._from_digits(n, digits.encode("ascii"))
 
 
-def _default_score(g: Colouring) -> int:
+def _score(g: Colouring) -> int:
     if g.n <= DEFAULT_ORACLE_THRESHOLD:
         return exact_f(g).value
     from .solver import solve
@@ -85,18 +92,13 @@ def _default_score(g: Colouring) -> int:
 
 
 def adversarial_search(
-    n: int,
-    iters: int,
-    seed: int,
-    score: Callable[[Colouring], int] | None = None,
-    restarts: int = 1,
+    n: int, iters: int, seed: int, restarts: int = 1
 ) -> tuple[Colouring, int]:
     """Hill-climb single-edge flips from the extremal colouring, accepting
-    non-worsening moves; the result never scores below extremal."""
-    if score is None:
-        score = _default_score
+    non-worsening moves; the result never scores below extremal.  The score
+    is the oracle's value up to its threshold, the solver's size above."""
     base = extremal(n)
-    base_score = score(base)
+    base_score = _score(base)
     best, best_score = base, base_score
     edges = list(iter_edges(n))
     for r in range(restarts):
@@ -107,7 +109,7 @@ def adversarial_search(
                 break
             u, v = edges[rng.randrange(len(edges))]
             cand = cur.with_edge(u, v, cur.colour(u, v).complement)
-            cand_score = score(cand)
+            cand_score = _score(cand)
             if cand_score >= cur_score:
                 cur, cur_score = cand, cand_score
                 if cur_score > best_score:
@@ -122,6 +124,4 @@ def build(spec: GenSpec) -> Colouring:
         return random_colouring(spec.n, spec.p, spec.seed)
     if spec.kind == "enumerate":
         return indexed_colouring(spec.n, spec.seed)
-    return adversarial_search(
-        spec.n, spec.iters, spec.seed, restarts=spec.restarts
-    )[0]
+    return adversarial_search(spec.n, spec.iters, spec.seed, spec.restarts)[0]

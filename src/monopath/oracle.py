@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import BLUE, RED, Colour, Colouring, MonopathError, Path, PathCover
-from .core import mask_vertices, vertex_mask
+from .core import mask_vertices
 
 DEFAULT_ORACLE_THRESHOLD = 14
 # the largest n the subset DP accepts whatever threshold is asked for: its
@@ -150,32 +150,6 @@ def _spanning_path(ends: list[int], adj: tuple[int, ...], mask: int) -> list[int
         out.append(cur)
         m = m2
     return out
-
-
-class TraceableFamily:
-    """All vertex subsets spanned by a single path of one colour."""
-
-    def __init__(
-        self, g: Colouring, gamma: Colour, threshold: int = DEFAULT_ORACLE_THRESHOLD
-    ):
-        _guard(g.n, threshold)
-        self.colour = gamma
-        self.n = g.n
-        self._ends, self._adj = _ends_table(g, gamma)
-
-    def __contains__(self, subset) -> bool:
-        return all(1 <= v <= self.n for v in subset) and bool(
-            self._ends[vertex_mask(subset)]
-        )
-
-    def witness_path(self, subset) -> Path:
-        for v in subset:
-            if not 1 <= v <= self.n:
-                raise ValueError(f"vertex {v} outside 1..{self.n}")
-        mask = vertex_mask(subset)
-        if not mask or not self._ends[mask]:
-            raise ValueError(f"{sorted(subset)} is not traceable")
-        return Path(tuple(_spanning_path(self._ends, self._adj, mask)), self.colour)
 
 
 def _maximal_masks(ends: list[int], n: int) -> list[int]:

@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
 
 from . import arith
 from .bipartite import BipartiteView, decompose_full
@@ -92,15 +91,12 @@ def _pick(
     return SolveResult(cover, _guarantee(n, cover.size, cfg), tuple(trace))
 
 
-def reduce(
-    g: Colouring,
-    w: ReductionWitness,
-    recurse: Callable[[Colouring], PathCover],
-    slack: float,
-) -> PathCover:
-    """Cover [n] \\ S recursively, then append the witness paths matching the
-    recursion's colour.  The arithmetic guard, with slack the paper's
-    C1 - C2, is checked exactly first."""
+def reduce(g: Colouring, w: ReductionWitness, cfg: SolverConfig, slack: float) -> PathCover:
+    """Cover [n] \\ S with cover_bounded, then append the witness paths
+    matching its colour.  The arithmetic guard, with slack the paper's
+    C1 - C2, is checked exactly first.  The inductive hypothesis on fewer
+    vertices is the bounded induction, not solve(), which would fork two
+    fresh pipelines per level."""
     n = g.n
     s = vertex_mask(w.S)
     size = s.bit_count()
@@ -110,7 +106,7 @@ def reduce(
     if not keep:
         return PathCover(RED, w.red_paths, n)
     sub, mapping = g.induced(keep)
-    inner = recurse(sub)
+    inner = cover_bounded(sub, cfg).cover
     mapped = tuple(
         Path(tuple(mapping[v] for v in p.vertices), inner.colour)
         for p in inner.paths
@@ -245,10 +241,7 @@ def _bounded_candidates(
             found = find_long_path_structure(g, 0)
         if isinstance(found, ReductionWitness):
             with _dropped_on_error("bounded:reduce", trace):
-                # the inductive hypothesis is this same procedure on fewer
-                # vertices; recursing into solve() instead would fork two
-                # fresh pipelines per level and blow up exponentially
-                cov = reduce(g, found, lambda sub: cover_bounded(sub, cfg).cover, 0)
+                cov = reduce(g, found, cfg, 0)
                 add(cov, "bounded:reduce")
         elif isinstance(found, LongPathStructure):
             if 4 * len(_gamma_isolated(found)) ** 2 <= n:
@@ -279,9 +272,7 @@ def _sqrt_step(g: Colouring, cfg: SolverConfig, trace: list[str]) -> PathCover |
         s = find_long_path_structure(g, cfg.c)
     if isinstance(s, ReductionWitness):
         with _dropped_on_error("sqrt:reduce", trace):
-            # the hypothesis f(m) < sqrt(m) + c comes from the bounded
-            # induction, so that is what the recursion re-enters
-            cov = reduce(g, s, lambda sub: cover_bounded(sub, cfg).cover, cfg.c)
+            cov = reduce(g, s, cfg, cfg.c)
             trace.append("sqrt:reduce")
             return cov
     if not isinstance(s, LongPathStructure):

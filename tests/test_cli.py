@@ -231,6 +231,20 @@ class TestSweepCommand:
         code, _, err = run(capsys, "sweep", "--ns", "4", "--generators", "warp")
         assert code == 1
 
+    def test_bad_tags_give_one_error_row_per_seed(self):
+        plan = SweepPlan((5,), ("bogus", "random:seed=3", "random:p=x"), (0, 1))
+        rows = list(csv.DictReader(io.StringIO(run_sweep(plan))))
+        errors = {
+            "bogus": "ValueError: unknown generator kind 'bogus'",
+            "random:p=x": "ValueError: could not convert string to float: 'x'",
+            "random:seed=3": (
+                "ValueError: unknown parameters ['seed'] for generator 'random'"
+            ),
+        }
+        assert [(r["generator"], r["seed"], r["error"]) for r in rows] == [
+            (tag, seed, error) for tag, error in errors.items() for seed in "01"
+        ]
+
     def test_workers_parity(self):
         plan1 = SweepPlan((8, 12), ("extremal", "random:p=0.3"), (0, 1), True, 14, 1)
         plan4 = SweepPlan((8, 12), ("extremal", "random:p=0.3"), (0, 1), True, 14, 4)

@@ -28,7 +28,7 @@ from monopath.construct import (
 from monopath import arith, bipartite, construct
 from monopath.bipartite import PreconditionViolated
 from monopath.core import BLUE, RED, Colouring, GuardFailed, Path, iter_edges
-from monopath.core import mask_vertices, validate_cover, vertex_mask
+from monopath.core import InvalidEdge, mask_vertices, validate_cover, vertex_mask
 from monopath.gen import extremal, indexed_colouring, random_colouring
 from monopath.solver import SolverConfig, solve
 
@@ -88,13 +88,30 @@ class TestMaximalPath:
             sub, back = g.induced(keep)
             want = tuple(back[v] for v in maximal_path(sub, gamma).vertices)
             alive = sum(1 << (v - 1) for v in keep)
-            assert maximal_path(g, gamma, alive=alive).vertices == want
+            assert construct._grow(g, gamma, [], alive)[0].vertices == want
 
     def test_respects_seed(self):
         g = Colouring.monochromatic(5, RED)
         p = maximal_path(g, RED, seed_path=Path((3, 2), RED))
         assert {3, 2} <= set(p.vertices)
         assert len(p.vertices) == 5  # complete red graph extends to everything
+
+    @pytest.mark.parametrize("grow", [maximal_path, refine_path])
+    @pytest.mark.parametrize("seed", [(1, 9, 2), (0,), (2, 0)])
+    def test_seed_vertex_outside_range(self, grow, seed):
+        with pytest.raises(InvalidEdge):
+            grow(Colouring.monochromatic(5, RED), RED, Path(seed, RED))
+
+    @pytest.mark.parametrize("grow", [maximal_path, refine_path])
+    def test_seed_repeating_a_vertex(self, grow):
+        with pytest.raises(ValueError, match="repeats 1"):
+            grow(Colouring.monochromatic(5, RED), RED, Path((1, 2, 1), RED))
+
+    @pytest.mark.parametrize("grow", [maximal_path, refine_path])
+    def test_seed_edge_of_the_other_colour(self, grow):
+        g = Colouring.from_function(5, lambda u, v: BLUE if {u, v} == {2, 3} else RED)
+        with pytest.raises(ValueError, match="into 3 is not red"):
+            grow(g, RED, Path((1, 2, 3), RED))
 
 
 def _two_path_cover_by_colour(g):
@@ -350,6 +367,12 @@ class TestRotateOrExtend:
         g = Colouring.monochromatic(4, BLUE)
         with pytest.raises(ValueError):
             rotate_or_extend(g, Path((1, 2, 3), BLUE), 2)
+
+    @pytest.mark.parametrize("y", [0, -1, 5])
+    def test_rejects_vertex_outside_range(self, y):
+        g = Colouring.monochromatic(4, BLUE)
+        with pytest.raises(InvalidEdge):
+            rotate_or_extend(g, Path((1, 2, 3), BLUE), y)
 
 
 def _refine_path_uncached(g, gamma, seed_path=None, bound=None):

@@ -99,14 +99,6 @@ class TestAdversarialSearch:
         b = adversarial_search(8, 15, 3)
         assert a == b
 
-    def test_custom_score(self):
-        # score that prefers more red edges climbs to all-red
-        def redness(g):
-            return sum(g.edge_bits())
-
-        g, score = adversarial_search(5, 200, 1, score=redness)
-        assert score >= redness(extremal(5))
-
     def test_single_vertex(self):
         g, score = adversarial_search(1, 5, 0)
         assert g.n == 1 and score == 1

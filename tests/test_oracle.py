@@ -15,53 +15,44 @@ from conftest import (
     random_colouring_with,
 )
 from monopath import oracle
-from monopath.core import BLUE, RED, Colouring, Path, mask_vertices, validate_cover
+from monopath.core import BLUE, RED, Colouring, Path, validate_cover
+from monopath.core import mask_vertices, vertex_mask
 from monopath.gen import extremal, random_colouring
 from monopath.oracle import (
     DEFAULT_ORACLE_THRESHOLD,
-    ORACLE_MAX_N,
     OracleResult,
     TooLarge,
-    TraceableFamily,
+    _ends_table,
+    _spanning_path,
     exact_f,
     min_cover_colour,
 )
 
 
 class TestTraceableFamily:
+    # the traceable family of a colour is the nonzero entries of its
+    # endpoint table; _spanning_path walks a witness out of it
     def test_matches_definition_exhaustively(self):
         # a set is traceable iff some ordering is a monochromatic path;
         # recount by brute longest-path DFS on each induced subset
         for g in all_colourings(4):
-            fam = TraceableFamily(g, RED)
+            ends, _ = _ends_table(g, RED)
             for size in range(1, 5):
                 for sub in combinations(range(1, 5), size):
                     ind, back = g.induced(sub)
                     expected = longest_mono_path(ind, RED) == size
-                    assert (sub in fam) == expected
+                    assert bool(ends[vertex_mask(sub)]) == expected
 
     def test_witness_paths_are_real(self, rng):
         for _ in range(30):
             g = random_colouring_with(rng, 7)
-            fam = TraceableFamily(g, BLUE)
+            ends, adj = _ends_table(g, BLUE)
             for m in range(1, 1 << 7):
-                s = mask_vertices(m)
-                if s not in fam:
+                if not ends[m]:
                     continue
-                p = fam.witness_path(s)
+                p = Path(tuple(_spanning_path(ends, adj, m)), BLUE)
                 assert path_ok(g, p)
-                assert set(p.vertices) == set(s)
-                assert p.colour is BLUE
-
-    def test_contains(self):
-        g = Colouring.monochromatic(3, RED)
-        fam = TraceableFamily(g, RED)
-        assert frozenset({1, 2, 3}) in fam
-        blue = TraceableFamily(g, BLUE)
-        assert frozenset({1, 2}) not in blue
-        assert frozenset({2}) in blue
-        assert frozenset() not in fam
-        assert {1, 4} not in fam and (0,) not in fam  # outside 1..n
+                assert set(p.vertices) == set(mask_vertices(m))
 
 
 class TestMinCoverColour:
@@ -127,8 +118,6 @@ class TestExactF:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024
-        with pytest.raises(TooLarge):
-            TraceableFamily(extremal(ORACLE_MAX_N + 1), RED, threshold=64)
 
     def test_ceiling_instance_fits_in_two_megabytes(self):
         # raising the threshold unlocks bigger instances; neither colour of

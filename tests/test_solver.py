@@ -134,7 +134,7 @@ class TestReduce:
     def test_appends_matching_colour(self):
         g = Colouring.monochromatic(10, RED)
         w = self.witness(g)
-        cover = reduce(g, w, lambda sub: exact_f(sub).witness, -2.0)
+        cover = reduce(g, w, SolverConfig(), -2.0)
         assert validate_cover(g, cover).valid
         assert cover.colour is RED
         assert cover.size == 2  # inner spanning path + the red witness path
@@ -142,7 +142,7 @@ class TestReduce:
     def test_blue_recursion_gets_blue_paths(self):
         g = Colouring.monochromatic(10, BLUE)
         w = self.witness(g)
-        cover = reduce(g, w, lambda sub: exact_f(sub).witness, -2.0)
+        cover = reduce(g, w, SolverConfig(), -2.0)
         assert validate_cover(g, cover).valid
         assert cover.colour is BLUE
         assert cover.size == 3  # inner path + two blue singletons
@@ -151,7 +151,7 @@ class TestReduce:
         g = Colouring.monochromatic(10, RED)
         w = self.witness(g)
         with pytest.raises(GuardFailed):
-            reduce(g, w, lambda sub: exact_f(sub).witness, 0.0)
+            reduce(g, w, SolverConfig(), 0.0)
 
     def test_empty_keep_returns_red_family(self):
         g = Colouring.monochromatic(3, RED)
@@ -160,7 +160,7 @@ class TestReduce:
             red_paths=(Path((1, 2, 3), RED),),
             blue_paths=(Path((1,), BLUE), Path((2,), BLUE), Path((3,), BLUE)),
         )
-        cover = reduce(g, w, lambda sub: exact_f(sub).witness, -2.0)
+        cover = reduce(g, w, SolverConfig(), -2.0)
         assert validate_cover(g, cover).valid
         assert cover.paths == w.red_paths
 
@@ -172,7 +172,7 @@ class TestReduce:
         red = (Path(s, RED),) if g.colour(3, 7) is RED else (Path((3,), RED), Path((7,), RED))
         blue = (Path(s, BLUE),) if g.colour(3, 7) is BLUE else (Path((3,), BLUE), Path((7,), BLUE))
         w = ReductionWitness(S=s, red_paths=red, blue_paths=blue)
-        cover = reduce(g, w, lambda sub: exact_f(sub).witness, -3.0)
+        cover = reduce(g, w, SolverConfig(), -3.0)
         assert validate_cover(g, cover).valid
 
 
