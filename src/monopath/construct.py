@@ -275,67 +275,77 @@ def find_long_path_structure(g: Colouring, slack: float):
     nothing, if no branch can close its arithmetic (small n with large
     constants); callers fall back to unconditional strategies.
     """
-    n = g.n
-    dp = arith._frac(slack) + 1
-    if dp < 1:
+    if arith._frac(slack) < 0:
         raise ValueError(f"need slack >= 0, got {slack}")
+    return long_path_pipeline(g)(slack)
 
+
+def long_path_pipeline(g: Colouring):
+    """find_long_path_structure(g, .) as a function of the slack >= 0.  The
+    head of the pipeline, which reads no slack (two_path_cover, the halves q
+    and w, and the probe), runs here once, so a caller that needs two
+    slacks shares it."""
+    n = g.n
     tpc = two_path_cover(g)
     base = tpc.blue if len(tpc.blue.vertices) >= len(tpc.red.vertices) else tpc.red
     # from here base is a gamma path on >= ceil(n/2) vertices
     gamma = base.colour
     other = gamma.complement
     if len(base.vertices) == n:
-        return LongPathStructure(base, {})
+        return lambda slack: LongPathStructure(base, {})
 
     half = n // 2
     q = base.vertices[:half]
     qmask = vertex_mask(q)
     w = mask_vertices(((1 << n) - 1) & ~qmask)[:half]
     wmask = vertex_mask(w)
-    t = arith.ceil_of_coeff_sqrt(2 * dp, n)  # witness size target
-
     # opposite-colour edges between q and w only
     adj = {v: g.mask(v, other) & wmask for v in q}
     adj.update((v, g.mask(v, other) & qmask) for v in w)
     probe = _best_greedy(adj, sorted(adj))
-    s = mask_vertices(vertex_mask(probe) & qmask)
-    if len(s) >= t and len(probe) > 1:
-        return _witness(s, [Path(tuple(probe), other), Path(q, gamma)])
 
-    # k (the opposite colour's target) is odd, l (gamma's) even and both
-    # sides hold ceil((k + l)/2) vertices, so of ramsey_path's errors only
-    # CannotCertify can occur
-    seed = None
-    k, l = 2 * t - 1, 2 * half - 2 * t
-    if l >= 1:
-        view = BipartiteView.from_colouring(g, q, w, colour=other)
-        try:
-            out = ramsey_path(view, k, l)
-            if out.colour is gamma:
-                seed = out.path
-            else:
-                # only ramsey_path's exact search (n <= 29) gets here: its
-                # greedy opening is the probe's, and an opposite-colour path
-                # of >= 2t - 1 edges alternates, so it holds >= t vertices
-                # of q
-                s = mask_vertices(vertex_mask(out.path.vertices) & qmask)
-                return _witness(s, [out.path, Path(q, gamma)])
-        except CannotCertify:
-            pass
+    def tail(slack: float):
+        dp = arith._frac(slack) + 1
+        t = arith.ceil_of_coeff_sqrt(2 * dp, n)  # witness size target
+        s = mask_vertices(vertex_mask(probe) & qmask)
+        if len(s) >= t and len(probe) > 1:
+            return _witness(s, [Path(tuple(probe), other), Path(q, gamma)])
 
-    bound_int = arith.floor_of_coeff_sqrt(2 * dp, n)
-    p, outcome = refine_path(g, gamma, seed, bound_int)
-    if isinstance(outcome, RedCliqueCertificate):
-        d = outcome.vertices
-        return _witness(d, [Path(d, other), p])
+        # k (the opposite colour's target) is odd, l (gamma's) even and both
+        # sides hold ceil((k + l)/2) vertices, so of ramsey_path's errors only
+        # CannotCertify can occur
+        seed = None
+        k, l = 2 * t - 1, 2 * half - 2 * t
+        if l >= 1:
+            view = BipartiteView.from_colouring(g, q, w, colour=other)
+            try:
+                out = ramsey_path(view, k, l)
+                if out.colour is gamma:
+                    seed = out.path
+                else:
+                    # only ramsey_path's exact search (n <= 29) gets here: its
+                    # greedy opening is the probe's, and an opposite-colour path
+                    # of >= 2t - 1 edges alternates, so it holds >= t vertices
+                    # of q
+                    s = mask_vertices(vertex_mask(out.path.vertices) & qmask)
+                    return _witness(s, [out.path, Path(q, gamma)])
+            except CannotCertify:
+                pass
 
-    if arith.le_sqrt_plus_quartic(len(outcome), n, 8 * dp):
-        return LongPathStructure(p, outcome)
+        bound_int = arith.floor_of_coeff_sqrt(2 * dp, n)
+        p, outcome = refine_path(g, gamma, seed, bound_int)
+        if isinstance(outcome, RedCliqueCertificate):
+            d = outcome.vertices
+            return _witness(d, [Path(d, other), p])
 
-    # outside set too big for the structure: strip opposite-colour paths
-    # through it and hand the covered part back as a witness; each stripped
-    # path covers |Y| >= 1 path vertices, so S is never empty
-    paths, covered = strip_paths(g, p, outcome, t)
-    s = mask_vertices(covered & ~vertex_mask(outcome))  # Y is everything off p
-    return _witness(s, [*paths, p])
+        if arith.le_sqrt_plus_quartic(len(outcome), n, 8 * dp):
+            return LongPathStructure(p, outcome)
+
+        # outside set too big for the structure: strip opposite-colour paths
+        # through it and hand the covered part back as a witness; each stripped
+        # path covers |Y| >= 1 path vertices, so S is never empty
+        paths, covered = strip_paths(g, p, outcome, t)
+        s = mask_vertices(covered & ~vertex_mask(outcome))  # Y is everything off p
+        return _witness(s, [*paths, p])
+
+    return tail

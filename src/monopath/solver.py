@@ -15,7 +15,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from . import arith
 from .bipartite import BipartiteView, decompose_full
@@ -23,7 +23,7 @@ from .construct import (
     LongPathStructure,
     ReductionWitness,
     _grow,
-    find_long_path_structure,
+    long_path_pipeline,
     refine_path,
     strip_paths,
 )
@@ -91,6 +91,12 @@ def _pick(
     return SolveResult(cover, _guarantee(n, cover.size, cfg), tuple(trace))
 
 
+def _reduce_guard(n: int, w: ReductionWitness, slack: float) -> None:
+    size = vertex_mask(w.S).bit_count()
+    if not arith.reduce_guard(n, size, slack, w.k):
+        raise GuardFailed(f"sqrt({n}-{size}) + {slack} + {w.k} > sqrt({n})")
+
+
 def reduce(g: Colouring, w: ReductionWitness, cfg: SolverConfig, slack: float) -> PathCover:
     """Cover [n] \\ S with cover_bounded, then append the witness paths
     matching its colour.  The arithmetic guard, with slack the paper's
@@ -98,11 +104,8 @@ def reduce(g: Colouring, w: ReductionWitness, cfg: SolverConfig, slack: float) -
     vertices is the bounded induction, not solve(), which would fork two
     fresh pipelines per level."""
     n = g.n
-    s = vertex_mask(w.S)
-    size = s.bit_count()
-    if not arith.reduce_guard(n, size, slack, w.k):
-        raise GuardFailed(f"sqrt({n}-{size}) + {slack} + {w.k} > sqrt({n})")
-    keep = mask_vertices(((1 << n) - 1) & ~s)
+    _reduce_guard(n, w, slack)
+    keep = mask_vertices(((1 << n) - 1) & ~vertex_mask(w.S))
     if not keep:
         return PathCover(RED, w.red_paths, n)
     sub, mapping = g.induced(keep)
@@ -194,6 +197,28 @@ def _strip_and_mop(g: Colouring, s: LongPathStructure) -> PathCover:
     return PathCover(red, tuple(paths), n)
 
 
+class _Shared:
+    """What one solve's bounded pass hands to its sqrt step: the pipeline
+    with its slack-free head run once, and reduce, whose cover reads no slack,
+    once per witness at slack 0, the weakest guard (the sqrt step checks its
+    own first)."""
+
+    def __init__(self, g: Colouring, cfg: SolverConfig):
+        head = cache(lambda: long_path_pipeline(g))
+        self.structure = lambda slack: head()(slack)
+        self.reduce = cache(lambda w: reduce(g, w, cfg, 0))
+
+
+def _can_win(least: int, earlier, later, tag: str, trace: list[str]) -> bool:
+    """Whether a cover of at least `least` paths can still win the pick: no
+    cover in hand before it in pick order may have <= least paths, none
+    after it < least.  If not, trace <tag>:skipped; the caller skips it."""
+    if all(c.size > least for c in earlier) and all(c.size >= least for c in later):
+        return True
+    trace.append(f"{tag}:skipped")
+    return False
+
+
 @contextmanager
 def _dropped_on_error(tag: str, trace: list[str]):
     """Run one stage of the solve; a MonopathError it raises, a failed guard
@@ -207,12 +232,12 @@ def _dropped_on_error(tag: str, trace: list[str]):
 
 
 def _bounded_candidates(
-    g: Colouring, cfg: SolverConfig
+    g: Colouring, cfg: SolverConfig, shared: _Shared
 ) -> tuple[list[tuple[str, PathCover]], list[str]]:
     """cover_bounded's tagged candidates in pick order, and its trace: the
-    base strategies always, the bounded-size induction for n above c unless
-    a base cover is a single path.  Then bounded:pipeline and the tags under
-    it are absent from the trace, at every level of the recursion."""
+    base strategies, then the bounded-size induction for n above c, each
+    built only if _can_win over those before it (least size 2 for
+    bounded:reduce, else 1), at every level of the recursion."""
     n = g.n
     trace: list[str] = []
     cands: list[tuple[str, PathCover]] = []
@@ -226,23 +251,21 @@ def _bounded_candidates(
             add(exact_f(g).witness, "base:oracle")
     for gamma in (RED, BLUE):
         tag = f"base:structure-{gamma.value}"
-        with _dropped_on_error(tag, trace):
-            add(_structure_attempt(g, gamma), tag)
+        if _can_win(1, [c for _, c in cands], (), tag, trace):
+            with _dropped_on_error(tag, trace):
+                add(_structure_attempt(g, gamma), tag)
     # unguarded: the greedy cover is the candidate that is always there
     add(_greedy_cover(g), "base:greedy")
 
-    # no cover has fewer than one path and ties go to the earlier candidate,
-    # so once a base cover is a single path nothing the induction builds
-    # can win the pick
-    if n > cfg.c and min(cover.size for _, cover in cands) > 1:
+    if n > cfg.c and _can_win(1, [c for _, c in cands], (), "bounded:pipeline", trace):
         trace.append("bounded:pipeline")
         found = None
         with _dropped_on_error("bounded:pipeline", trace):
-            found = find_long_path_structure(g, 0)
+            found = shared.structure(0)
         if isinstance(found, ReductionWitness):
-            with _dropped_on_error("bounded:reduce", trace):
-                cov = reduce(g, found, cfg, 0)
-                add(cov, "bounded:reduce")
+            if _can_win(2, [c for _, c in cands], (), "bounded:reduce", trace):
+                with _dropped_on_error("bounded:reduce", trace):
+                    add(shared.reduce(found), "bounded:reduce")
         elif isinstance(found, LongPathStructure):
             if 4 * len(_gamma_isolated(found)) ** 2 <= n:
                 tag, build = "bounded:y0-exit", cover_from_structure
@@ -258,21 +281,27 @@ def _bounded_candidates(
 def cover_bounded(g: Colouring, cfg: SolverConfig) -> SolveResult:
     """Always returns a valid cover; follows the bounded-size induction for
     n above the constant, base strategies otherwise (and alongside)."""
-    return _pick(g.n, cfg, *_bounded_candidates(g, cfg))
+    return _pick(g.n, cfg, *_bounded_candidates(g, cfg, _Shared(g, cfg)))
 
 
-def _sqrt_step(g: Colouring, cfg: SolverConfig, trace: list[str]) -> PathCover | None:
-    """The sqrt-bound step, or None when one of its guards fails or a stage
-    raises; the trace records the branch taken, the guard that failed or
-    <stage>:error(<exception name>), the stage being sqrt:pipeline,
-    sqrt:reduce, sqrt:decompose or, for the structure exits, sqrt."""
+def _sqrt_step(
+    g: Colouring, cfg: SolverConfig, trace: list[str], shared: _Shared, held=((), ())
+) -> PathCover | None:
+    """The sqrt-bound step, or None when a guard fails, a stage raises or
+    _can_win skips its reduce over the covers held before and after it in
+    pick order; the trace records the branch taken, the guard that failed,
+    the skip or <stage>:error(<exception name>), the stage being
+    sqrt:pipeline, sqrt:reduce, sqrt:decompose or, for the exits, sqrt."""
     n = g.n
     s = None
     with _dropped_on_error("sqrt:pipeline", trace):
-        s = find_long_path_structure(g, cfg.c)
+        s = shared.structure(cfg.c)
     if isinstance(s, ReductionWitness):
         with _dropped_on_error("sqrt:reduce", trace):
-            cov = reduce(g, s, cfg, cfg.c)
+            _reduce_guard(n, s, cfg.c)
+            if not _can_win(2, *held, "sqrt:reduce", trace):
+                return None
+            cov = shared.reduce(s)
             trace.append("sqrt:reduce")
             return cov
     if not isinstance(s, LongPathStructure):
@@ -305,7 +334,7 @@ def cover_sqrt(g: Colouring, cfg: SolverConfig) -> SolveResult:
     """The sqrt-bound orchestration; when a guard fails it falls back to
     cover_bounded and the trace records the detour."""
     trace: list[str] = []
-    cov = _sqrt_step(g, cfg, trace)
+    cov = _sqrt_step(g, cfg, trace, _Shared(g, cfg))
     if cov is None:
         inner = cover_bounded(g, cfg)
         trace.append("sqrt:fallback")
@@ -318,22 +347,24 @@ def solve(g: Colouring, cfg: SolverConfig | None = None) -> SolveResult:
     """Best valid cover among oracle (small n), the sqrt step, cover_bounded
     and the greedy cover; strictly smaller size wins, then strategy order.
 
-    Each candidate is built once: the oracle witness and the greedy cover
-    are cover_bounded's own base candidates, and the sqrt step falls back to
-    the bounded pick instead of running the bounded induction again.  When
-    a base cover is a single path the bounded induction does not run, so
-    bounded:pipeline and its children are absent from the trace; the sqrt
-    step still runs, since it comes first in the pick order.
+    Each candidate is built at most once, and only if _can_win over the
+    covers in hand, in solve the validated ones: the oracle and greedy
+    covers are cover_bounded's, the sqrt step falls back to its pick, and
+    the _Shared pipeline head and reduce covers are built once.  A skipped
+    sqrt step or sqrt:reduce adds no sqrt candidate: the fallback would win
+    the bounded pick's tie.
     """
     cfg = SolverConfig() if cfg is None else cfg
-    base, bounded_trace = _bounded_candidates(g, cfg)
+    shared = _Shared(g, cfg)
+    base, bounded_trace = _bounded_candidates(g, cfg, shared)
     built = dict(base)
     bounded = _pick(g.n, cfg, base, bounded_trace)
+    valid = cache(lambda cover: validate_cover(g, cover).valid)
     trace: list[str] = []
     cands: list[tuple[str, PathCover]] = []
 
     def add(cover: PathCover, tag: str) -> None:
-        if not validate_cover(g, cover).valid:
+        if not valid(cover):
             trace.append(f"{tag}:invalid-dropped")
             return
         trace.append(tag)
@@ -341,11 +372,14 @@ def solve(g: Colouring, cfg: SolverConfig | None = None) -> SolveResult:
 
     if "base:oracle" in built:
         add(built["base:oracle"], "oracle")
-    sqrt = _sqrt_step(g, cfg, trace)
-    if sqrt is None:
-        trace.append("sqrt:fallback")
-        sqrt = bounded.cover
-    add(sqrt, "sqrt")
+    held = ([c for _, c in cands], [c for c in (bounded.cover, built["base:greedy"]) if valid(c)])
+    if _can_win(1, *held, "sqrt:pipeline", trace):
+        sqrt = _sqrt_step(g, cfg, trace, shared, held)
+        if sqrt is None and trace[-1] != "sqrt:reduce:skipped":
+            trace.append("sqrt:fallback")
+            sqrt = bounded.cover
+        if sqrt is not None:
+            add(sqrt, "sqrt")
     trace.extend(bounded.branch_trace)
     add(bounded.cover, "bounded")
     add(built["base:greedy"], "greedy")

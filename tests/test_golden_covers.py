@@ -20,6 +20,8 @@ from pathlib import Path as FilePath
 
 import pytest
 
+from monopath import solver
+from monopath.core import Colouring
 from monopath.gen import indexed_colouring, random_colouring
 from monopath.solver import SolverConfig, solve
 
@@ -73,17 +75,53 @@ def test_solve_matches_golden_covers():
             )
 
 
+def _digest(rec: dict) -> str:
+    blob = json.dumps(rec, sort_keys=True, separators=(",", ":")).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
 # sha256 of _record as sorted compact JSON for a dense n = 1000 colouring
-# under (2, 2, 2), whose sqrt:reduce recurses on an induced copy: far above
-# the golden file's n <= 80
-LARGE_REDUCE_DIGEST = "8d904a5e4bd6bf189ceb3d1abbd50883451a4d61bc5ca2b088686445d744fceb"
+# under (2, 2, 2), far above the golden file's n <= 80.  Its sqrt pipeline
+# returns a reduction witness, but the red structure cover is a single path,
+# which a reduce cover (two paths at least) cannot beat, so sqrt:reduce is
+# skipped; RED_HUB_REDUCE_DIGEST pins a reduce cover at this scale
+LARGE_REDUCE_DIGEST = "02dca70bff1a77b8063283dc689062b2f7a341a057cee797e5b917fb780aae87"
 
 
 def test_large_reduce_matches_pinned_digest():
     rec = _record(random_colouring(1000, 0.5, 7), SolverConfig(2.0, 2.0, 2.0))
-    assert rec["trace"][0] == "sqrt:reduce"
-    blob = json.dumps(rec, sort_keys=True, separators=(",", ":")).encode()
-    assert hashlib.sha256(blob).hexdigest() == LARGE_REDUCE_DIGEST
+    assert rec["trace"][0] == "sqrt:reduce:skipped"
+    assert _digest(rec) == LARGE_REDUCE_DIGEST
+
+
+# the same for red_hub(2000, 1201) under (2, 2, 2): every base cover has
+# more than one path, and both pipelines return one reduction witness
+RED_HUB_REDUCE_DIGEST = "a9484ca12b05f77f073487a549d198bee37b90961e1973328347d84b5dbe83aa"
+
+
+def test_red_hub_reduce_is_built_once(monkeypatch):
+    from conftest import red_hub
+
+    g = red_hub(2000, 1201)
+    copies, heads = [], []
+    real_induced, real_pipeline = Colouring.induced, solver.long_path_pipeline
+
+    def induced(h, keep):
+        copies.append(h)
+        return real_induced(h, keep)
+
+    def pipeline(h):
+        heads.append(h)
+        return real_pipeline(h)
+
+    monkeypatch.setattr(Colouring, "induced", induced)
+    monkeypatch.setattr(solver, "long_path_pipeline", pipeline)
+    rec = _record(g, SolverConfig(2.0, 2.0, 2.0))
+    assert {"sqrt:reduce", "bounded:reduce"} <= set(rec["trace"])
+    # one induced copy and one pipeline head for the top-level colouring
+    assert sum(h is g for h in copies) == 1
+    assert sum(h is g for h in heads) == 1
+    assert _digest(rec) == RED_HUB_REDUCE_DIGEST
 
 
 @pytest.mark.parametrize("c1, c2", [(0.0, 0.0), (2.0, 2.0), (5.0, 1.0), (160000.0, 0.0)])

@@ -1,0 +1,56 @@
+"""scripts/same_covers.py on a tiny plan, so the command keeps working, and
+the committed plan's shape."""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path as FilePath
+
+sys.path.insert(0, str(FilePath(__file__).resolve().parent.parent / "scripts"))
+
+import same_covers  # noqa: E402
+
+
+def _run(capsys, *argv) -> tuple[int, list[str]]:
+    code = same_covers.main([str(a) for a in argv])
+    return code, capsys.readouterr().out.splitlines()
+
+
+def test_committed_plan_is_the_drawn_one():
+    plan = json.loads(same_covers.PLAN.read_text())
+    assert plan == same_covers.make_plan()
+    ns = [n for n, _ in plan]
+    assert len(plan) >= 300 and all(2 <= n <= 200 for n in ns)
+    assert sum(16 <= n <= 29 for n in ns) >= 100
+
+
+def test_tiny_plan_digests_and_compares(tmp_path, capsys):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps([[4, "0x2b"], [16, hex(3**70)]]))
+    code, out = _run(capsys, "--plan", plan)
+    assert code == 0
+    per_instance = len(same_covers.ENTRIES) * len(same_covers.CONFIGS)
+    assert len(out) == 2 * per_instance + 2
+    assert [line.split()[0] for line in out[-2:]] == ["covers", "traces"]
+    saved = tmp_path / "saved.txt"
+    saved.write_text("\n".join(out) + "\n")
+
+    code, again = _run(capsys, "--plan", plan, "--against", saved)
+    assert code == 0
+    assert again[: len(out)] == out
+    counts = [line for line in again if line.endswith("traces differ")]
+    assert len(counts) == per_instance
+    assert all(", 0 covers differ, 0 traces differ" in line for line in counts)
+    assert again[-2:] == [
+        "against first cover difference: none",
+        "against first trace difference: none",
+    ]
+
+    # a changed cover digest in the saved run is reported, and fails the gate
+    key, cover, whole = out[per_instance + 1].rsplit(" ", 2)
+    out[per_instance + 1] = f"{key} {'0' * len(cover)} {whole}"
+    saved.write_text("\n".join(out) + "\n")
+    code, diff = _run(capsys, "--plan", plan, "--against", saved)
+    assert code == 1
+    assert diff[-2] == f"against first cover difference: instance {key} (n=16)"

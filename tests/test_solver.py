@@ -15,6 +15,7 @@ from monopath.core import (
     BLUE,
     RED,
     Colouring,
+    CoverReport,
     GuardFailed,
     Path,
     PathCover,
@@ -337,10 +338,11 @@ class TestSizeOneSkip:
         # the red structure cover is one path at p = 0.5; at p = 0.02 only the
         # blue one is, so the pick is the second candidate
         g = random_colouring(200, p, 0)
-        seen = _count_calls(monkeypatch, "find_long_path_structure")
+        seen = _count_calls(monkeypatch, "long_path_pipeline")
         res = cover_bounded(g, SolverConfig(2.0, 2.0, 2.0))
-        assert seen["find_long_path_structure"] == []
+        assert seen["long_path_pipeline"] == []
         assert "bounded:pipeline" not in res.branch_trace
+        assert "bounded:pipeline:skipped" in res.branch_trace
         assert res.branch_trace[-1] == f"pick:base:structure-{colour.value}"
         assert res.cover == solver._structure_attempt(g, colour)
         assert res.cover.size == 1
@@ -349,11 +351,69 @@ class TestSizeOneSkip:
         # one call: the sub-colouring bounded:reduce recurses into has a
         # single-path base, so the skip holds inside the recursion too
         g = red_hub(300, 201)
-        seen = _count_calls(monkeypatch, "find_long_path_structure")
+        seen = _count_calls(monkeypatch, "long_path_pipeline")
         res = cover_bounded(g, SolverConfig(2.0, 2.0, 2.0))
-        assert seen["find_long_path_structure"] == [g]
+        assert seen["long_path_pipeline"] == [g]
         assert "bounded:pipeline" in res.branch_trace
         assert validate_cover(g, res.cover).valid
+
+
+class TestPickRule:
+    """A candidate is built only while it can still win the pick
+    (solver._can_win); a reduce cover has at least two paths."""
+
+    def test_structure_b_not_built_after_a_single_path(self, monkeypatch):
+        g = random_colouring(200, 0.5, 0)
+        seen = _count_calls(monkeypatch, "_structure_attempt")
+        res = cover_bounded(g, SolverConfig(2.0, 2.0, 2.0))
+        assert len(seen["_structure_attempt"]) == 1
+        assert "base:structure-B:skipped" in res.branch_trace
+        assert res.cover.size == 1
+
+    def test_sqrt_reduce_not_built_beside_a_single_path(self, monkeypatch):
+        g = random_colouring(200, 0.5, 0)
+        seen = _count_calls(monkeypatch, "reduce")
+        res = solve(g, SolverConfig(2.0, 2.0, 2.0))
+        assert seen["reduce"] == []
+        assert res.branch_trace[0] == "sqrt:reduce:skipped"
+        assert "sqrt" not in res.branch_trace
+        assert res.branch_trace[-1] == "pick:bounded"
+        assert res.cover.size == 1
+
+    def test_skip_reads_a_validated_cover(self, monkeypatch):
+        # the top-level colouring's structure cover becomes an invalid single
+        # path; the sub-colouring that reduce recurses into keeps its real
+        # ones, so the sqrt:reduce cover stays valid and must be built
+        g = red_hub(600, 457)
+        real = solver._structure_attempt
+
+        def invalid_for_g(h, gamma):
+            if h is g:
+                return PathCover(RED, (Path((1,), RED),), h.n)
+            return real(h, gamma)
+
+        monkeypatch.setattr(solver, "_structure_attempt", invalid_for_g)
+        res = solve(g, SolverConfig(2.0, 2.0, 2.0))
+        assert "bounded:invalid-dropped" in res.branch_trace
+        assert res.branch_trace[0] == "sqrt:reduce"
+        assert res.branch_trace[-1] == "pick:sqrt"
+        assert res.cover.size == 4
+        assert validate_cover(g, res.cover).valid
+
+    def test_failed_guard_falls_back_before_any_skip(self, monkeypatch):
+        # the sqrt witness of this hub fails the reduce guard; a one-path
+        # greedy cover, let through validation, would rule the reduce out,
+        # but the guard is checked first, so the step still falls back to
+        # the bounded pick, which wins the tie as it did before the rule
+        g = red_hub(760, 607)
+        one_path = PathCover(RED, (Path(tuple(range(1, g.n + 1)), RED),), g.n)
+        monkeypatch.setattr(solver, "_greedy_cover", lambda h: one_path)
+        monkeypatch.setattr(solver, "validate_cover", lambda h, cover: CoverReport(True))
+        res = solve(g, SolverConfig(2.0, 2.0, 2.0))
+        trace = res.branch_trace
+        assert trace[:3] == ("sqrt:reduce:error(GuardFailed)", "sqrt:fallback", "sqrt")
+        assert trace[-1] == "pick:sqrt"
+        assert res.cover.size == 1
 
 
 def test_bounded_strip_branch_is_reached():

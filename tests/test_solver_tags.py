@@ -156,6 +156,24 @@ CENSUS = {
     "bounded:strip:error(PreconditionViolated)": (
         lambda: red_hub(10, 7), C2, solve, None,
     ),
+    # skips by the pick rule: at n = 10 the oracle's cover is one path, which
+    # no later candidate can beat, the sqrt step included
+    "sqrt:pipeline:skipped": (lambda: random_colouring(10, 0.5, 3), DEFAULT, solve, None),
+    "base:structure-R:skipped": (
+        lambda: random_colouring(10, 0.5, 3), DEFAULT, solve, None,
+    ),
+    # the red structure cover is one path, which neither the blue one, the
+    # bounded induction nor a reduce cover (two paths at least) can beat
+    "base:structure-B:skipped": (
+        lambda: random_colouring(200, 0.5, 0), C222, solve, None,
+    ),
+    "bounded:pipeline:skipped": (
+        lambda: random_colouring(200, 0.5, 0), C222, solve, None,
+    ),
+    "sqrt:reduce:skipped": (lambda: random_colouring(200, 0.5, 0), C222, solve, None),
+    # the red structure cover has two paths, the bounded witness's reduce
+    # at least as many, and it would come later in the pick order
+    "bounded:reduce:skipped": (lambda: red_hub(16, 10), C2, solve, None),
 }
 
 
