@@ -60,7 +60,12 @@ def decode(text: str) -> Colouring:
     m = edge_count(n)
     if len(body) != m:
         raise BadLength(m, len(body))
-    bad = _NOT_RB.search(body)
-    if bad:
+    # C-level checks on the happy path; the regex only names the first bad
+    # character once there is one
+    raw = body.encode("ascii") if body.isascii() else None
+    if raw is None or raw.translate(None, b"RB"):
+        bad = _NOT_RB.search(body)
         raise BadCharacter(2, bad.start() + 1, bad.group())
-    return Colouring._from_digits(n, body.encode("ascii").translate(_RB_TO_DIGITS))
+    digits = raw.translate(_RB_TO_DIGITS)
+    del raw, lines, body  # before the digit matrix is built
+    return Colouring._from_digits(n, digits)

@@ -81,6 +81,21 @@ _BOOL_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _DIGIT_BOOLS = bytes.maketrans(b"01", b"\x00\x01")
 
 
+def _columns(rows: Sequence[int], n: int, cols: Iterable[int]) -> list[int]:
+    """For each v in cols, the mask whose bit i is bit v-1 of rows[i]; every
+    row is below 2**n.
+
+    Vertex v is the digit at n - v of a row's n-digit binary string.  The
+    rows fill one len(rows) x n digit matrix, last row first, so each mask is
+    a column of it read as binary: one C-level slice per row and per column,
+    not one digit gather per entry, in len(rows) * n bytes of work space."""
+    width = f"0{n}b"
+    digits = bytearray(len(rows) * n)
+    for i, row in enumerate(reversed(rows)):
+        digits[i * n:(i + 1) * n] = format(row, width).encode()
+    return [int(digits[n - v::n], 2) for v in cols]
+
+
 class Colouring:
     """A 2-edge-colouring of the complete graph on vertices 1..n.
 
@@ -106,6 +121,10 @@ class Colouring:
                 raise ValueError(f"vertex {v}: red mask contains a loop")
             if m & ~full:
                 raise ValueError(f"vertex {v}: red mask exceeds vertex range")
+        # symmetric iff the masks equal their transpose; only an asymmetric
+        # matrix is walked edge by edge, to name its first pair
+        if _columns(self._red, n, range(1, n + 1)) == list(self._red):
+            return
         for u, v in iter_edges(n):
             if bool(self._red[u - 1] & _bit(v)) != bool(self._red[v - 1] & _bit(u)):
                 raise ValueError(f"asymmetric red adjacency at ({u}, {v})")
@@ -217,18 +236,9 @@ class Colouring:
         if old[0] < 1 or old[-1] > n:
             bad = old[0] if old[0] < 1 else old[bisect.bisect_right(old, n)]
             raise InvalidEdge(f"vertex {bad} outside 1..{n}")
-        # vertex v is the digit at n - v of a row's n-digit binary string.
-        # The kept rows fill a k x n digit matrix, highest label first, so by
-        # symmetry v's relabelled row is its column: one C-level slice per
-        # row and per column, not k digit gathers
-        k = len(old)
-        width = f"0{n}b"
-        digits = bytearray(k * n)
-        for i, v in enumerate(reversed(old)):
-            digits[i * n:(i + 1) * n] = format(self._red[v - 1], width).encode()
-        masks = [int(digits[n - v::n], 2) for v in old]
-        del digits  # before the blue masks are built
-        sub = Colouring._trusted(k, masks)
+        # by symmetry v's relabelled row is its column in the kept rows
+        masks = _columns([self._red[v - 1] for v in old], n, old)
+        sub = Colouring._trusted(len(old), masks)
         return sub, {i + 1: v for i, v in enumerate(old)}
 
     def _edge_digits(self) -> str:

@@ -5,14 +5,21 @@ from __future__ import annotations
 
 import math
 import random
+import struct
 from dataclasses import dataclass
 
 from .core import Colouring, edge_count, iter_edges
 from .oracle import DEFAULT_ORACLE_THRESHOLD, exact_f
 
 # bump if the edge-sampling scheme ever changes; identical (n, p, seed) must
-# give identical colourings across platforms and releases
+# give identical colourings across platforms and releases.  The scheme is one
+# Random(seed).random() draw per edge in iter_edges order, red iff it is below
+# p; random_colouring reads the same draws as whole Mersenne Twister words
 GENERATOR_NAME = "monopath-rng-v1"
+
+# edges drawn per getrandbits call: 2**16 edges are 512 KiB of generator output
+_CHUNK = 1 << 16
+_WORD_PAIR = struct.Struct("<2I")
 
 # each kind's parameters and their types, the one table that the CLI's
 # generator tags, its gen flags and the sweep's seed list read; a GenSpec
@@ -66,11 +73,46 @@ def extremal(n: int) -> Colouring:
 
 
 def random_colouring(n: int, p: float, seed: int) -> Colouring:
-    """Each edge independently red with probability p."""
+    """Each edge independently red with probability p.
+
+    The scheme is unchanged: one `Random(seed).random()` draw per edge, in
+    iter_edges order, and the edge is red iff the draw is below p.  The draws
+    are read as whole Mersenne Twister words, a chunk of edges per
+    getrandbits call, and settled by C-level bytes methods, so no per-edge
+    list is built."""
     if not 0 <= p <= 1:
         raise ValueError(f"need 0 <= p <= 1, got {p}")
-    draw = random.Random(seed).random
-    return Colouring.from_edge_bits(n, [draw() < p for _ in range(edge_count(n))])
+    rng = random.Random(seed)
+    m = edge_count(n)
+    bound = math.ceil(p * 2**53)
+    digits = bytearray(m)
+    for start in range(0, m, _CHUNK):
+        c = min(_CHUNK, m - start)
+        digits[start:start + c] = _draw_digits(rng, c, bound)
+    return Colouring._from_digits(n, digits)
+
+
+def _draw_digits(rng: random.Random, c: int, bound: int) -> bytes:
+    # the next c random() draws as ASCII digits, b"1" where the draw is below
+    # bound / 2**53.  random() is (a * 2**26 + b) / 2**53 with a = w0 >> 5 and
+    # b = w1 >> 6 for its two 32-bit words, which getrandbits(64 * c) returns
+    # low word first.  The 53-bit integer's top 8 bits are w0's top byte:
+    # every byte but bound's own settles the draw, and the draws on bound's
+    # byte (about 1 in 256; none if bound ends a byte's range) are compared
+    # in full
+    words = rng.getrandbits(64 * c).to_bytes(8 * c, "little")
+    top = bound >> 45
+    tie = b"?" if bound & ((1 << 45) - 1) else b"0"
+    digits = words[3::8].translate((b"1" * top + tie + b"0" * 255)[:256])
+    i = digits.find(b"?")
+    if i < 0:
+        return digits
+    digits = bytearray(digits)
+    while i >= 0:
+        w0, w1 = _WORD_PAIR.unpack_from(words, 8 * i)
+        digits[i] = ord("1") if (w0 >> 5 << 26 | w1 >> 6) < bound else ord("0")
+        i = digits.find(b"?", i + 1)
+    return digits
 
 
 def indexed_colouring(n: int, index: int) -> Colouring:

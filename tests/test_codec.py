@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +14,7 @@ from monopath.codec import (
     encode,
 )
 from monopath.core import BLUE, RED, Colouring, edge_count
-from monopath.gen import extremal
+from monopath.gen import extremal, random_colouring
 
 
 class TestEncode:
@@ -58,6 +60,59 @@ class TestDecode:
         assert (e.value.line, e.value.column, e.value.char) == (2, 2, "X")
         with pytest.raises(BadCharacter):
             decode("3\nrrb")  # lower case is not tolerated
+
+    @pytest.mark.parametrize(
+        "body, column, char",
+        [
+            ("XRRBRRBBRR", 1, "X"),  # first column
+            ("RRBRRBBRRx", 10, "x"),  # last column
+            ("RR\u00e9RBBRRBR", 3, "\u00e9"),  # not ASCII
+            ("RRBR\udcffBBRRB", 5, "\udcff"),  # a lone surrogate
+            ("RB1xBR\u00e9RR0", 3, "1"),  # several: the first is named
+            ("RBRB\u00e9xRRRB", 5, "\u00e9"),  # non-ASCII before ASCII
+            ("RBRB\tRRRRB", 5, "\t"),
+        ],
+    )
+    def test_bad_character_names_the_first(self, body, column, char):
+        with pytest.raises(BadCharacter) as e:
+            decode(f"5\n{body}")
+        assert (e.value.line, e.value.column, e.value.char) == (2, column, char)
+        assert str(e.value) == f"bad character {char!r} at line 2, column {column}"
+
+    @given(st.integers(1, 12), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_bad_character_matches_a_scan(self, n, data):
+        m = edge_count(n)
+        chars = st.sampled_from("RB") | st.characters(exclude_characters="\n")
+        body = "".join(data.draw(st.lists(chars, min_size=m, max_size=m)))
+        first = next((i for i, c in enumerate(body) if c not in "RB"), None)
+        if first is None:
+            assert encode(decode(f"{n}\n{body}")) == f"{n}\n{body}"
+        else:
+            with pytest.raises(BadCharacter) as e:
+                decode(f"{n}\n{body}")
+            assert (e.value.line, e.value.column) == (2, first + 1)
+            assert e.value.char == body[first]
+
+    def test_bad_length_wins_over_a_bad_character(self):
+        for text in ("3\nRX", "3\nXRBB", "3\n\u00e9\u00e9", "1\nX"):
+            with pytest.raises(BadLength):
+                decode(text)
+
+    def test_peak_memory_at_n_1000(self):
+        # the digits and _from_digits's n*n matrix, about 1.85 MB; a regex
+        # scan beside an encoded copy of the body peaked at about 2.3 MB
+        n = 1000
+        g = random_colouring(n, 0.5, 1)
+        text = encode(g)
+        tracemalloc.start()
+        try:
+            back = decode(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back == g
+        assert peak < 2_240_000
 
     def test_malformed_headers(self):
         for text in ("", "\n", "x\nRRB", "0\n", "-2\n", "3\nRRB\nRRB"):

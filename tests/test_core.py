@@ -99,6 +99,52 @@ class TestColouring:
         with pytest.raises(ValueError):
             Colouring.monochromatic(0, RED)
 
+    @given(st.integers(2, 40), st.integers(0, 2**32), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_asymmetry_names_the_first_pair(self, n, seed, data):
+        # flipped bits break symmetry; the message names the first broken
+        # pair in iter_edges order
+        masks = list(random_colouring_with(random.Random(seed), n).rows(RED))
+        pair = st.tuples(st.integers(1, n), st.integers(1, n))
+        pair = pair.filter(lambda t: t[0] != t[1])
+        flips = data.draw(st.lists(pair, min_size=1, max_size=3, unique=True))
+        for u, v in flips:
+            masks[u - 1] ^= 1 << (v - 1)
+        broken = [
+            (u, v) for u, v in iter_edges(n)
+            if (masks[u - 1] >> (v - 1) & 1) != (masks[v - 1] >> (u - 1) & 1)
+        ]
+        if not broken:  # flipped both ways, symmetric again
+            assert Colouring(n, masks).rows(RED) == tuple(masks)
+            return
+        u, v = broken[0]
+        with pytest.raises(ValueError) as e:
+            Colouring(n, masks)
+        assert str(e.value) == f"asymmetric red adjacency at ({u}, {v})"
+
+    @pytest.mark.parametrize(
+        "masks, message",
+        [
+            ([2, 1, 7], "vertex 3: red mask contains a loop"),
+            ([2, 3, 0], "vertex 2: red mask contains a loop"),
+            ([2, 1, 8], "vertex 3: red mask exceeds vertex range"),
+            ([-1, 0, 0], "vertex 1: red mask contains a loop"),
+            ([6, 1, 0], "asymmetric red adjacency at (1, 3)"),
+            ([0, 4, 0], "asymmetric red adjacency at (2, 3)"),
+        ],
+    )
+    def test_bad_mask_messages(self, masks, message):
+        with pytest.raises(ValueError) as e:
+            Colouring(3, masks)
+        assert str(e.value) == message
+
+    def test_symmetric_masks_are_accepted(self):
+        n = 2000
+        ref = from_int(n, random.Random(n).getrandbits(edge_count(n)))
+        g = Colouring(n, ref.rows(RED))
+        assert g == ref
+        assert g.rows(BLUE) == ref.rows(BLUE)
+
     def test_wrong_bit_count(self):
         with pytest.raises(ValueError):
             Colouring.from_edge_bits(4, [True] * 5)

@@ -1,10 +1,15 @@
 import math
+import random
+import struct
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monopath.core import BLUE, RED, Colouring, iter_edges
+from conftest import random_colouring_with
+from monopath import gen
+from monopath.core import BLUE, RED, Colouring, edge_count, iter_edges
 from monopath.gen import (
     GENERATOR_NAME,
     MAX_N,
@@ -63,6 +68,83 @@ class TestRandomColouring:
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError):
             random_colouring(5, 1.5, 0)
+
+
+# the ends of [0, 1], the halving point, a value with no short binary
+# expansion, and the draws next to 0 and to 1
+STREAM_PS = (0.0, 1.0, 0.5, 1 / 3, 2**-53, 1 - 2**-53)
+
+
+class _CountingWordPair:
+    """Stands in for gen._WORD_PAIR and counts the draws settled in full."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def unpack_from(self, buffer, offset):
+        self.calls += 1
+        return struct.unpack_from("<2I", buffer, offset)
+
+
+class TestRandomStream:
+    """random_colouring reads Random(seed).random() in bulk; the reference is
+    the per-draw loop, one rng.random() < p per edge."""
+
+    @pytest.mark.parametrize("p", STREAM_PS)
+    def test_matches_the_per_draw_loop(self, p):
+        for n in range(1, 65):
+            for seed in (0, n, 2**40 + n):
+                ref = random_colouring_with(random.Random(seed), n, p)
+                assert random_colouring(n, p, seed) == ref, (n, p, seed)
+
+    @given(st.integers(1, 64), st.floats(0, 1), st.integers(0, 2**64))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_per_draw_loop_drawn(self, n, p, seed):
+        ref = random_colouring_with(random.Random(seed), n, p)
+        assert random_colouring(n, p, seed) == ref
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_chunk_boundaries(self, monkeypatch, chunk):
+        monkeypatch.setattr(gen, "_CHUNK", chunk)
+        for n in (2, 12, 20, 37):  # 1, 66, 190 and 666 edges
+            for p in (0.5, 1 / 3, 0.9):
+                ref = random_colouring_with(random.Random(n), n, p)
+                assert random_colouring(n, p, n) == ref, (chunk, n, p)
+
+    def test_ties_on_the_top_byte_are_settled_in_full(self, monkeypatch):
+        # p set to a draw, or next to it, puts that draw on bound's top byte,
+        # where only the full 53-bit comparison tells the colours apart
+        counter = _CountingWordPair()
+        monkeypatch.setattr(gen, "_WORD_PAIR", counter)
+        n = 30
+        for seed in range(5):
+            rng = random.Random(seed)
+            draws = [rng.random() for _ in range(edge_count(n))]
+            x = draws[seed * 37]
+            for p in (x, math.nextafter(x, 0), math.nextafter(x, 1)):
+                calls = counter.calls
+                ref = random_colouring_with(random.Random(seed), n, p)
+                assert random_colouring(n, p, seed) == ref, (seed, p)
+                assert counter.calls > calls
+
+    def test_no_ties_when_p_ends_a_byte_range(self, monkeypatch):
+        counter = _CountingWordPair()
+        monkeypatch.setattr(gen, "_WORD_PAIR", counter)
+        for p in (0.0, 0.5, 0.25, 1.0):
+            random_colouring(40, p, 3)
+        assert counter.calls == 0
+
+    def test_peak_memory_has_no_per_edge_list(self):
+        # a list of m bools peaked at about 6 MB; the digits, one chunk of
+        # generator output and then _from_digits's n*n matrix peak at 1.9 MB
+        tracemalloc.start()
+        try:
+            g = random_colouring(1000, 0.5, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.n == 1000
+        assert peak < 3_000_000
 
 
 class TestIndexedColouring:
