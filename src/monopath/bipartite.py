@@ -13,10 +13,10 @@ on that: Y is kept whole while X shrinks, so later paths revisit Y.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .core import RED, Colour, Colouring, MonopathError, Path
-from .core import mask_vertices, vertex_mask
+from .core import grow_end, mask_vertices, vertex_mask
 
 
 class EmptyY(MonopathError):
@@ -283,15 +283,11 @@ def decompose_full(v: BipartiteView) -> tuple[Path, ...]:
                 witness=(len(y0n), len(x1_next), len(x0n)),
             )
         q2_ys = y0n[: len(x1_next) + 1]
-        q2: list[int] = []
-        for i, x in enumerate(x1_next):
-            q2.append(q2_ys[i])
-            q2.append(x)
-        q2.append(q2_ys[-1])
+        q2 = _interleave_xy(q2_ys, x1_next, v.colour).vertices
         taken = vertex_mask(q2_ys)
         p2_ys = [y for y in ys if not taken >> (y - 1) & 1][: len(x0n) - 1]
-        r2 = list(_interleave_xy(x0n, p2_ys, v.colour).vertices) + q2
-        paths.append(Path(tuple(r2), v.colour))
+        r2 = _interleave_xy(x0n, p2_ys, v.colour).vertices + q2
+        paths.append(Path(r2, v.colour))
         return tuple(paths)
     return tuple(paths)
 
@@ -301,101 +297,94 @@ def decompose_full(v: BipartiteView) -> tuple[Path, ...]:
 RAMSEY_EXACT_THRESHOLD = 14
 
 
-def _vertex_masks(v: BipartiteView) -> tuple[dict[int, int], dict[int, int]]:
-    """Per-vertex partner masks in view colour and its complement."""
+def _vertex_masks(v: BipartiteView) -> tuple[list[int], list[int]]:
+    """Per-vertex partner masks in view colour and its complement, vertex
+    u's at index u - 1 and 0 for a label outside the view."""
     xmask = vertex_mask(v.X)
     ymask = vertex_mask(v.Y)
-    main: dict[int, int] = {x: 0 for x in v.X}
+    main = [0] * max(v.X + v.Y, default=0)
+    other = main[:]
     for y in v.Y:
-        main[y] = v.adjacency[y]
-        for x in mask_vertices(main[y]):
-            main[x] |= 1 << (y - 1)
-    other = {}
+        nbrs = v.adjacency[y]
+        main[y - 1] = nbrs
+        other[y - 1] = xmask ^ nbrs
+        for x in mask_vertices(nbrs):
+            main[x - 1] |= 1 << (y - 1)
     for x in v.X:
-        other[x] = ymask & ~main[x]
-    for y in v.Y:
-        other[y] = xmask & ~main[y]
+        other[x - 1] = ymask ^ main[x - 1]
     return main, other
 
 
-def _grow_rotate(adj: dict[int, int], start: int) -> list[int]:
-    """Grow a path greedily from `start`, with lookahead rotations.
+def _grow_rotate(adj: Sequence[int], start: int) -> list[int]:
+    """Grow a path greedily from `start`, with lookahead rotations; adj[u - 1]
+    is vertex u's mask.
 
     A rotation is applied only when the resulting new endpoint can extend
     immediately, so the path never stops growing until genuinely stuck at
     both ends.
     """
     path = [start]
-    used = 1 << (start - 1)
+    free = ((1 << len(adj)) - 1) ^ (1 << (start - 1))
     flipped_once = False
     while True:
-        tail = path[-1]
-        cand = adj[tail] & ~used
-        if cand:
-            w = (cand & -cand).bit_length()
-            path.append(w)
-            used |= 1 << (w - 1)
+        size = len(path)
+        free = grow_end(adj, path, free)
+        if len(path) > size:
             flipped_once = False
-            continue
-        rotated = False
-        on_path = adj[tail] & used
+        # the tail is stuck, so all its neighbours are on the path
+        on_path = adj[path[-1] - 1]
         for i in range(len(path) - 2):
-            if not on_path & (1 << (path[i] - 1)):
-                continue
-            pivot = path[i + 1]
-            if adj[pivot] & ~used:
-                path = path[: i + 1] + path[i + 1 :][::-1]
-                rotated = True
+            if on_path >> (path[i] - 1) & 1 and adj[path[i + 1] - 1] & free:
+                path[i + 1 :] = path[:i:-1]
                 break
-        if rotated:
-            continue
-        if not flipped_once:
+        else:
+            if flipped_once:
+                return path
             path.reverse()
             flipped_once = True
-            continue
-        return path
 
 
-def _best_greedy(adj: dict[int, int], verts: list[int]) -> list[int]:
-    starts = [v for v in verts if adj[v]]
-    if not starts:
-        return [verts[0]] if verts else []
-    return _grow_rotate(adj, starts[0])
+def _best_greedy(adj: Sequence[int], verts: list[int]) -> list[int]:
+    start = next((v for v in verts if adj[v - 1]), None)
+    if start is None:
+        return verts[:1]
+    return _grow_rotate(adj, start)
 
 
 def _exact_path(
-    adj: dict[int, int], verts: list[int], target_edges: int
+    adj: Sequence[int], verts: list[int], target_edges: int
 ) -> list[int] | None:
     """A path with exactly target_edges edges, or None if none exists.
 
-    Depth-first with early exit; failed (endpoint, visited) states are
+    Depth-first with early exit; failed (endpoint, unvisited) states are
     memoised, which keeps the search tractable on the small sides this is
     meant for.  ramsey_path calls it only with target_edges >= 1.
     """
     dead: set[tuple[int, int]] = set()
     stack: list[int] = []
 
-    def dfs(last: int, mask: int, edges: int) -> bool:
+    def dfs(last: int, free: int, edges: int) -> bool:
         if edges == target_edges:
             return True
-        key = (last, mask)
+        key = (last, free)
         if key in dead:
             return False
-        cand = adj[last] & ~mask
+        cand = adj[last - 1] & free
         while cand:
             b = cand & -cand
             cand ^= b
             w = b.bit_length()
             stack.append(w)
-            if dfs(w, mask | b, edges + 1):
+            if dfs(w, free ^ b, edges + 1):
                 return True
             stack.pop()
         dead.add(key)
         return False
 
+    everyone = vertex_mask(verts)
     for s in verts:
         stack.append(s)
-        if dfs(s, 1 << (s - 1), 0):
+        if dfs(s, everyone ^ (1 << (s - 1)), 0):
             return list(stack)
         stack.pop()
     return None

@@ -107,16 +107,22 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _cmd_solve(args) -> int:
-    g = _load_colouring(args)
-    result = solve(g)
-    report = validate_cover(g, result.cover)
+def _invalid(g: Colouring, cover: PathCover, what: str) -> bool:
+    """Whether cover fails validation; if so, say so on stderr."""
+    report = validate_cover(g, cover)
     if not report.valid:
         print(
-            f"internal error: solver cover failed validation: "
+            f"internal error: {what} failed validation: "
             f"{report.failure_kind.value} {report.detail}",
             file=sys.stderr,
         )
+    return not report.valid
+
+
+def _cmd_solve(args) -> int:
+    g = _load_colouring(args)
+    result = solve(g)
+    if _invalid(g, result.cover, "solver cover"):
         return 2
     _print_cover(result.cover, sys.stdout)
     return 0
@@ -125,13 +131,7 @@ def _cmd_solve(args) -> int:
 def _cmd_oracle(args) -> int:
     g = _load_colouring(args)
     result = exact_f(g, threshold=args.threshold)
-    report = validate_cover(g, result.witness)
-    if not report.valid:
-        print(
-            f"internal error: oracle witness failed validation: "
-            f"{report.failure_kind.value} {report.detail}",
-            file=sys.stderr,
-        )
+    if _invalid(g, result.witness, "oracle witness"):
         return 2
     print(result.value)
     _print_cover(result.witness, sys.stdout)

@@ -17,7 +17,7 @@ from . import arith
 from .bipartite import BipartiteView, decompose, ramsey_path
 from .bipartite import CannotCertify, _best_greedy
 from .core import BLUE, RED, Colour, Colouring, GuardFailed, Path
-from .core import mask_vertices, vertex_mask
+from .core import grow_end, mask_vertices, vertex_mask
 
 
 @dataclass(frozen=True)
@@ -97,16 +97,10 @@ def _grow(
         low = free & -free
         verts, free = [low.bit_length()], free ^ low
     rows = g.rows(gamma)
-    left: list[int] = []
-    for side, end in ((verts, verts[-1]), (left, verts[0])):
-        cand = rows[end - 1] & free
-        while cand:
-            low = cand & -cand
-            free ^= low
-            w = low.bit_length()
-            side.append(w)
-            cand = rows[w - 1] & free
-    return Path((*left[::-1], *verts), gamma), free
+    free = grow_end(rows, verts, free)
+    left = [verts[0]]
+    free = grow_end(rows, left, free)
+    return Path((*left[:0:-1], *verts), gamma), free
 
 
 @dataclass(frozen=True)
@@ -300,9 +294,13 @@ def long_path_pipeline(g: Colouring):
     w = mask_vertices(((1 << n) - 1) & ~qmask)[:half]
     wmask = vertex_mask(w)
     # opposite-colour edges between q and w only
-    adj = {v: g.mask(v, other) & wmask for v in q}
-    adj.update((v, g.mask(v, other) & qmask) for v in w)
-    probe = _best_greedy(adj, sorted(adj))
+    rows = g.rows(other)
+    adj = [0] * n
+    for v in q:
+        adj[v - 1] = rows[v - 1] & wmask
+    for v in w:
+        adj[v - 1] = rows[v - 1] & qmask
+    probe = _best_greedy(adj, mask_vertices(qmask | wmask))
 
     def tail(slack: float):
         dp = arith._frac(slack) + 1

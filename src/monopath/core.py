@@ -76,6 +76,20 @@ def mask_vertices(mask: int) -> list[int]:
     return out
 
 
+def grow_end(rows: Sequence[int], path: list[int], free: int) -> int:
+    """Extend path at its last vertex, lowest free neighbour first, until
+    that end has no neighbour in free; rows[v - 1] is vertex v's mask, and
+    free holds no vertex of path.  Returns what is left of free."""
+    cand = rows[path[-1] - 1] & free
+    while cand:
+        low = cand & -cand
+        free ^= low
+        w = low.bit_length()
+        path.append(w)
+        cand = rows[w - 1] & free
+    return free
+
+
 # edge colours as bytes: 0/1 values <-> the ASCII digits int(..., 2) reads
 _BOOL_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _DIGIT_BOOLS = bytes.maketrans(b"01", b"\x00\x01")

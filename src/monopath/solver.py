@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cache, lru_cache
 
 from . import arith
-from .bipartite import BipartiteView, decompose_full
+from .bipartite import BipartiteView, _complete_chunks, decompose_full
 from .construct import (
     LongPathStructure,
     ReductionWitness,
@@ -181,20 +181,10 @@ def _strip_and_mop(g: Colouring, s: LongPathStructure) -> PathCover:
     red = s.path.colour.complement
     m = arith.ceil_of_coeff_sqrt(2, n)
     stripped, covered = strip_paths(g, s.path, s.y_degrees, m)
-    paths = list(stripped)
     leftover = [x for x in s.path.vertices if not covered >> (x - 1) & 1]
-    if leftover:
-        # bounded:strip is chosen only when 4|Y0|**2 > n, so Y0 is never empty
-        y0 = _gamma_isolated(s)
-        span = len(y0) + 1
-        for i in range(0, len(leftover), span):
-            block = leftover[i : i + span]
-            verts = [block[0]]
-            for j, x in enumerate(block[1:]):
-                verts.append(y0[j])
-                verts.append(x)
-            paths.append(Path(tuple(verts), red))
-    return PathCover(red, tuple(paths), n)
+    # bounded:strip is chosen only when 4|Y0|**2 > n, so Y0 is never empty
+    mop = _complete_chunks(leftover, _gamma_isolated(s), red, cover_y=False)
+    return PathCover(red, (*stripped, *mop), n)
 
 
 class _Shared:

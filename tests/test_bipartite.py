@@ -2,6 +2,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     alternating_in_view,
@@ -14,6 +16,7 @@ from conftest import (
     decompose_full_instance,
     _view,
 )
+from monopath import bipartite
 from monopath.bipartite import (
     BipartiteView,
     CannotCertify,
@@ -28,7 +31,7 @@ from monopath.bipartite import (
     long_path,
     ramsey_path,
 )
-from monopath.core import BLUE, RED, Colouring, mask_vertices, vertex_mask
+from monopath.core import BLUE, RED, Colouring, Path, mask_vertices, vertex_mask
 
 
 class TestView:
@@ -268,6 +271,28 @@ def _check_outcome(v, out: RamseyOutcome, k: int, l: int):
     assert p.length >= need
 
 
+@st.composite
+def _relabelled_views(draw):
+    """A view on labels 1..a+b split into X and Y at random; the same view
+    relabelled by a random increasing map into 1..200, so with gaps between
+    labels and X and Y interleaved; the map; and targets k != l, each at
+    most the smaller side."""
+    a, b = draw(st.integers(2, 10)), draw(st.integers(2, 10))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    xs = sorted(rng.sample(range(1, a + b + 1), a))
+    ys = sorted(set(range(1, a + b + 1)) - set(xs))
+    p = rng.random()
+    adj = {y: vertex_mask(x for x in xs if rng.random() < p) for y in ys}
+    label = dict(zip(range(1, a + b + 1), sorted(rng.sample(range(1, 201), a + b))))
+    colour = draw(st.sampled_from((RED, BLUE)))
+    v = BipartiteView(xs, ys, adj, colour=colour)
+    moved = {label[y]: vertex_mask(label[x] for x in mask_vertices(m)) for y, m in adj.items()}
+    w = BipartiteView([label[x] for x in xs], [label[y] for y in ys], moved, colour=colour)
+    k = draw(st.integers(1, min(a, b)))
+    l = draw(st.integers(1, min(a, b)).filter(lambda l: l != k))
+    return v, w, label, k, l
+
+
 class TestRamseyPath:
     def test_guards(self):
         v = _view(2, 2, {3: {1}, 4: {2}})
@@ -303,6 +328,22 @@ class TestRamseyPath:
                 continue
             out = ramsey_path(v, k, l)
             _check_outcome(v, out, k, l)
+
+    @given(_relabelled_views(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_labels_with_gaps_give_the_relabelled_outcome(self, case, exact):
+        # every choice is lowest label first, so an increasing relabelling
+        # only renames the outcome; with `exact` the greedy pass certifies
+        # nothing and _exact_path decides
+        v, w, label, k, l = case
+        with pytest.MonkeyPatch.context() as mp:
+            if exact:
+                mp.setattr(bipartite, "_best_greedy", lambda adj, verts: verts[:1])
+            out = ramsey_path(v, k, l)
+            got = ramsey_path(w, k, l)
+        path = Path(tuple(label[u] for u in out.path.vertices), out.colour)
+        assert got == RamseyOutcome(out.colour, path)
+        _check_outcome(w, got, k, l)
 
     def test_large_greedy_can_certify(self):
         # dense one-sided instance: the greedy pass finds the long red path

@@ -5,11 +5,15 @@ import tracemalloc
 
 import pytest
 
+from monopath import cli
 from monopath.cli import MAX_SWEEP_ROWS, SWEEP_COLUMNS, SweepPlan, _build_parser, main
 from monopath.cli import run_sweep
 from monopath.codec import decode, encode
-from monopath.core import RED, Colouring, validate_cover
+from monopath.core import BLUE, RED, Colouring, FailureKind, Path, PathCover
+from monopath.core import validate_cover
 from monopath.gen import MAX_N, adversarial_search, extremal, random_colouring
+from monopath.oracle import OracleResult
+from monopath.solver import Guarantee, SolveResult
 
 
 def run(capsys, *argv):
@@ -94,6 +98,18 @@ class TestSolveCommand:
         code, _, err = run(capsys, "solve", "no_such_file.k2c")
         assert code == 1
 
+    def test_invalid_solver_cover_is_internal_error(self, monkeypatch, capsys):
+        # every edge of an all-red colouring is red, and 3..5 are uncovered
+        cover = PathCover(RED, (Path((1, 2), RED),), 5)
+        monkeypatch.setattr(
+            cli, "solve", lambda g: SolveResult(cover, Guarantee.NONE, ())
+        )
+        code, out, err = run(capsys, "solve", "--gen", "random:p=1", "-n", "5")
+        assert code == 2
+        assert out == ""
+        assert "internal error: solver cover failed validation" in err
+        assert FailureKind.MISSING_VERTEX.value in err
+
 
 class TestOracleCommand:
     def test_spec_example(self, tmp_path, capsys):
@@ -116,6 +132,18 @@ class TestOracleCommand:
         code, _, err = run(capsys, "oracle", str(f), "--threshold", "40")
         assert code == 1
         assert "ceiling" in err
+
+    def test_invalid_oracle_witness_is_internal_error(self, monkeypatch, capsys):
+        # every edge of an all-red colouring is red, so a blue path is wrong
+        witness = PathCover(BLUE, (Path((1, 2, 3, 4), BLUE),), 4)
+        monkeypatch.setattr(
+            cli, "exact_f", lambda g, threshold: OracleResult(1, BLUE, witness)
+        )
+        code, out, err = run(capsys, "oracle", "--gen", "random:p=1", "-n", "4")
+        assert code == 2
+        assert out == ""
+        assert "internal error: oracle witness failed validation" in err
+        assert FailureKind.WRONG_COLOUR_EDGE.value in err
 
 
 class TestVerifyCommand:

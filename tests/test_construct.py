@@ -164,6 +164,49 @@ def _grow_alternating(g, gamma, verts, free):
     return Path(tuple(verts), gamma), free
 
 
+def _grow_rotate_dict(adj, start):
+    """bipartite._grow_rotate over an adjacency dict keyed by vertex, taking
+    the complement of the used mask at every step and copying the path at
+    every rotation."""
+    path = [start]
+    used = 1 << (start - 1)
+    flipped_once = False
+    while True:
+        tail = path[-1]
+        cand = adj[tail] & ~used
+        if cand:
+            w = (cand & -cand).bit_length()
+            path.append(w)
+            used |= 1 << (w - 1)
+            flipped_once = False
+            continue
+        rotated = False
+        on_path = adj[tail] & used
+        for i in range(len(path) - 2):
+            if not on_path & (1 << (path[i] - 1)):
+                continue
+            pivot = path[i + 1]
+            if adj[pivot] & ~used:
+                path = path[: i + 1] + path[i + 1 :][::-1]
+                rotated = True
+                break
+        if rotated:
+            continue
+        if not flipped_once:
+            path.reverse()
+            flipped_once = True
+            continue
+        return path
+
+
+def _best_greedy_dict(adj, verts):
+    """bipartite._best_greedy over an adjacency dict keyed by vertex."""
+    starts = [v for v in verts if adj[v]]
+    if not starts:
+        return [verts[0]] if verts else []
+    return _grow_rotate_dict(adj, starts[0])
+
+
 def _rotate_or_extend_full_scan(g, path, y, degree_bound=None, pmask=None):
     """rotate_or_extend listing all of B's positions before it looks for
     two consecutive ones."""
@@ -210,6 +253,25 @@ def _colouring_and_colour(draw, least=1):
 
 
 @st.composite
+def _adjacency(draw):
+    """One colour class as an adjacency dict keyed by vertex and as the rows
+    list bipartite's path search reads: either its edges between two drawn
+    halves q and w, as the pipeline's probe reads them, or all of it."""
+    g, gamma = draw(_colouring_and_colour(least=2))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        order = rng.sample(range(1, g.n + 1), g.n)
+        half = g.n // 2
+        q, w = order[:half], sorted(order[half : 2 * half])
+        qmask, wmask = vertex_mask(q), vertex_mask(w)
+        adj = {v: g.mask(v, gamma) & wmask for v in q}
+        adj.update((v, g.mask(v, gamma) & qmask) for v in w)
+    else:
+        adj = {v: g.mask(v, gamma) for v in range(1, g.n + 1)}
+    return adj, [adj.get(v, 0) for v in range(1, g.n + 1)]
+
+
+@st.composite
 def _rotation_case(draw):
     """A colouring, a gamma path and a vertex y off it.  Unless `free_ends`,
     y's edges to the path's ends are recoloured to the other colour, so the
@@ -245,6 +307,16 @@ class TestKernelReferences:
             free |= 1 << rng.randrange(g.n)  # the start is free's lowest vertex
         want = _grow_alternating(g, gamma, list(start), free)
         assert construct._grow(g, gamma, list(start), free) == want
+
+    @given(_adjacency(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_grow_rotate_matches_dict_reference(self, case, data):
+        adj, rows = case
+        verts = sorted(adj)
+        assert bipartite._best_greedy(rows, verts) == _best_greedy_dict(adj, verts)
+        starts = data.draw(st.lists(st.sampled_from(verts), min_size=3, max_size=3))
+        for start in starts:
+            assert bipartite._grow_rotate(rows, start) == _grow_rotate_dict(adj, start)
 
     @given(_colouring_and_colour())
     @settings(max_examples=100, deadline=None)
