@@ -11,13 +11,19 @@ CONFIGS.  Every call gives one record: the cover's colour and paths and the
 guarantee, or the name of the exception raised, and the branch trace.
 
 stdout holds one line per record (instance, entry point, config, a digest of
-the cover part and one of the whole record), then two digests over all
-records in order: `covers`, over covers, guarantees and exception types
-alone, and `traces`, which adds the traces.  With --against, a saved stdout
-of an earlier run, it also prints, per entry point and config, how many
-records differ from it in the cover part and in the trace, and the first
-record that differs in each; the exit status is 1 when a cover part
-differs.
+the cover part, one of the whole record and the trace, its entries joined
+by `|`, or `-` when empty), then two digests over all records in order:
+`covers`, over covers, guarantees and exception types alone, and `traces`,
+which adds the traces.  With --against, a saved stdout of an earlier run,
+it also prints, per entry point and config, how many records differ from
+it in the cover part and in the trace, and the first record that differs
+in each; then, per tag, how many trace entries the records whose traces
+differ added and removed against it, summed over all records, so that a
+change which only swaps one tag for another shows as one line each.  The
+exit status is 1 when a cover part differs.  A saved run without the trace
+column (from an older copy of this script) still compares by digest; for
+the tag counts, make the saved run with this script and the older
+package's sources on PYTHONPATH.
 
 The committed plan holds 300 colourings: 100 at n = 16..29, 150 at
 n = 2..100 and 50 at n = 101..200, each with probability 1/2 a random
@@ -33,6 +39,7 @@ import hashlib
 import json
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 from monopath.core import edge_count, iter_edges
@@ -94,12 +101,17 @@ def records(plan):
                 yield f"{i} {entry} {name}", part, trace
 
 
-def _read(saved: Path) -> dict[str, tuple[str, str]]:
+def _read(saved: Path) -> dict[str, tuple[str, str, list[str] | None]]:
+    """key -> (cover digest, record digest, trace); the trace is None in a
+    saved run that predates the trace column."""
     rows = {}
     for line in saved.read_text().splitlines():
-        *key, cover, whole = line.split(" ")
-        if len(key) == 3:
-            rows[" ".join(key)] = (cover, whole)
+        parts = line.split(" ")
+        if len(parts) in (5, 6) and parts[0].isdigit():
+            trace = None
+            if len(parts) == 6:
+                trace = [] if parts[5] == "-" else parts[5].split("|")
+            rows[" ".join(parts[:3])] = (parts[3], parts[4], trace)
     return rows
 
 
@@ -122,11 +134,14 @@ def main(argv=None) -> int:
     # (entry, config) -> [records, cover parts differing, traces differing]
     counts: dict[str, list[int]] = {}
     first: dict[str, str] = {}
+    added: Counter[str] = Counter()
+    removed: Counter[str] = Counter()
+    untraced = 0  # saved records with a differing trace but no trace column
     for key, part, trace in records(plan):
         c, w = _digest(part), _digest([part, trace])
         covers.update(c.encode())
         whole.update(w.encode())
-        print(key, c[:16], w[:16])
+        print(key, c[:16], w[:16], "|".join(trace) or "-")
         if key in saved:
             tally = counts.setdefault(key.split(" ", 1)[1], [0, 0, 0])
             tally[0] += 1
@@ -136,11 +151,22 @@ def main(argv=None) -> int:
                     tally[slot + 1] += 1
                     n = plan[int(key.split()[0])][0]
                     first.setdefault(kind, f"instance {key} (n={n})")
+            old = saved[key][2]
+            if saved[key][1] != now[1]:  # the trace differs, or the cover
+                if old is None:
+                    untraced += 1
+                else:
+                    added += Counter(trace) - Counter(old)
+                    removed += Counter(old) - Counter(trace)
     print("covers", covers.hexdigest())
     print("traces", whole.hexdigest())
     if args.against:
         for name, (total, c, t) in counts.items():
             print(f"against {name}: {total} records, {c} covers differ, {t} traces differ")
+        for tag in sorted(added.keys() | removed.keys()):
+            print(f"against tag {tag}: +{added[tag]} -{removed[tag]}")
+        if untraced:
+            print(f"against tags: {untraced} differing records saved without traces")
         for kind in ("cover", "trace"):
             print(f"against first {kind} difference:", first.get(kind, "none"))
         return 1 if "cover" in first else 0

@@ -12,6 +12,7 @@ colour.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from . import arith
 from .bipartite import BipartiteView, decompose, ramsey_path
@@ -189,13 +190,14 @@ def refine_path(
     anyway.
     """
     everyone = (1 << g.n) - 1
+    rows = g.rows(gamma)
     p, free = _grow(g, gamma, *_start(g, gamma, seed_path))
     while True:
         degs: dict[int, int] = {}
         pmask = everyone ^ free
         small: dict[int, SmallDegree] = {}  # B's mask -> its outcome on p
         for y in mask_vertices(free):
-            bmask = g.mask(y, gamma) & pmask
+            bmask = rows[y - 1] & pmask
             res = small.get(bmask) or rotate_or_extend(g, p, y, bound, pmask)
             if isinstance(res, LongerPath):
                 # the longer path is p plus y, so its mask is known
@@ -271,14 +273,20 @@ def find_long_path_structure(g: Colouring, slack: float):
     """
     if arith._frac(slack) < 0:
         raise ValueError(f"need slack >= 0, got {slack}")
-    return long_path_pipeline(g)(slack)
+    return long_path_pipeline(g, partial(refine_path, g))(slack)
 
 
-def long_path_pipeline(g: Colouring):
+def long_path_pipeline(g: Colouring, refined):
     """find_long_path_structure(g, .) as a function of the slack >= 0.  The
     head of the pipeline, which reads no slack (two_path_cover, the halves q
     and w, and the probe), runs here once, so a caller that needs two
-    slacks shares it."""
+    slacks shares it.
+
+    refined(gamma) must return refine_path(g, gamma), unseeded and
+    unbounded.  The tail calls it in place of refine_path when it has no
+    seed and its degree bound is at least n - 1: no |B| can then exceed the
+    bound, so both runs are the same, and a caller that memoises refined
+    shares the run with its own."""
     n = g.n
     tpc = two_path_cover(g)
     base = tpc.blue if len(tpc.blue.vertices) >= len(tpc.red.vertices) else tpc.red
@@ -331,7 +339,10 @@ def long_path_pipeline(g: Colouring):
                 pass
 
         bound_int = arith.floor_of_coeff_sqrt(2 * dp, n)
-        p, outcome = refine_path(g, gamma, seed, bound_int)
+        if seed is None and bound_int >= n - 1:
+            p, outcome = refined(gamma)
+        else:
+            p, outcome = refine_path(g, gamma, seed, bound_int)
         if isinstance(outcome, RedCliqueCertificate):
             d = outcome.vertices
             return _witness(d, [Path(d, other), p])

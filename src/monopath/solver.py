@@ -121,8 +121,10 @@ def reduce(g: Colouring, w: ReductionWitness, cfg: SolverConfig, slack: float) -
 def cover_from_structure(g: Colouring, s: LongPathStructure) -> PathCover:
     """The path itself, one path through P per pair of outside vertices that
     see P, and singletons for the rest.  Size is exactly
-    1 + ceil(|Y1|/2) + |Y0|."""
+    1 + ceil(|Y1|/2) + |Y0|, which _structure_size reads off the degrees
+    without building the cover."""
     gamma = s.path.colour
+    rows = g.rows(gamma)
     pv = s.path.vertices
     pm = ((1 << g.n) - 1) & ~vertex_mask(s.y_degrees)  # y is everything off P
     y0 = _gamma_isolated(s)
@@ -130,8 +132,8 @@ def cover_from_structure(g: Colouring, s: LongPathStructure) -> PathCover:
     paths = [s.path]
     pos: dict[int, int] = {}  # path positions, built on first use
     for a, b in zip(y1[::2], y1[1::2]):
-        am = g.mask(a, gamma) & pm
-        bm = g.mask(b, gamma) & pm
+        am = rows[a - 1] & pm
+        bm = rows[b - 1] & pm
         common = am & bm
         if common:
             x = (common & -common).bit_length()
@@ -145,7 +147,7 @@ def cover_from_structure(g: Colouring, s: LongPathStructure) -> PathCover:
         paths.append(Path((a, *seg, b), gamma))
     if len(y1) % 2:
         y = y1[-1]
-        am = g.mask(y, gamma) & pm
+        am = rows[y - 1] & pm
         x = (am & -am).bit_length()
         paths.append(Path((y, x), gamma))
     for y in y0:
@@ -165,8 +167,12 @@ def _greedy_cover(g: Colouring) -> PathCover:
     return PathCover(gamma, tuple(paths), g.n)
 
 
-def _structure_attempt(g: Colouring, gamma) -> PathCover:
-    return cover_from_structure(g, LongPathStructure(*refine_path(g, gamma)))
+def _structure_size(s: LongPathStructure) -> int:
+    """cover_from_structure(g, s).size: the path, one path per pair of
+    outside vertices that see it, one for an odd one out, and one per
+    outside vertex that does not."""
+    y1 = sum(map(bool, s.y_degrees.values()))
+    return 1 + (y1 + 1) // 2 + len(s.y_degrees) - y1
 
 
 def _gamma_isolated(s: LongPathStructure) -> list[int]:
@@ -188,21 +194,25 @@ def _strip_and_mop(g: Colouring, s: LongPathStructure) -> PathCover:
 
 
 class _Shared:
-    """What one solve's bounded pass hands to its sqrt step: the pipeline
-    with its slack-free head run once, and reduce, whose cover reads no slack,
-    once per witness at slack 0, the weakest guard (the sqrt step checks its
-    own first)."""
+    """What one solve's bounded pass hands to its sqrt step: refine_path,
+    unseeded and unbounded, once per colour, which the base structures read
+    and the pipeline tail reuses when its degree bound cannot bind; the
+    pipeline with its slack-free head run once; and reduce, whose cover
+    reads no slack, once per witness at slack 0, the weakest guard (the sqrt
+    step checks its own first)."""
 
     def __init__(self, g: Colouring, cfg: SolverConfig):
-        head = cache(lambda: long_path_pipeline(g))
+        self.refined = cache(lambda gamma: refine_path(g, gamma))
+        head = cache(lambda: long_path_pipeline(g, self.refined))
         self.structure = lambda slack: head()(slack)
         self.reduce = cache(lambda w: reduce(g, w, cfg, 0))
 
 
 def _can_win(least: int, earlier, later, tag: str, trace: list[str]) -> bool:
-    """Whether a cover of at least `least` paths can still win the pick: no
-    cover in hand before it in pick order may have <= least paths, none
-    after it < least.  If not, trace <tag>:skipped; the caller skips it."""
+    """Whether a cover of at least `least` paths (exactly, for a structure
+    cover) can still win the pick: no cover in hand before it in pick order
+    may have <= least paths, none after it < least.  If not, trace
+    <tag>:skipped; the caller skips it."""
     if all(c.size > least for c in earlier) and all(c.size >= least for c in later):
         return True
     trace.append(f"{tag}:skipped")
@@ -227,7 +237,11 @@ def _bounded_candidates(
     """cover_bounded's tagged candidates in pick order, and its trace: the
     base strategies, then the bounded-size induction for n above c, each
     built only if _can_win over those before it (least size 2 for
-    bounded:reduce, else 1), at every level of the recursion."""
+    bounded:reduce, else 1), at every level of the recursion.  The greedy
+    cover is built first but listed in pick order, after the structures:
+    a structure cover, whose exact size _structure_size reads off its
+    refine_path run, is built only if it can win over the covers before it
+    and the greedy cover."""
     n = g.n
     trace: list[str] = []
     cands: list[tuple[str, PathCover]] = []
@@ -239,13 +253,18 @@ def _bounded_candidates(
     if n <= DEFAULT_ORACLE_THRESHOLD:
         with _dropped_on_error("base:oracle", trace):
             add(exact_f(g).witness, "base:oracle")
+    # unguarded: the greedy cover is the candidate that is always there
+    greedy = _greedy_cover(g)
     for gamma in (RED, BLUE):
         tag = f"base:structure-{gamma.value}"
-        if _can_win(1, [c for _, c in cands], (), tag, trace):
-            with _dropped_on_error(tag, trace):
-                add(_structure_attempt(g, gamma), tag)
-    # unguarded: the greedy cover is the candidate that is always there
-    add(_greedy_cover(g), "base:greedy")
+        earlier = [c for _, c in cands]
+        with _dropped_on_error(tag, trace):
+            # least size 1 first, so refine_path runs only if that can win
+            if _can_win(1, earlier, (), tag, trace):
+                s = LongPathStructure(*shared.refined(gamma))
+                if _can_win(_structure_size(s), earlier, [greedy], tag, trace):
+                    add(cover_from_structure(g, s), tag)
+    add(greedy, "base:greedy")
 
     if n > cfg.c and _can_win(1, [c for _, c in cands], (), "bounded:pipeline", trace):
         trace.append("bounded:pipeline")
@@ -340,9 +359,13 @@ def solve(g: Colouring, cfg: SolverConfig | None = None) -> SolveResult:
     Each candidate is built at most once, and only if _can_win over the
     covers in hand, in solve the validated ones: the oracle and greedy
     covers are cover_bounded's, the sqrt step falls back to its pick, and
-    the _Shared pipeline head and reduce covers are built once.  A skipped
-    sqrt step or sqrt:reduce adds no sqrt candidate: the fallback would win
-    the bounded pick's tie.
+    the _Shared pipeline head and reduce covers are built once.  A base
+    structure cover is built only if its exact size can win, and
+    refine_path runs unbounded once per colour, shared by the base
+    structures and the sqrt pipeline's tail when that is unseeded and its
+    degree bound cannot bind (for n <= 4(c + 1)**2, which at the default c
+    is every n).  A skipped sqrt step or sqrt:reduce adds no sqrt
+    candidate: the fallback would win the bounded pick's tie.
     """
     cfg = SolverConfig() if cfg is None else cfg
     shared = _Shared(g, cfg)

@@ -95,8 +95,9 @@ def test_large_reduce_matches_pinned_digest():
 
 
 # the same for red_hub(2000, 1201) under (2, 2, 2): every base cover has
-# more than one path, and both pipelines return one reduction witness
-RED_HUB_REDUCE_DIGEST = "a9484ca12b05f77f073487a549d198bee37b90961e1973328347d84b5dbe83aa"
+# more than one path, and both pipelines return one reduction witness.  The
+# red structure cover (201 paths) is built; the blue one (801) is skipped
+RED_HUB_REDUCE_DIGEST = "b5b4b259004991f66bd229d86ee007365c83cd85f41c2e0b977ea84512433a3e"
 
 
 def test_red_hub_reduce_is_built_once(monkeypatch):
@@ -110,14 +111,14 @@ def test_red_hub_reduce_is_built_once(monkeypatch):
         copies.append(h)
         return real_induced(h, keep)
 
-    def pipeline(h):
+    def pipeline(h, refined):
         heads.append(h)
-        return real_pipeline(h)
+        return real_pipeline(h, refined)
 
     monkeypatch.setattr(Colouring, "induced", induced)
     monkeypatch.setattr(solver, "long_path_pipeline", pipeline)
     rec = _record(g, SolverConfig(2.0, 2.0, 2.0))
-    assert {"sqrt:reduce", "bounded:reduce"} <= set(rec["trace"])
+    assert {"sqrt:reduce", "bounded:reduce", "base:structure-R"} <= set(rec["trace"])
     # one induced copy and one pipeline head for the top-level colouring
     assert sum(h is g for h in copies) == 1
     assert sum(h is g for h in heads) == 1

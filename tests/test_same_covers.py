@@ -48,9 +48,38 @@ def test_tiny_plan_digests_and_compares(tmp_path, capsys):
     ]
 
     # a changed cover digest in the saved run is reported, and fails the gate
-    key, cover, whole = out[per_instance + 1].rsplit(" ", 2)
-    out[per_instance + 1] = f"{key} {'0' * len(cover)} {whole}"
+    key, cover, whole, trace = out[per_instance + 1].rsplit(" ", 3)
+    out[per_instance + 1] = f"{key} {'0' * len(cover)} {whole} {trace}"
     saved.write_text("\n".join(out) + "\n")
     code, diff = _run(capsys, "--plan", plan, "--against", saved)
     assert code == 1
     assert diff[-2] == f"against first cover difference: instance {key} (n=16)"
+
+
+def test_trace_differences_are_counted_per_tag(tmp_path, capsys):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps([[16, hex(3**70)]]))
+    _, out = _run(capsys, "--plan", plan)
+    # two saved records: one with a tag renamed, one with an entry more
+    for i, edit in ((0, lambda t: t.replace("base:greedy", "base:old")), (1, lambda t: t + "|x:y")):
+        key, cover, whole, trace = out[i].rsplit(" ", 3)
+        assert "base:greedy" in trace.split("|")
+        out[i] = f"{key} {cover} {'0' * len(whole)} {edit(trace)}"
+    saved = tmp_path / "saved.txt"
+    saved.write_text("\n".join(out) + "\n")
+
+    code, diff = _run(capsys, "--plan", plan, "--against", saved)
+    assert code == 0
+    tags = [line for line in diff if line.startswith("against tag")]
+    assert tags == [
+        "against tag base:greedy: +1 -0",
+        "against tag base:old: +0 -1",
+        "against tag x:y: +0 -1",
+    ]
+
+    # a saved run without the trace column still compares by digest
+    saved.write_text("\n".join(line.rsplit(" ", 1)[0] for line in out[:-2]) + "\n")
+    code, diff = _run(capsys, "--plan", plan, "--against", saved)
+    assert code == 0
+    assert "against tags: 2 differing records saved without traces" in diff
+    assert not any(line.startswith("against tag ") for line in diff)

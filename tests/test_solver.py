@@ -1,6 +1,9 @@
 import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     all_colourings,
@@ -9,8 +12,8 @@ from conftest import (
     random_colouring_with,
     red_hub,
 )
-from monopath import arith, solver
-from monopath.construct import LongPathStructure, ReductionWitness, maximal_path
+from monopath import arith, construct, solver
+from monopath.construct import LongPathStructure, ReductionWitness, maximal_path, refine_path
 from monopath.core import (
     BLUE,
     RED,
@@ -21,7 +24,7 @@ from monopath.core import (
     PathCover,
     validate_cover,
 )
-from monopath.gen import extremal, random_colouring
+from monopath.gen import extremal, indexed_colouring, random_colouring
 from monopath.oracle import TableInconsistent, exact_f
 from monopath.solver import (
     Guarantee,
@@ -218,6 +221,25 @@ class TestCoverFromStructure:
         assert Path((8,), BLUE) in cover.paths
         assert Path((7, 3), BLUE) in cover.paths
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(["random", "hub", "noisy"]),
+        n=st.integers(1, 60),
+        seed=st.integers(0, 2**32),
+        colour=st.sampled_from([RED, BLUE]),
+    )
+    def test_size_is_read_off_the_degrees(self, kind, n, seed, colour):
+        # the size the structure skip reads is the size of the built cover
+        rng = random.Random(seed)
+        if kind == "random":
+            g = random_colouring(n, rng.random(), seed)
+        elif kind == "hub":
+            g = red_hub(n, rng.randint(1, n))
+        else:
+            g = noisy_colouring(rng, n)
+        s = LongPathStructure(*refine_path(g, colour))
+        assert solver._structure_size(s) == cover_from_structure(g, s).size
+
 
 class TestPipelines:
     def test_bounded_pipeline_on_large_random(self, rng):
@@ -306,12 +328,12 @@ class TestEachCandidateOnce:
 
     def test_fallback_reuses_the_bounded_result(self, monkeypatch):
         g = random_colouring(17, 0.2, 24)
-        seen = _count_calls(monkeypatch, "_structure_attempt", "_greedy_cover")
+        seen = _count_calls(monkeypatch, "refine_path", "_greedy_cover")
         res = solve(g)
         assert "sqrt:fallback" in res.branch_trace
         assert validate_cover(g, res.cover).valid
         # the bounded base strategies ran for the whole graph exactly once
-        assert len(seen["_structure_attempt"]) == 2
+        assert seen["refine_path"] == [g, g]
         assert len(seen["_greedy_cover"]) == 1
 
     def test_once_per_colouring_through_reduce(self, monkeypatch):
@@ -344,7 +366,7 @@ class TestSizeOneSkip:
         assert "bounded:pipeline" not in res.branch_trace
         assert "bounded:pipeline:skipped" in res.branch_trace
         assert res.branch_trace[-1] == f"pick:base:structure-{colour.value}"
-        assert res.cover == solver._structure_attempt(g, colour)
+        assert res.cover == cover_from_structure(g, LongPathStructure(*refine_path(g, colour)))
         assert res.cover.size == 1
 
     def test_pipeline_runs_without_a_single_path_base(self, monkeypatch):
@@ -358,15 +380,71 @@ class TestSizeOneSkip:
         assert validate_cover(g, res.cover).valid
 
 
+class TestStructureSkip:
+    """A structure cover is built only if its exact size can win, and each
+    colour's unbounded refine_path runs once per solve."""
+
+    def test_extremal_builds_no_red_structure_cover(self, monkeypatch):
+        # red 42 paths, blue 10 and greedy 10: red loses to the greedy cover,
+        # blue wins the tie with it, and the sqrt step builds its own
+        g = extremal(100)
+        built = []
+        real = solver.cover_from_structure
+        monkeypatch.setattr(
+            solver,
+            "cover_from_structure",
+            lambda h, s: built.append(s.path.colour) or real(h, s),
+        )
+        res = solve(g)
+        assert built == [BLUE, BLUE]
+        assert res.branch_trace[2:5] == (
+            "base:structure-R:skipped", "base:structure-B", "base:greedy",
+        )
+        assert solver._greedy_cover(g).size == 10
+        assert res.cover.size == 10
+        assert validate_cover(g, res.cover).valid
+
+    def test_extremal_refines_once_per_colour(self, monkeypatch):
+        # the sqrt pipeline's tail is unseeded and its degree bound exceeds
+        # n - 1 at default constants, so it reuses the base run of its colour
+        g = extremal(100)
+        runs = []
+        for module in (construct, solver):
+            real = module.refine_path
+
+            def wrapper(h, gamma, *args, _real=real):
+                runs.append((h, gamma))
+                return _real(h, gamma, *args)
+
+            monkeypatch.setattr(module, "refine_path", wrapper)
+        res = solve(g)
+        assert "sqrt:y-exit" in res.branch_trace
+        assert runs == [(g, RED), (g, BLUE)]
+
+    def test_bounded_tail_does_not_reuse(self, monkeypatch):
+        # at slack 0 the bound 2 sqrt(n) is below n - 1, so the bounded
+        # pipeline runs its own bounded refine_path
+        g = red_hub(10, 8)
+        runs = []
+        real = construct.refine_path
+        monkeypatch.setattr(
+            construct, "refine_path", lambda h, *args: runs.append(args) or real(h, *args)
+        )
+        res = cover_bounded(g, SolverConfig(2.0, 0.0, 2.0))
+        assert "bounded:y-exit" in res.branch_trace
+        assert len(runs) == 1 and runs[0][2] == arith.floor_of_coeff_sqrt(2, g.n)
+
+
 class TestPickRule:
     """A candidate is built only while it can still win the pick
     (solver._can_win); a reduce cover has at least two paths."""
 
     def test_structure_b_not_built_after_a_single_path(self, monkeypatch):
+        # least size 1 rules blue out before its refine_path runs
         g = random_colouring(200, 0.5, 0)
-        seen = _count_calls(monkeypatch, "_structure_attempt")
+        seen = _count_calls(monkeypatch, "refine_path", "cover_from_structure")
         res = cover_bounded(g, SolverConfig(2.0, 2.0, 2.0))
-        assert len(seen["_structure_attempt"]) == 1
+        assert seen == {"refine_path": [g], "cover_from_structure": [g]}
         assert "base:structure-B:skipped" in res.branch_trace
         assert res.cover.size == 1
 
@@ -383,17 +461,21 @@ class TestPickRule:
     def test_skip_reads_a_validated_cover(self, monkeypatch):
         # the top-level colouring's structure cover becomes an invalid single
         # path; the sub-colouring that reduce recurses into keeps its real
-        # ones, so the sqrt:reduce cover stays valid and must be built
+        # ones, so the sqrt:reduce cover stays valid and must be built.  The
+        # blue structure cover (145 paths, as many as the greedy cover) is
+        # still built; the red one (157) is skipped before any builder runs
         g = red_hub(600, 457)
-        real = solver._structure_attempt
+        real = solver.cover_from_structure
 
-        def invalid_for_g(h, gamma):
+        def invalid_for_g(h, s):
             if h is g:
-                return PathCover(RED, (Path((1,), RED),), h.n)
-            return real(h, gamma)
+                return PathCover(s.path.colour, (Path((1,), s.path.colour),), h.n)
+            return real(h, s)
 
-        monkeypatch.setattr(solver, "_structure_attempt", invalid_for_g)
+        monkeypatch.setattr(solver, "cover_from_structure", invalid_for_g)
         res = solve(g, SolverConfig(2.0, 2.0, 2.0))
+        assert "base:structure-B" in res.branch_trace
+        assert "base:structure-R:skipped" in res.branch_trace
         assert "bounded:invalid-dropped" in res.branch_trace
         assert res.branch_trace[0] == "sqrt:reduce"
         assert res.branch_trace[-1] == "pick:sqrt"
@@ -489,7 +571,11 @@ class TestFailingCandidate:
         ids=["default", "1,0,1"],
     )
     def test_cover_from_structure_error(self, monkeypatch, cfg, bounded_tag):
-        g = extremal(100)
+        # both structure covers can win over the greedy cover here, so both
+        # are built (on extremal(100) the red one is skipped by its size);
+        # the blue one only because the failed red one is not in hand
+        g = indexed_colouring(15, 0x427FFFE0E8E1711803043881D0)
+        assert "base:structure-B:skipped" in solve(g, cfg).branch_trace
 
         def fail(g, s):
             raise GuardFailed("injected")

@@ -7,6 +7,8 @@ f-string stands for every entry that matches it with its fields filled in;
 a stage handed to `_dropped_on_error` is reached by the stage's own entry or
 by `<stage>:error(<ExceptionName>)`.  A tag literal added to solver.py
 without an entry in CENSUS fails `test_every_tag_literal_has_an_instance`.
+A key may end in `#<reason>`: a second instance that reaches the same entry
+another way.
 
 Entries with a stand-in (their fourth field) are reached only through a
 monkeypatched failure, since no correct input reaches them:
@@ -102,7 +104,7 @@ CENSUS = {
         lambda: random_colouring(10, 0.5, 3), DEFAULT, solve,
         ("exact_f", _raise_table),
     ),
-    "base:structure-R": (lambda: extremal(100), DEFAULT, solve, None),
+    "base:structure-R": (lambda: random_colouring(200, 0.5, 0), C222, solve, None),
     "base:greedy": (lambda: extremal(100), DEFAULT, solve, None),
     "greedy": (lambda: extremal(100), DEFAULT, solve, None),
     "bounded": (lambda: extremal(100), DEFAULT, solve, None),
@@ -174,7 +176,18 @@ CENSUS = {
     # the red structure cover has two paths, the bounded witness's reduce
     # at least as many, and it would come later in the pick order
     "bounded:reduce:skipped": (lambda: red_hub(16, 10), C2, solve, None),
+    # skips by a structure cover's exact size: extremal(100)'s red one has
+    # 42 paths, more than the greedy cover's 10, which comes after it
+    "base:structure-R:skipped#size": (lambda: extremal(100), DEFAULT, solve, None),
+    # red_hub(2000, 1201)'s blue one has 801 paths, more than the red one's
+    # 201 before it
+    "base:structure-B:skipped#size": (lambda: red_hub(2000, 1201), DEFAULT, solve, None),
 }
+
+
+def _entry(key: str) -> str:
+    """The trace entry a CENSUS key stands for."""
+    return key.partition("#")[0]
 
 
 def _field_pattern(node: ast.AST) -> str | None:
@@ -218,12 +231,13 @@ def tag_patterns() -> set[str]:
 def test_every_tag_literal_has_an_instance():
     patterns = tag_patterns()
     assert {re.escape("sqrt:y-exit"), "pick:.+", r".+:error\(.+\)"} <= patterns
+    entries = {_entry(key) for key in CENSUS}
     unreached = [
-        p for p in sorted(patterns) if not any(re.fullmatch(p, e) for e in CENSUS)
+        p for p in sorted(patterns) if not any(re.fullmatch(p, e) for e in entries)
     ]
     assert unreached == []
     stale = [
-        e for e in sorted(CENSUS) if not any(re.fullmatch(p, e) for p in patterns)
+        e for e in sorted(entries) if not any(re.fullmatch(p, e) for p in patterns)
     ]
     assert stale == []
 
@@ -235,6 +249,6 @@ def test_census_entry_is_reached(monkeypatch, entry):
         monkeypatch.setattr(solver, *injected)
     g = build()
     res = entry_point(g, cfg)
-    assert entry in res.branch_trace, res.branch_trace
+    assert _entry(entry) in res.branch_trace, res.branch_trace
     assert validate_cover(g, res.cover).valid
     assert not any("|" in t for t in res.branch_trace)
