@@ -331,6 +331,8 @@ def _grow_rotate(adj: Sequence[int], start: int) -> list[int]:
         free = grow_end(adj, path, free)
         if len(path) > size:
             flipped_once = False
+        if not free:  # spanning: both scans below would fail, flipping it once
+            return path[::-1]
         # the tail is stuck, so all its neighbours are on the path
         on_path = adj[path[-1] - 1]
         for i in range(len(path) - 2):
@@ -344,10 +346,11 @@ def _grow_rotate(adj: Sequence[int], start: int) -> list[int]:
             flipped_once = True
 
 
-def _best_greedy(adj: Sequence[int], verts: list[int]) -> list[int]:
+def _best_greedy(adj: Sequence[int], verts: Sequence[int]) -> list[int]:
+    """_grow_rotate from the first of verts with a neighbour, else [verts[0]]."""
     start = next((v for v in verts if adj[v - 1]), None)
     if start is None:
-        return verts[:1]
+        return list(verts[:1])
     return _grow_rotate(adj, start)
 
 

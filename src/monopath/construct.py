@@ -308,7 +308,8 @@ def long_path_pipeline(g: Colouring, refined):
         adj[v - 1] = rows[v - 1] & wmask
     for v in w:
         adj[v - 1] = rows[v - 1] & qmask
-    probe = _best_greedy(adj, mask_vertices(qmask | wmask))
+    # rows off q and w are 0, and vertex 1 is in q or (lowest off q) in w
+    probe = _best_greedy(adj, range(1, n + 1))
 
     def tail(slack: float):
         dp = arith._frac(slack) + 1

@@ -92,7 +92,7 @@ def _pick(
 
 
 def _reduce_guard(n: int, w: ReductionWitness, slack: float) -> None:
-    size = vertex_mask(w.S).bit_count()
+    size = len(set(w.S))
     if not arith.reduce_guard(n, size, slack, w.k):
         raise GuardFailed(f"sqrt({n}-{size}) + {slack} + {w.k} > sqrt({n})")
 
@@ -196,16 +196,20 @@ def _strip_and_mop(g: Colouring, s: LongPathStructure) -> PathCover:
 class _Shared:
     """What one solve's bounded pass hands to its sqrt step: refine_path,
     unseeded and unbounded, once per colour, which the base structures read
-    and the pipeline tail reuses when its degree bound cannot bind; the
-    pipeline with its slack-free head run once; and reduce, whose cover
-    reads no slack, once per witness at slack 0, the weakest guard (the sqrt
-    step checks its own first)."""
+    and the pipeline tail reuses when its degree bound cannot bind; one
+    cover_from_structure per path, shared by a base structure and the sqrt
+    y-exit; the pipeline with its slack-free head run once; and reduce,
+    whose cover reads no slack, once per witness at slack 0, the weakest
+    guard (the sqrt step checks its own first)."""
 
     def __init__(self, g: Colouring, cfg: SolverConfig):
         self.refined = cache(lambda gamma: refine_path(g, gamma))
         head = cache(lambda: long_path_pipeline(g, self.refined))
         self.structure = lambda slack: head()(slack)
         self.reduce = cache(lambda w: reduce(g, w, cfg, 0))
+        covers: dict[Path, PathCover] = {}  # a structure's degrees follow from its path
+        self.cover = lambda s: covers.get(s.path) or covers.setdefault(
+            s.path, cover_from_structure(g, s))
 
 
 def _can_win(least: int, earlier, later, tag: str, trace: list[str]) -> bool:
@@ -263,7 +267,7 @@ def _bounded_candidates(
             if _can_win(1, earlier, (), tag, trace):
                 s = LongPathStructure(*shared.refined(gamma))
                 if _can_win(_structure_size(s), earlier, [greedy], tag, trace):
-                    add(cover_from_structure(g, s), tag)
+                    add(shared.cover(s), tag)
     add(greedy, "base:greedy")
 
     if n > cfg.c and _can_win(1, [c for _, c in cands], (), "bounded:pipeline", trace):
@@ -320,7 +324,7 @@ def _sqrt_step(
     coeff = 18 * Fraction(cfg.c)
     if arith.le_sqrt_minus_quartic(len(y0), n, coeff) or (len(s.y_degrees) + 1) ** 2 <= n:
         with _dropped_on_error("sqrt", trace):
-            cov = cover_from_structure(g, s)
+            cov = shared.cover(s)
             trace.append("sqrt:y-exit")
             return cov
         return None

@@ -1,0 +1,48 @@
+"""scripts/bench_compare.py on two tiny benchmark files: medians, relative
+changes and the marks past each metric's bound in BENCHMARK.json."""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path as FilePath
+
+sys.path.insert(0, str(FilePath(__file__).resolve().parent.parent / "scripts"))
+
+import bench_compare  # noqa: E402
+
+DATA = FilePath(__file__).resolve().parent / "data"
+BEFORE = DATA / "bench_compare_before.json"
+AFTER = DATA / "bench_compare_after.json"
+
+
+def _table(capsys, *argv) -> tuple[int, dict[tuple[str, str], list[str]]]:
+    code = bench_compare.main([str(a) for a in argv])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split()[:2] == ["workload", "metric"]
+    rows = [line.split() for line in lines[1:]]
+    return code, {(r[0], r[1]): r[2:] for r in rows}
+
+
+def test_marks_changes_past_the_bound(capsys):
+    code, rows = _table(capsys, BEFORE, AFTER)
+    assert code == 1  # hub's peak_rss_mb is worse by more than 5 %
+    assert rows["hub", "peak_rss_mb"] == ["39", "41.5", "+6.4%", "WORSE"]
+    # lower is better for a time, higher for a rate; 25 % is past 20 %
+    assert rows["random-deep", "solve_s_p50"] == ["0.01", "0.0075", "-25.0%", "better"]
+    assert rows["random-deep", "solves_per_s"] == ["100", "125", "+25.0%", "better"]
+    # within its 25 % bound: no mark
+    assert rows["random-deep", "solve_s_tail"] == ["0.02", "0.021", "+5.0%"]
+    assert rows["hub", "cover_size_sum"] == ["66", "66", "+0.0%"]
+    # a workload neither file holds
+    assert rows["oracle-sweep", "setup_s"] == ["-", "-", "-"]
+
+
+def test_every_declared_pair_is_listed_and_nothing_worse_passes(capsys):
+    code, rows = _table(capsys, BEFORE, BEFORE)
+    assert code == 0
+    declared = json.loads(bench_compare.BENCHMARK.read_text())
+    assert list(rows) == [
+        (w["name"], m["name"]) for w in declared["workloads"] for m in declared["end_to_end"]
+    ]
+    assert all(r[-1] in ("+0.0%", "-") for r in rows.values())

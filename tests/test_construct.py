@@ -253,6 +253,25 @@ def _colouring_and_colour(draw, least=1):
 
 
 @st.composite
+def _bipartite_sides(draw):
+    """A bipartite graph on 1..n, n <= 60, split into two drawn sides, with
+    each cross pair an edge with a drawn probability of at least 0.8 (1:
+    complete bipartite), so that grow-and-rotate often spans it.  n = 1 is
+    the single vertex, whose path spans from the start."""
+    n = draw(st.integers(1, 60))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    p = draw(st.sampled_from((1.0, 1.0, 0.95, 0.8)))
+    xs = set(rng.sample(range(1, n + 1), draw(st.integers(0, n))))
+    adj = {v: 0 for v in range(1, n + 1)}
+    for x in xs:
+        for y in adj.keys() - xs:
+            if rng.random() < p:
+                adj[x] |= 1 << (y - 1)
+                adj[y] |= 1 << (x - 1)
+    return adj
+
+
+@st.composite
 def _adjacency(draw):
     """One colour class as an adjacency dict keyed by vertex and as the rows
     list bipartite's path search reads: either its edges between two drawn
@@ -293,6 +312,16 @@ def _rotation_case(draw):
     return g, Path(tuple(p), gamma), y
 
 
+def _assert_path_search_matches(adj, rows, data):
+    """bipartite's greedy path search on rows equals the dict loops on adj,
+    for the best greedy path and from three drawn starts."""
+    verts = sorted(adj)
+    assert bipartite._best_greedy(rows, verts) == _best_greedy_dict(adj, verts)
+    starts = data.draw(st.lists(st.sampled_from(verts), min_size=3, max_size=3))
+    for start in starts:
+        assert bipartite._grow_rotate(rows, start) == _grow_rotate_dict(adj, start)
+
+
 class TestKernelReferences:
     """The rewritten kernels against the loops they replaced."""
 
@@ -312,11 +341,24 @@ class TestKernelReferences:
     @settings(max_examples=200, deadline=None)
     def test_grow_rotate_matches_dict_reference(self, case, data):
         adj, rows = case
-        verts = sorted(adj)
-        assert bipartite._best_greedy(rows, verts) == _best_greedy_dict(adj, verts)
-        starts = data.draw(st.lists(st.sampled_from(verts), min_size=3, max_size=3))
-        for start in starts:
-            assert bipartite._grow_rotate(rows, start) == _grow_rotate_dict(adj, start)
+        _assert_path_search_matches(adj, rows, data)
+
+    @given(_bipartite_sides(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_grow_rotate_matches_dict_reference_when_spanning(self, adj, data):
+        _assert_path_search_matches(adj, [adj[v] for v in range(1, len(adj) + 1)], data)
+
+    @pytest.mark.parametrize(
+        "rows, start, want",
+        [
+            ([0], 1, [1]),  # a single vertex spans from the start
+            ([0b10, 0b101, 0b10], 1, [3, 2, 1]),  # spans before any flip
+            ([0b10, 0b101, 0b10], 2, [3, 2, 1]),  # spans after one flip
+        ],
+    )
+    def test_spanning_path_ends_as_the_reference(self, rows, start, want):
+        adj = {v: row for v, row in enumerate(rows, 1)}
+        assert bipartite._grow_rotate(rows, start) == _grow_rotate_dict(adj, start) == want
 
     @given(_colouring_and_colour())
     @settings(max_examples=100, deadline=None)

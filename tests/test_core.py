@@ -17,7 +17,9 @@ from monopath.core import (
     PathCover,
     edge_count,
     iter_edges,
+    mask_vertices,
     validate_cover,
+    vertex_mask,
 )
 
 
@@ -63,6 +65,54 @@ def _colouring_and_keep(draw):
     if n > 1:
         keeps.append(st.lists(st.integers(1, n - 1), min_size=1, max_size=n))
     return g, draw(st.one_of(keeps))
+
+
+_FORMS = {
+    "list": list,
+    "tuple": tuple,
+    "generator": lambda vs: (v for v in vs),
+    "dict keys": dict.fromkeys,
+}
+
+
+def _round_trips(vertices: list[int], form: str) -> None:
+    mask = vertex_mask(_FORMS[form](vertices))
+    assert mask == sum(1 << (v - 1) for v in set(vertices))
+    assert mask_vertices(mask) == sorted(set(vertices))
+    assert vertex_mask(mask_vertices(mask)) == mask
+
+
+class TestMaskHelpers:
+    """vertex_mask parses one digit string for k vertices of top vertex t when
+    (k - 28) * 28 >= t, and ORs one bit per vertex otherwise; both must give
+    the mask of the vertex set, which mask_vertices lists back in ascending
+    order."""
+
+    @given(st.data(), st.integers(1, 3000), st.sampled_from(sorted(_FORMS)))
+    @settings(max_examples=300, deadline=None)
+    def test_round_trip(self, data, n, form):
+        _round_trips(data.draw(st.lists(st.integers(1, n), max_size=200)), form)
+
+    @pytest.mark.parametrize("form", sorted(_FORMS))
+    @pytest.mark.parametrize(
+        "k, top",
+        [(29, 28), (30, 56), (100, 2016), (30, 57), (100, 2017), (28, 1)],
+    )
+    def test_round_trip_either_side_of_the_cut(self, k, top, form):
+        # the first three parse, the last three take the loop; unsorted, and
+        # repeated where k exceeds top
+        vertices = [top - i % top for i in range(k)]
+        _round_trips(vertices, form)
+
+    @given(st.integers(0, 200), st.integers(-3000, 0), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_vertex_below_one_raises(self, length, bad, data):
+        vertices = list(range(1, length + 1))
+        vertices.insert(data.draw(st.integers(0, length)), bad)
+        with pytest.raises(ValueError):
+            vertex_mask(vertices)
+        with pytest.raises(ValueError):
+            vertex_mask(v for v in vertices)
 
 
 class TestColouring:

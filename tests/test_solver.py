@@ -157,6 +157,15 @@ class TestReduce:
         with pytest.raises(GuardFailed):
             reduce(g, w, SolverConfig(), 0.0)
 
+    def test_guard_counts_a_repeated_vertex_of_s_once(self):
+        # sqrt(100 - |S|) + 0 + k <= 10 with k = 1 holds from |S| = 19 on;
+        # 18 distinct vertices with one repeated must still fail, with |S| = 18
+        red = (Path((1,), RED),)
+        solver._reduce_guard(100, ReductionWitness(tuple(range(1, 20)), red, ()), 0)
+        repeated = ReductionWitness((1, *range(1, 19)), red, ())
+        with pytest.raises(GuardFailed, match=r"sqrt\(100-18\)"):
+            solver._reduce_guard(100, repeated, 0)
+
     def test_empty_keep_returns_red_family(self):
         g = Colouring.monochromatic(3, RED)
         w = ReductionWitness(
@@ -386,7 +395,8 @@ class TestStructureSkip:
 
     def test_extremal_builds_no_red_structure_cover(self, monkeypatch):
         # red 42 paths, blue 10 and greedy 10: red loses to the greedy cover,
-        # blue wins the tie with it, and the sqrt step builds its own
+        # blue wins the tie with it, and the sqrt step's y-exit reads the
+        # same structure, so it takes that cover instead of a second build
         g = extremal(100)
         built = []
         real = solver.cover_from_structure
@@ -396,7 +406,8 @@ class TestStructureSkip:
             lambda h, s: built.append(s.path.colour) or real(h, s),
         )
         res = solve(g)
-        assert built == [BLUE, BLUE]
+        assert built == [BLUE]
+        assert "sqrt:y-exit" in res.branch_trace
         assert res.branch_trace[2:5] == (
             "base:structure-R:skipped", "base:structure-B", "base:greedy",
         )
