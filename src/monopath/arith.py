@@ -5,6 +5,12 @@ sqrt(n) and n**(1/4).  Floating point is not trusted anywhere near these
 boundaries; each predicate below is an algebraic rewrite of its inequality
 into integer/rational comparisons (squaring only ever applied to sides known
 to be non-negative, so each rewrite is an equivalence, not a relaxation).
+
+The ranges in the docstrings below are the callers' to keep, and nothing
+here checks them: solver and construct pass counts and coefficients
+>= 0, 0 <= s <= n and divisors >= 1.  Only a coefficient's type and
+finiteness are checked, in _frac, since find_long_path_structure hands its
+slack argument straight to it.
 """
 
 from __future__ import annotations
@@ -34,8 +40,6 @@ def le_sqrt_plus_quartic(count: int, n: int, coeff) -> bool:
     and two squarings give (a**2 + n)**2 <= (2a + K**2)**2 * n.
     """
     k = _frac(coeff)
-    if k < 0:
-        raise ValueError("coefficient must be non-negative")
     a = count
     if a <= 0 or a * a <= n:
         return True
@@ -50,11 +54,7 @@ def le_sqrt_minus_quartic(count: int, n: int, coeff) -> bool:
     more squaring clears the radical.
     """
     k = _frac(coeff)
-    if k < 0:
-        raise ValueError("coefficient must be non-negative")
     a = count
-    if a < 0:
-        raise ValueError("count must be non-negative")
     if a == 0 and k == 0:
         return True
     if a * a > n:
@@ -69,8 +69,6 @@ def reduce_guard(n: int, s: int, c, k: int) -> bool:
     passes (s >= 0); otherwise needs d**2 <= n and, after squaring,
     2*d*sqrt(n) <= s + d**2, cleared to 4*d**2*n <= (s + d**2)**2.
     """
-    if not 0 <= s <= n:
-        raise ValueError(f"need 0 <= s <= n, got s={s}, n={n}")
     d = _frac(c) + k
     if d <= 0:
         return True
@@ -97,14 +95,11 @@ def ceil_of_coeff_sqrt(coeff, n: int) -> int:
 def floor_of_coeff_sqrt(coeff, n: int) -> int:
     """floor(coeff * sqrt(n)) for coeff >= 0: greatest k >= 0 with k**2 <= coeff**2 * n."""
     c = _frac(coeff)
-    if c < 0:
-        raise ValueError("coefficient must be non-negative")
     target = c * c * n
     # for an integer k, k**2 <= target exactly when k**2 <= floor(target)
     return isqrt(target.numerator // target.denominator)
 
 
 def ceil_div(a: int, b: int) -> int:
-    if b <= 0:
-        raise ValueError("positive divisor required")
+    """ceil(a / b) for b > 0."""
     return -(-a // b)

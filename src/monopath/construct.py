@@ -189,9 +189,14 @@ def refine_path(
     memoised: a LongerPath contains y, and it or a certificate ends the scan
     anyway.
     """
+    return _refine(g, gamma, *_grow(g, gamma, *_start(g, gamma, seed_path)), bound)
+
+
+def _refine(g: Colouring, gamma: Colour, p: Path, free: int, bound):
+    """refine_path from the grown path p, free being the mask of the vertices
+    off it: a caller that already grew the unseeded start passes it here."""
     everyone = (1 << g.n) - 1
     rows = g.rows(gamma)
-    p, free = _grow(g, gamma, *_start(g, gamma, seed_path))
     while True:
         degs: dict[int, int] = {}
         pmask = everyone ^ free
@@ -279,8 +284,8 @@ def find_long_path_structure(g: Colouring, slack: float):
 def long_path_pipeline(g: Colouring, refined):
     """find_long_path_structure(g, .) as a function of the slack >= 0.  The
     head of the pipeline, which reads no slack (two_path_cover, the halves q
-    and w, and the probe), runs here once, so a caller that needs two
-    slacks shares it.
+    and w, the probe and its vertices in q), runs here once, so a caller
+    that needs two slacks shares it.
 
     refined(gamma) must return refine_path(g, gamma), unseeded and
     unbounded.  The tail calls it in place of refine_path when it has no
@@ -310,13 +315,14 @@ def long_path_pipeline(g: Colouring, refined):
         adj[v - 1] = rows[v - 1] & qmask
     # rows off q and w are 0, and vertex 1 is in q or (lowest off q) in w
     probe = _best_greedy(adj, range(1, n + 1))
+    qset = set(q)
+    probe_q = qset.intersection(probe)
 
     def tail(slack: float):
         dp = arith._frac(slack) + 1
         t = arith.ceil_of_coeff_sqrt(2 * dp, n)  # witness size target
-        s = mask_vertices(vertex_mask(probe) & qmask)
-        if len(s) >= t and len(probe) > 1:
-            return _witness(s, [Path(tuple(probe), other), Path(q, gamma)])
+        if len(probe_q) >= t and len(probe) > 1:
+            return _witness(probe_q, [Path(tuple(probe), other), Path(q, gamma)])
 
         # k (the opposite colour's target) is odd, l (gamma's) even and both
         # sides hold ceil((k + l)/2) vertices, so of ramsey_path's errors only
@@ -334,7 +340,7 @@ def long_path_pipeline(g: Colouring, refined):
                     # greedy opening is the probe's, and an opposite-colour path
                     # of >= 2t - 1 edges alternates, so it holds >= t vertices
                     # of q
-                    s = mask_vertices(vertex_mask(out.path.vertices) & qmask)
+                    s = qset.intersection(out.path.vertices)
                     return _witness(s, [out.path, Path(q, gamma)])
             except CannotCertify:
                 pass

@@ -23,8 +23,8 @@ from .construct import (
     LongPathStructure,
     ReductionWitness,
     _grow,
+    _refine,
     long_path_pipeline,
-    refine_path,
     strip_paths,
 )
 from .core import (
@@ -155,12 +155,13 @@ def cover_from_structure(g: Colouring, s: LongPathStructure) -> PathCover:
     return PathCover(gamma, tuple(paths), g.n)
 
 
-def _greedy_cover(g: Colouring) -> PathCover:
-    """Strip maximal paths of the globally majority colour; always valid."""
+def _greedy_cover(g: Colouring, first) -> PathCover:
+    """Strip maximal paths of the globally majority colour; always valid.
+    The first of them is first(gamma), _Shared.first's."""
     red_edges = sum(map(int.bit_count, g.rows(RED))) // 2
     gamma = RED if 4 * red_edges >= g.n * (g.n - 1) else BLUE
-    alive = (1 << g.n) - 1
-    paths = []
+    p, alive = first(gamma)
+    paths = [p]
     while alive:
         p, alive = _grow(g, gamma, [], alive)
         paths.append(p)
@@ -194,16 +195,20 @@ def _strip_and_mop(g: Colouring, s: LongPathStructure) -> PathCover:
 
 
 class _Shared:
-    """What one solve's bounded pass hands to its sqrt step: refine_path,
-    unseeded and unbounded, once per colour, which the base structures read
-    and the pipeline tail reuses when its degree bound cannot bind; one
-    cover_from_structure per path, shared by a base structure and the sqrt
-    y-exit; the pipeline with its slack-free head run once; and reduce,
-    whose cover reads no slack, once per witness at slack 0, the weakest
-    guard (the sqrt step checks its own first)."""
+    """What one solve's bounded pass hands to its sqrt step: each colour's
+    first maximal path from the lowest vertex, with the mask of the vertices
+    off it, grown once, which the greedy cover strips first and refine_path
+    rotates from; refine_path, unseeded and unbounded, once per colour, which
+    the base structures read and the pipeline tail reuses when its degree
+    bound cannot bind; one cover_from_structure per path, shared by a base
+    structure and the sqrt y-exit; the pipeline with its slack-free head run
+    once; and reduce, whose cover reads no slack, once per witness at slack
+    0, the weakest guard (the sqrt step checks its own first)."""
 
     def __init__(self, g: Colouring, cfg: SolverConfig):
-        self.refined = cache(lambda gamma: refine_path(g, gamma))
+        full = (1 << g.n) - 1
+        self.first = cache(lambda gamma: _grow(g, gamma, [], full))
+        self.refined = cache(lambda gamma: _refine(g, gamma, *self.first(gamma), None))
         head = cache(lambda: long_path_pipeline(g, self.refined))
         self.structure = lambda slack: head()(slack)
         self.reduce = cache(lambda w: reduce(g, w, cfg, 0))
@@ -212,12 +217,18 @@ class _Shared:
             s.path, cover_from_structure(g, s))
 
 
-def _can_win(least: int, earlier, later, tag: str, trace: list[str]) -> bool:
+def _can_win(
+    least: int, earlier, later, tag: str, trace: list[str], ok=lambda cover: True
+) -> bool:
     """Whether a cover of at least `least` paths (exactly, for a structure
-    cover) can still win the pick: no cover in hand before it in pick order
-    may have <= least paths, none after it < least.  If not, trace
-    <tag>:skipped; the caller skips it."""
-    if all(c.size > least for c in earlier) and all(c.size >= least for c in later):
+    cover) can still win the pick: no valid cover in hand before it in pick
+    order may have <= least paths, none after it < least.  ok(cover) says
+    whether a held cover is valid, and is asked only of the covers whose
+    size would rule this one out.  If it cannot win, trace <tag>:skipped; the
+    caller skips it."""
+    if all(c.size > least or not ok(c) for c in earlier) and all(
+        c.size >= least or not ok(c) for c in later
+    ):
         return True
     trace.append(f"{tag}:skipped")
     return False
@@ -258,7 +269,7 @@ def _bounded_candidates(
         with _dropped_on_error("base:oracle", trace):
             add(exact_f(g).witness, "base:oracle")
     # unguarded: the greedy cover is the candidate that is always there
-    greedy = _greedy_cover(g)
+    greedy = _greedy_cover(g, shared.first)
     for gamma in (RED, BLUE):
         tag = f"base:structure-{gamma.value}"
         earlier = [c for _, c in cands]
@@ -298,13 +309,19 @@ def cover_bounded(g: Colouring, cfg: SolverConfig) -> SolveResult:
 
 
 def _sqrt_step(
-    g: Colouring, cfg: SolverConfig, trace: list[str], shared: _Shared, held=((), ())
+    g: Colouring,
+    cfg: SolverConfig,
+    trace: list[str],
+    shared: _Shared,
+    held=((), ()),
+    ok=lambda cover: True,
 ) -> PathCover | None:
     """The sqrt-bound step, or None when a guard fails, a stage raises or
     _can_win skips its reduce over the covers held before and after it in
-    pick order; the trace records the branch taken, the guard that failed,
-    the skip or <stage>:error(<exception name>), the stage being
-    sqrt:pipeline, sqrt:reduce, sqrt:decompose or, for the exits, sqrt."""
+    pick order, ok telling which of them are valid; the trace records the
+    branch taken, the guard that failed, the skip or
+    <stage>:error(<exception name>), the stage being sqrt:pipeline,
+    sqrt:reduce, sqrt:decompose or, for the exits, sqrt."""
     n = g.n
     s = None
     with _dropped_on_error("sqrt:pipeline", trace):
@@ -312,7 +329,7 @@ def _sqrt_step(
     if isinstance(s, ReductionWitness):
         with _dropped_on_error("sqrt:reduce", trace):
             _reduce_guard(n, s, cfg.c)
-            if not _can_win(2, *held, "sqrt:reduce", trace):
+            if not _can_win(2, *held, "sqrt:reduce", trace, ok):
                 return None
             cov = shared.reduce(s)
             trace.append("sqrt:reduce")
@@ -361,42 +378,63 @@ def solve(g: Colouring, cfg: SolverConfig | None = None) -> SolveResult:
     and the greedy cover; strictly smaller size wins, then strategy order.
 
     Each candidate is built at most once, and only if _can_win over the
-    covers in hand, in solve the validated ones: the oracle and greedy
-    covers are cover_bounded's, the sqrt step falls back to its pick, and
-    the _Shared pipeline head and reduce covers are built once.  A base
-    structure cover is built only if its exact size can win, and
-    refine_path runs unbounded once per colour, shared by the base
+    valid covers in hand: the oracle and greedy covers are cover_bounded's,
+    the sqrt step falls back to its pick, and the _Shared pipeline head and
+    reduce covers are built once.  A base structure cover is built only if
+    its exact size can win, and refine_path runs unbounded once per colour,
+    from the same first path as the greedy cover, shared by the base
     structures and the sqrt pipeline's tail when that is unseeded and its
     degree bound cannot bind (for n <= 4(c + 1)**2, which at the default c
     is every n).  A skipped sqrt step or sqrt:reduce adds no sqrt
     candidate: the fallback would win the bounded pick's tie.
+
+    validate_cover checks only the covers the pick can reach: a held cover
+    when its size would make _can_win skip a stage, and the candidates in
+    (size, order) up to the first valid one, which wins.  A cover found
+    invalid is traced <tag>:invalid-dropped in its own place; one the pick
+    never reaches is not checked and keeps its plain tag.
     """
     cfg = SolverConfig() if cfg is None else cfg
     shared = _Shared(g, cfg)
     base, bounded_trace = _bounded_candidates(g, cfg, shared)
     built = dict(base)
     bounded = _pick(g.n, cfg, base, bounded_trace)
-    valid = cache(lambda cover: validate_cover(g, cover).valid)
+    # validate_cover's verdict per cover checked, by id: hashing a cover
+    # reads every vertex, and every cover here lives until solve returns
+    verdicts: dict[int, bool] = {}
+
+    def ok(cover: PathCover) -> bool:
+        if id(cover) not in verdicts:
+            verdicts[id(cover)] = validate_cover(g, cover).valid
+        return verdicts[id(cover)]
+
+    oracle = [built["base:oracle"]] if "base:oracle" in built else []
+    held = (oracle, [bounded.cover, built["base:greedy"]])
+    steps: list[str] = []  # the sqrt step's trace
+    sqrt = None
+    if _can_win(1, *held, "sqrt:pipeline", steps, ok):
+        sqrt = _sqrt_step(g, cfg, steps, shared, held, ok)
+        if sqrt is None and steps[-1] != "sqrt:reduce:skipped":
+            steps.append("sqrt:fallback")
+            sqrt = bounded.cover
+    # the pick reaches the candidates in (size, order) up to the first valid one
+    reach = [c for c in (*oracle, sqrt, bounded.cover, built["base:greedy"]) if c is not None]
+    any(ok(c) for c in sorted(reach, key=lambda c: c.size))
     trace: list[str] = []
     cands: list[tuple[str, PathCover]] = []
 
     def add(cover: PathCover, tag: str) -> None:
-        if not valid(cover):
+        if not verdicts.get(id(cover), True):
             trace.append(f"{tag}:invalid-dropped")
             return
         trace.append(tag)
         cands.append((tag, cover))
 
-    if "base:oracle" in built:
-        add(built["base:oracle"], "oracle")
-    held = ([c for _, c in cands], [c for c in (bounded.cover, built["base:greedy"]) if valid(c)])
-    if _can_win(1, *held, "sqrt:pipeline", trace):
-        sqrt = _sqrt_step(g, cfg, trace, shared, held)
-        if sqrt is None and trace[-1] != "sqrt:reduce:skipped":
-            trace.append("sqrt:fallback")
-            sqrt = bounded.cover
-        if sqrt is not None:
-            add(sqrt, "sqrt")
+    for cover in oracle:
+        add(cover, "oracle")
+    trace.extend(steps)
+    if sqrt is not None:
+        add(sqrt, "sqrt")
     trace.extend(bounded.branch_trace)
     add(bounded.cover, "bounded")
     add(built["base:greedy"], "greedy")

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monopath import arith
+from monopath.construct import find_long_path_structure
+from monopath.gen import extremal
 
 
 def slow_le(count, bound_float):
@@ -145,3 +147,10 @@ class TestNonFiniteConstants:
     def test_int_too_big_for_a_float_is_still_exact(self):
         assert not arith.reduce_guard(100, 4, 10**400, 1)
         assert arith.lt_sqrt_plus_const(3, 100, 10**400)
+
+
+def test_slack_of_another_type_is_a_type_error():
+    # the one argument check here that a public function reaches:
+    # find_long_path_structure hands its slack to _frac before anything else
+    with pytest.raises(TypeError, match="rational or float coefficient, got str$"):
+        find_long_path_structure(extremal(5), "1")

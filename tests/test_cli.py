@@ -98,6 +98,20 @@ class TestSolveCommand:
         code, _, err = run(capsys, "solve", "no_such_file.k2c")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--gen", "extremal"], "--gen requires -n"),
+            (["--gen", "random:p", "-n", "5"], "bad generator parameter 'p' in 'random:p'"),
+        ],
+        ids=["gen-without-n", "bad-generator-parameter"],
+    )
+    def test_bad_generator_source_is_input_error(self, capsys, argv, message):
+        code, out, err = run(capsys, "solve", *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"monopath: error: {message}\n"
+
     def test_invalid_solver_cover_is_internal_error(self, monkeypatch, capsys):
         # every edge of an all-red colouring is red, and 3..5 are uncovered
         cover = PathCover(RED, (Path((1, 2), RED),), 5)
@@ -177,8 +191,27 @@ class TestVerifyCommand:
     def test_garbled_cover_is_input_error(self, tmp_path, capsys):
         g = self.write(tmp_path, "g.k2c", "3\nRRB\n")
         cover = self.write(tmp_path, "c.txt", "R one two\n")
-        code, _, err = run(capsys, "verify", g, cover)
+        code, out, err = run(capsys, "verify", g, cover)
         assert code == 1
+        assert out == ""
+        assert err == "monopath: error: cover line 1: bad vertex id\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("R 1 2\nX 3\n", "cover line 2: expected 'R v1 v2 ...'"),
+            ("B\n", "cover line 1: expected 'R v1 v2 ...'"),
+            ("\n  \n", "cover file has no paths"),
+        ],
+        ids=["bad-line", "no-vertex", "no-paths"],
+    )
+    def test_malformed_cover_file_is_input_error(self, tmp_path, capsys, text, message):
+        g = self.write(tmp_path, "g.k2c", "3\nRRB\n")
+        cover = self.write(tmp_path, "c.txt", text)
+        code, out, err = run(capsys, "verify", g, cover)
+        assert code == 1
+        assert out == ""
+        assert err == f"monopath: error: {message}\n"
 
 
 class TestSweepCommand:
@@ -272,6 +305,24 @@ class TestSweepCommand:
         assert [(r["generator"], r["seed"], r["error"]) for r in rows] == [
             (tag, seed, error) for tag, error in errors.items() for seed in "01"
         ]
+
+    def test_output_file_holds_the_csv(self, tmp_path, capsys):
+        target = tmp_path / "sweep.csv"
+        argv = ["sweep", "--ns", "4", "--generators", "extremal", "-o", str(target)]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == ""
+        rows = list(csv.DictReader(io.StringIO(target.read_text())))
+        assert [(r["n"], r["generator"], r["solver_size"]) for r in rows] == [
+            ("4", "extremal", "2")
+        ]
+
+    def test_workers_below_one_is_input_error(self, capsys):
+        argv = ["sweep", "--ns", "4", "--generators", "extremal", "--workers", "0"]
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == "monopath: error: need workers >= 1, got 0\n"
 
     def test_workers_parity(self):
         plan1 = SweepPlan((8, 12), ("extremal", "random:p=0.3"), (0, 1), True, 14, 1)

@@ -326,6 +326,11 @@ def _count_calls(monkeypatch, *names):
     return seen
 
 
+def _greedy(g: Colouring) -> PathCover:
+    """The greedy cover, its first path grown as a solve grows it."""
+    return solver._greedy_cover(g, solver._Shared(g, SolverConfig()).first)
+
+
 class TestEachCandidateOnce:
     def test_oracle_and_greedy_run_once_at_n10(self, monkeypatch):
         g = random_colouring(10, 0.5, 3)
@@ -337,12 +342,13 @@ class TestEachCandidateOnce:
 
     def test_fallback_reuses_the_bounded_result(self, monkeypatch):
         g = random_colouring(17, 0.2, 24)
-        seen = _count_calls(monkeypatch, "refine_path", "_greedy_cover")
+        seen = _count_calls(monkeypatch, "_refine", "_greedy_cover")
         res = solve(g)
         assert "sqrt:fallback" in res.branch_trace
         assert validate_cover(g, res.cover).valid
-        # the bounded base strategies ran for the whole graph exactly once
-        assert seen["refine_path"] == [g, g]
+        # the bounded base strategies ran for the whole graph exactly once:
+        # the unseeded refine_path runs through _refine, once per colour
+        assert seen["_refine"] == [g, g]
         assert len(seen["_greedy_cover"]) == 1
 
     def test_once_per_colouring_through_reduce(self, monkeypatch):
@@ -411,23 +417,24 @@ class TestStructureSkip:
         assert res.branch_trace[2:5] == (
             "base:structure-R:skipped", "base:structure-B", "base:greedy",
         )
-        assert solver._greedy_cover(g).size == 10
+        assert _greedy(g).size == 10
         assert res.cover.size == 10
         assert validate_cover(g, res.cover).valid
 
     def test_extremal_refines_once_per_colour(self, monkeypatch):
         # the sqrt pipeline's tail is unseeded and its degree bound exceeds
         # n - 1 at default constants, so it reuses the base run of its colour
+        # (every refine_path run, seeded or not, goes through _refine)
         g = extremal(100)
         runs = []
         for module in (construct, solver):
-            real = module.refine_path
+            real = module._refine
 
             def wrapper(h, gamma, *args, _real=real):
                 runs.append((h, gamma))
                 return _real(h, gamma, *args)
 
-            monkeypatch.setattr(module, "refine_path", wrapper)
+            monkeypatch.setattr(module, "_refine", wrapper)
         res = solve(g)
         assert "sqrt:y-exit" in res.branch_trace
         assert runs == [(g, RED), (g, BLUE)]
@@ -451,11 +458,11 @@ class TestPickRule:
     (solver._can_win); a reduce cover has at least two paths."""
 
     def test_structure_b_not_built_after_a_single_path(self, monkeypatch):
-        # least size 1 rules blue out before its refine_path runs
+        # least size 1 rules blue out before its refine_path (_refine) runs
         g = random_colouring(200, 0.5, 0)
-        seen = _count_calls(monkeypatch, "refine_path", "cover_from_structure")
+        seen = _count_calls(monkeypatch, "_refine", "cover_from_structure")
         res = cover_bounded(g, SolverConfig(2.0, 2.0, 2.0))
-        assert seen == {"refine_path": [g], "cover_from_structure": [g]}
+        assert seen == {"_refine": [g], "cover_from_structure": [g]}
         assert "base:structure-B:skipped" in res.branch_trace
         assert res.cover.size == 1
 
@@ -500,13 +507,104 @@ class TestPickRule:
         # the bounded pick, which wins the tie as it did before the rule
         g = red_hub(760, 607)
         one_path = PathCover(RED, (Path(tuple(range(1, g.n + 1)), RED),), g.n)
-        monkeypatch.setattr(solver, "_greedy_cover", lambda h: one_path)
+        monkeypatch.setattr(solver, "_greedy_cover", lambda h, first: one_path)
         monkeypatch.setattr(solver, "validate_cover", lambda h, cover: CoverReport(True))
         res = solve(g, SolverConfig(2.0, 2.0, 2.0))
         trace = res.branch_trace
         assert trace[:3] == ("sqrt:reduce:error(GuardFailed)", "sqrt:fallback", "sqrt")
         assert trace[-1] == "pick:sqrt"
         assert res.cover.size == 1
+
+
+class TestLazyChecks:
+    """solve checks a cover only where the pick can reach it: when its size
+    decides a _can_win verdict, and in (size, order) up to the first valid
+    candidate."""
+
+    @staticmethod
+    def _checked(monkeypatch, reject=()):
+        """Record every cover validate_cover checks; the n-th check, for n in
+        reject, reports an invalid cover."""
+        seen = []
+        real = solver.validate_cover
+
+        def check(h, cover):
+            seen.append(cover)
+            return CoverReport(False) if len(seen) in reject else real(h, cover)
+
+        monkeypatch.setattr(solver, "validate_cover", check)
+        return seen
+
+    def test_one_check_on_the_picked_single_path(self, monkeypatch):
+        # sqrt:reduce's skip reads the bounded pick (one red path), which the
+        # pick then takes; the greedy cover (one blue path) is never checked
+        g = random_colouring(200, 0.5, 0)
+        seen = self._checked(monkeypatch)
+        res = solve(g, SolverConfig(2.0, 2.0, 2.0))
+        assert res.branch_trace[-1] == "pick:bounded"
+        assert seen == [res.cover]
+        assert res.cover.size == 1 and res.cover.colour is RED
+        assert _greedy(g) not in seen
+
+    def test_invalid_pick_is_dropped_in_its_own_slot(self, monkeypatch):
+        # the sqrt and bounded reduce covers have 4 paths each, the greedy
+        # cover 145: the pick checks the sqrt cover first, drops it, and takes
+        # the bounded one, the next in (size, order); greedy is not checked
+        g = red_hub(600, 457)
+        seen = self._checked(monkeypatch, reject={1})
+        res = solve(g, SolverConfig(2.0, 2.0, 2.0))
+        trace = res.branch_trace
+        assert trace[:2] == ("sqrt:reduce", "sqrt:invalid-dropped")
+        assert trace[-3:] == ("bounded", "greedy", "pick:bounded")
+        assert [c.size for c in seen] == [4, 4]
+        assert seen[1] == res.cover != seen[0]
+        assert validate_cover(g, res.cover).valid
+
+    def test_unreached_invalid_cover_keeps_its_tag(self, monkeypatch):
+        # an invalid greedy cover behind a valid smaller pick is never read
+        g = extremal(100)
+        bad = PathCover(BLUE, (Path((1,), BLUE),) * 11, g.n)
+        monkeypatch.setattr(solver, "_greedy_cover", lambda h, first: bad)
+        seen = self._checked(monkeypatch)
+        res = solve(g)
+        assert res.branch_trace[-3:] == ("bounded", "greedy", "pick:sqrt")
+        assert bad not in seen and len(seen) == 1
+        assert validate_cover(g, res.cover).valid
+
+
+class TestFirstPathOnce:
+    def test_greedy_cover_and_refine_path_share_the_first_path(self, monkeypatch):
+        # extremal(100)'s greedy cover is blue; the blue structure's
+        # refine_path starts from the greedy cover's first path, the very
+        # object, and each colour's first path is grown once
+        g = extremal(100)
+        full = (1 << g.n) - 1
+        grown, starts, greedy = [], {}, []
+        real_grow, real_refine = solver._grow, solver._refine
+        real_greedy = solver._greedy_cover
+
+        def grow(h, gamma, verts, free):
+            if free == full:
+                grown.append(gamma)
+            return real_grow(h, gamma, verts, free)
+
+        def refine(h, gamma, p, free, bound):
+            starts[gamma] = p
+            return real_refine(h, gamma, p, free, bound)
+
+        monkeypatch.setattr(solver, "_grow", grow)
+        monkeypatch.setattr(solver, "_refine", refine)
+        monkeypatch.setattr(
+            solver,
+            "_greedy_cover",
+            lambda h, first: greedy.append(real_greedy(h, first)) or greedy[0],
+        )
+        res = solve(g)
+        assert sorted(grown, key=str) == [BLUE, RED]
+        assert greedy[0].colour is BLUE
+        assert starts[BLUE] is greedy[0].paths[0]
+        assert starts[RED] == maximal_path(g, RED)
+        assert res.cover.size == 10
 
 
 def test_bounded_strip_branch_is_reached():
@@ -537,7 +635,7 @@ class TestGreedyCover:
     def test_matches_induced_reference(self, rng):
         for _ in range(200):
             g = noisy_colouring(rng, rng.randint(1, 30))
-            assert solver._greedy_cover(g) == _greedy_cover_induced(g)
+            assert _greedy(g) == _greedy_cover_induced(g)
 
     def test_strips_without_induced(self, monkeypatch):
         # the red hub on 361..400 takes 41 stripping rounds; relabelling
@@ -548,7 +646,7 @@ class TestGreedyCover:
         monkeypatch.setattr(
             Colouring, "induced", lambda self, keep: seen.append(keep) or real(self, keep)
         )
-        cover = solver._greedy_cover(g)
+        cover = _greedy(g)
         assert seen == []
         assert cover.size == 41
         assert validate_cover(g, cover).valid
