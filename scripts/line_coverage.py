@@ -11,7 +11,7 @@ arguments after `--` go to pytest, which runs in this process (default:
 instruction to it, and reached when a traced frame ran it.  stdout holds
 one line per executable line that never ran, `path:line: source`, then one
 per file, `path: k of m executable lines never ran`.  The exit status is
-pytest's.
+pytest's when pytest failed, else 1 if a line never ran, else 0.
 
 The tracer starts before pytest imports anything from SOURCE, so module
 level lines count too.  It sees this process and its threads only: code run
@@ -70,6 +70,22 @@ def unreached(sources: list[Path], hits: dict[str, set[int]]) -> dict[Path, list
     }
 
 
+def report(sources: list[Path], hits: dict[str, set[int]], status: int) -> int:
+    """Print the lines of `sources` that never ran and one total per file;
+    return `status` if nonzero, else 1 if a line never ran, else 0."""
+    totals = []
+    missed = False
+    for path, lines in unreached(sources, hits).items():
+        text = path.read_text().splitlines()
+        for line in lines:
+            print(f"{path}:{line}: {text[line - 1].strip()}")
+        totals.append(f"{path}: {len(lines)} of {len(executable_lines(path))} "
+                      "executable lines never ran")
+        missed = missed or bool(lines)
+    print("\n".join(totals))
+    return status or int(missed)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     own, pytest_args = argv, ["-q", "tests"]
@@ -85,15 +101,7 @@ def main(argv: list[str] | None = None) -> int:
     import pytest
 
     status, hits = trace_lines({str(p) for p in sources}, lambda: pytest.main(pytest_args))
-    totals = []
-    for path, lines in unreached(sources, hits).items():
-        text = path.read_text().splitlines()
-        for line in lines:
-            print(f"{path}:{line}: {text[line - 1].strip()}")
-        totals.append(f"{path}: {len(lines)} of {len(executable_lines(path))} "
-                      "executable lines never ran")
-    print("\n".join(totals))
-    return int(status)
+    return report(sources, hits, int(status))
 
 
 if __name__ == "__main__":

@@ -7,10 +7,10 @@ into integer/rational comparisons (squaring only ever applied to sides known
 to be non-negative, so each rewrite is an equivalence, not a relaxation).
 
 The ranges in the docstrings below are the callers' to keep, and nothing
-here checks them: solver and construct pass counts and coefficients
->= 0, 0 <= s <= n and divisors >= 1.  Only a coefficient's type and
-finiteness are checked, in _frac, since find_long_path_structure hands its
-slack argument straight to it.
+here checks them: solver and construct pass counts and coefficients >= 0
+and 0 <= s <= n.  Only a coefficient's type and finiteness are checked, in
+_frac, since find_long_path_structure hands its slack argument straight to
+it.
 """
 
 from __future__ import annotations
@@ -98,8 +98,3 @@ def floor_of_coeff_sqrt(coeff, n: int) -> int:
     target = c * c * n
     # for an integer k, k**2 <= target exactly when k**2 <= floor(target)
     return isqrt(target.numerator // target.denominator)
-
-
-def ceil_div(a: int, b: int) -> int:
-    """ceil(a / b) for b > 0."""
-    return -(-a // b)

@@ -197,36 +197,37 @@ def _interleave_xy(xs: list[int], ys: list[int], colour: Colour) -> Path:
     return Path(tuple(verts), colour)
 
 
-def _complete_chunks(
-    xs: list[int], ys: list[int], colour: Colour, cover_y: bool
-) -> list[Path]:
-    """Cover xs (and ys, if asked) of a complete bipartite graph with
-    ceil(|xs|/(|ys|+1)) paths; chunks after the first reuse the lowest ys."""
+def _complete_chunks(xs: list[int], ys: list[int], colour: Colour) -> list[Path]:
+    """Cover xs of a complete bipartite graph with ceil(|xs|/(|ys|+1))
+    paths, each chunk threading the lowest ys it needs; a full chunk threads
+    every y, so with |xs| > |ys| the first one covers ys too."""
     step = len(ys) + 1
-    out: list[Path] = []
-    for i in range(0, len(xs), step):
-        chunk = xs[i : i + step]
-        if cover_y and i == 0:
-            # first chunk is full (caller guarantees |xs| > |ys|) and
-            # threads every y exactly once
-            if len(chunk) != step:
-                raise PreconditionViolated("|xs| > |ys|", witness=(len(xs), len(ys)))
-            out.append(_interleave_xy(chunk, ys, colour))
-        else:
-            out.append(_interleave_xy(chunk, ys[: len(chunk) - 1], colour))
-    return out
+    chunks = (xs[i : i + step] for i in range(0, len(xs), step))
+    return [_interleave_xy(c, ys[: len(c) - 1], colour) for c in chunks]
 
 
 def decompose_full(v: BipartiteView) -> tuple[Path, ...]:
-    """Cover all of X and Y with at most ceil(|X|/(|Y|+1)) paths.
+    """Cover all of X and Y with exactly ceil(|X|/(|Y|+1)) paths.
 
     Needs (i) |X| > |Y| and (ii) X1 = Y1 = 0, or |X0|*|Y0| > 2*|X1|*|Y1|
     with Y0 nonempty (cross-multiplied to dodge the empty-class quotients).
 
     Each round builds P through X0 and all of Y1, then Q through all of Y0,
     preferring X1-vertices and topping up from X0 so the concatenation
-    always retires exactly |Y| + 1 X-vertices; that exact count is what
-    makes the ceiling bound close under the recursion.
+    always retires exactly |Y| + 1 X-vertices.
+
+    Why no step fails, with a, b, c, d = |X0|, |X1|, |Y0|, |Y1|: X1 is
+    empty exactly when Y1 is, so past the X1 test b, d >= 1 and (ii) reads
+    ac > 2bd.  A round starts with |alive| > |Y| (by (i), then the continue
+    test), which fills Q, and sees at most d of Y1 and at least c of
+    Y0; with X1 alive after it, it took >= c of X1 (Q takes X1 first) and
+    <= d + 1 of X0.  If round r saw at most d of X0, it saw >= c + 1 of X1,
+    so b >= rc + 1 and a > 2rd, against a <= rd + r - 1: P gets its
+    |Y1| + 1.  After round r with X1 alive and |alive| <= |Y|, |X1| >= |Y0|
+    would give b >= (r + 1)c, a > 2(r + 1)d and over 2d of X0 alive, so
+    |alive| > |Y|; and b >= rc + 1 leaves over r(d - 1) >= 0 of X0 alive:
+    the closing path exists.  Rounds retire |Y| + 1 X-vertices each, the
+    chunk finish takes ceil(rest/(|Y|+1)) paths and the closing path one.
     """
     if len(v.X) <= len(v.Y):
         raise PreconditionViolated("(i) |X| > |Y|")
@@ -240,28 +241,19 @@ def decompose_full(v: BipartiteView) -> tuple[Path, ...]:
     adj = v.adjacency
     paths: list[Path] = []
     alive = vertex_mask(v.X)
-    cover_y = True
     while alive:
         x0a = mask_vertices(alive & x0_all)
         x1a = mask_vertices(alive & ~x0_all)
         if not x1a:
             # every remaining x sees all of Y: plain chunking finishes
-            paths.extend(_complete_chunks(mask_vertices(alive), ys, v.colour, cover_y))
+            paths.extend(_complete_chunks(mask_vertices(alive), ys, v.colour))
             return tuple(paths)
         # both nonempty: an alive X1 vertex misses some y, and y0a holds
         # the entry Y0, which (ii) leaves nonempty
         y0a = [y for y in ys if not alive & ~adj[y]]
         y1a = [y for y in ys if alive & ~adj[y]]
-        if len(x0a) < len(y1a) + 1:
-            raise PreconditionViolated(
-                "(i)+(ii) guarantee enough full-degree x",
-                witness=(len(x0a), len(y1a)),
-            )
-
         p_xs = x0a[: len(y1a) + 1]
-        # Q threads y0a through x1a first, then the x0a that P left: |alive|
-        # > |Y| in every round (by (i) in the first, by the continue test
-        # after), so these hold |alive| - |y1a| - 1 >= |y0a| vertices
+        # Q threads y0a through x1a first, then the x0a that P left
         q_xs = (x1a + x0a[len(p_xs) :])[: len(y0a)]
         r_verts = list(_interleave_xy(p_xs, y1a, v.colour).vertices)
         for y, x in zip(y0a, q_xs):
@@ -269,7 +261,6 @@ def decompose_full(v: BipartiteView) -> tuple[Path, ...]:
             r_verts.append(x)
         paths.append(Path(tuple(r_verts), v.colour))
         alive &= ~vertex_mask(p_xs + q_xs)
-        cover_y = False  # R covered all of Y
 
         x1_next = mask_vertices(alive & ~x0_all)
         if not x1_next or alive.bit_count() > len(ys):
@@ -277,11 +268,6 @@ def decompose_full(v: BipartiteView) -> tuple[Path, ...]:
         # |X'| <= |Y| with a deficient x left: close with one more path
         y0n = [y for y in ys if not alive & ~adj[y]]
         x0n = mask_vertices(alive & x0_all)
-        if not (len(y0n) > len(x1_next) and x0n):
-            raise PreconditionViolated(
-                "the closing path has |Y0| > |X1| and a full-degree x",
-                witness=(len(y0n), len(x1_next), len(x0n)),
-            )
         q2_ys = y0n[: len(x1_next) + 1]
         q2 = _interleave_xy(q2_ys, x1_next, v.colour).vertices
         taken = vertex_mask(q2_ys)

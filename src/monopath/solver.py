@@ -190,12 +190,12 @@ def _strip_and_mop(g: Colouring, s: LongPathStructure) -> PathCover:
     stripped, covered = strip_paths(g, s.path, s.y_degrees, m)
     leftover = [x for x in s.path.vertices if not covered >> (x - 1) & 1]
     # bounded:strip is chosen only when 4|Y0|**2 > n, so Y0 is never empty
-    mop = _complete_chunks(leftover, _gamma_isolated(s), red, cover_y=False)
+    mop = _complete_chunks(leftover, _gamma_isolated(s), red)
     return PathCover(red, (*stripped, *mop), n)
 
 
 class _Shared:
-    """What one solve's bounded pass hands to its sqrt step: each colour's
+    """What a solve's bounded pass and sqrt step share: each colour's
     first maximal path from the lowest vertex, with the mask of the vertices
     off it, grown once, which the greedy cover strips first and refine_path
     rotates from; refine_path, unseeded and unbounded, once per colour, which
@@ -346,27 +346,25 @@ def _sqrt_step(
             return cov
         return None
 
-    xs = s.path.vertices
-    ys = s.y_degrees
     red = s.path.colour.complement
     with _dropped_on_error("sqrt:decompose", trace):
         # decompose_full checks its own preconditions (i) and (ii)
+        xs, ys = s.path.vertices, s.y_degrees
         paths = decompose_full(BipartiteView.from_colouring(g, xs, ys, colour=red))
-        if len(paths) > arith.ceil_div(len(xs), len(ys) + 1):
-            trace.append("sqrt:decompose-failed")
-            return None
         trace.append("sqrt:decompose")
-        return PathCover(red, tuple(paths), n)
+        return PathCover(red, paths, n)
     return None
 
 
 def cover_sqrt(g: Colouring, cfg: SolverConfig) -> SolveResult:
     """The sqrt-bound orchestration; when a guard fails it falls back to
-    cover_bounded and the trace records the detour."""
+    cover_bounded's pick, built from the sqrt step's _Shared, and the trace
+    records the detour."""
     trace: list[str] = []
-    cov = _sqrt_step(g, cfg, trace, _Shared(g, cfg))
+    shared = _Shared(g, cfg)
+    cov = _sqrt_step(g, cfg, trace, shared)
     if cov is None:
-        inner = cover_bounded(g, cfg)
+        inner = _pick(g.n, cfg, *_bounded_candidates(g, cfg, shared))
         trace.append("sqrt:fallback")
         trace.extend(inner.branch_trace)
         cov = inner.cover

@@ -122,7 +122,7 @@ def test_criterion_05_decompose_full_suite():
             ok = ok and alternating_in_view(v, p)
             seen |= set(p.vertices)
         ok = ok and seen == set(v.X) | set(v.Y)
-        ok = ok and len(paths) <= -(-len(v.X) // (len(v.Y) + 1))
+        ok = ok and len(paths) == -(-len(v.X) // (len(v.Y) + 1))
         if not ok:
             break
     _report(5, "full decomposition suite", ok)

@@ -108,11 +108,6 @@ class TestMisc:
         assert not arith.lt_sqrt_plus_const(5, 16, 1)  # 5 < 5 fails
         assert arith.lt_sqrt_plus_const(0, 1, 0.5)
 
-    @given(st.integers(0, 10**6), st.integers(1, 10**4))
-    @settings(max_examples=200, deadline=None)
-    def test_ceil_div(self, a, b):
-        assert arith.ceil_div(a, b) == math.ceil(a / b) == -(-a // b)
-
 
 NON_FINITE = [math.inf, -math.inf, math.nan]
 

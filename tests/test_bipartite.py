@@ -208,7 +208,7 @@ class TestDecomposeFull:
         for _ in range(300):
             v = decompose_full_instance(rng, max_x=22)
             paths = decompose_full(v)
-            assert len(paths) <= -(-len(v.X) // (len(v.Y) + 1))
+            assert len(paths) == -(-len(v.X) // (len(v.Y) + 1))
             seen = set()
             for p in paths:
                 assert alternating_in_view(v, p)
@@ -216,7 +216,7 @@ class TestDecomposeFull:
             assert seen == set(v.X) | set(v.Y)
 
     def test_exhaustive_small_views(self):
-        # every view with |X|*|Y| <= 14 that meets (i) and (ii) gets at most
+        # every view with |X|*|Y| <= 14 that meets (i) and (ii) gets exactly
         # ceil(|X|/(|Y|+1)) alternating paths covering X and Y, no raise
         covered = 0
         for a in range(1, 15):
@@ -234,7 +234,7 @@ class TestDecomposeFull:
                         continue  # (ii) fails
                     v = BipartiteView(xs, ys, dict(zip(ys, adj)))
                     paths = decompose_full(v)
-                    assert len(paths) <= -(-a // (b + 1))
+                    assert len(paths) == -(-a // (b + 1))
                     assert all(alternating_in_view(v, p) for p in paths)
                     assert set().union(*(p.vertices for p in paths)) == {*xs, *ys}
                     covered += 1
@@ -243,8 +243,43 @@ class TestDecomposeFull:
     def test_single_y_complete(self):
         v = _view(5, 1, {6: {1, 2, 3, 4, 5}})
         paths = decompose_full(v)
-        assert len(paths) <= 3
+        assert len(paths) == 3
         assert set().union(*(set(p.vertices) for p in paths)) == set(range(1, 7))
+
+    def test_class_sizes_with_more_x1_than_y0(self):
+        # |X1| > |Y0|: each round's Q runs out of Y0 before X1, so rounds
+        # repeat, and the ones that end with X1 alive and |X| <= |Y| left
+        # close with the extra path, the only path that ends in Y
+        rng = random.Random(23)
+        closed = []
+        for _ in range(1500):
+            c, d = rng.randint(1, 4), rng.randint(1, 4)
+            b = rng.randint(c + 1, c + 8)
+            a = 2 * b * d // c + rng.randint(1, 3)  # (ii) ac > 2bd, and so (i)
+            v = _class_view(rng, a, b, c, d)
+            cl = DegreeClasses.from_view(v)
+            assert tuple(map(len, (cl.x0, cl.x1, cl.y0, cl.y1))) == (a, b, c, d)
+            paths = decompose_full(v)
+            assert len(paths) == -(-(a + b) // (c + d + 1))
+            assert all(alternating_in_view(v, p) for p in paths)
+            assert set().union(*(p.vertices for p in paths)) == {*v.X, *v.Y}
+            if paths[-1].vertices[-1] in v.Y:
+                closed.append(len(paths))
+        assert len(closed) > 100 and max(closed) >= 5
+
+
+def _class_view(rng, a, b, c, d):
+    """A view on X = 1..a+b and Y after it whose degree classes have sizes
+    a, b, c, d: X0 and Y0, drawn at random, see all of the other side, and
+    each X1 vertex misses at least one Y1 vertex and each Y1 one X1."""
+    xs = list(range(1, a + b + 1))
+    ys = list(range(a + b + 1, a + b + c + d + 1))
+    x1, y1 = rng.sample(xs, b), rng.sample(ys, d)
+    missing = {(x1[i % b], y1[i % d]) for i in range(max(b, d))}
+    p = rng.choice((0.0, 0.3, 0.7))
+    missing |= {(x, y) for x in x1 for y in y1 if rng.random() < p}
+    adj = {y: {x for x in xs if (x, y) not in missing} for y in ys}
+    return _view(a + b, c + d, adj)
 
 
 def _recount_disjunction(v, k, l):

@@ -1,6 +1,8 @@
 import csv
 import io
 import os
+import runpy
+import sys
 import tracemalloc
 
 import pytest
@@ -333,8 +335,33 @@ class TestSweepCommand:
         ]
         assert strip(run_sweep(plan1)) == strip(run_sweep(plan4))
 
+    def test_invalid_solver_cover_is_an_error_row(self, monkeypatch):
+        # every edge of an all-red colouring is red, and 3..5 are uncovered
+        cover = PathCover(RED, (Path((1, 2), RED),), 5)
+        monkeypatch.setattr(
+            cli, "solve", lambda g: SolveResult(cover, Guarantee.NONE, ())
+        )
+        text = run_sweep(SweepPlan((5,), ("random:p=1",), (0,)))
+        [row] = list(csv.DictReader(io.StringIO(text)))
+        assert row["error"] == (
+            f"MonopathError: solver cover failed validation: "
+            f"{FailureKind.MISSING_VERTEX.value}"
+        )
+        assert row["solver_size"] == ""
+
     def test_branch_trace_has_no_commas(self, capsys):
         code, out, _ = run(capsys, "sweep", "--ns", "20", "--generators", "extremal")
         rows = list(csv.DictReader(io.StringIO(out)))
         assert "|" in rows[0]["branch_trace"]
         assert "," not in rows[0]["branch_trace"]
+
+
+def test_module_runs_as_a_script(monkeypatch, capsys):
+    # python -m monopath.cli: run in this process, so a line tracer sees it;
+    # dropped from sys.modules first, so runpy does not warn of a re-run
+    monkeypatch.delitem(sys.modules, "monopath.cli")
+    monkeypatch.setattr(sys, "argv", ["monopath", "gen", "--extremal", "-n", "4"])
+    with pytest.raises(SystemExit) as e:
+        runpy.run_module("monopath.cli", run_name="__main__")
+    assert e.value.code == 0
+    assert decode(capsys.readouterr().out) == extremal(4)

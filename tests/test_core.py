@@ -188,6 +188,20 @@ class TestColouring:
             Colouring(3, masks)
         assert str(e.value) == message
 
+    @pytest.mark.parametrize(
+        "n, masks, message",
+        [
+            (0, [], "need n >= 1, got 0"),
+            (-2, [], "need n >= 1, got -2"),
+            (3, [0, 0], "expected 3 masks, got 2"),
+            (2, [2, 1, 0], "expected 2 masks, got 3"),
+        ],
+    )
+    def test_bad_size_messages(self, n, masks, message):
+        with pytest.raises(ValueError) as e:
+            Colouring(n, masks)
+        assert str(e.value) == message
+
     def test_symmetric_masks_are_accepted(self):
         n = 2000
         ref = from_int(n, random.Random(n).getrandbits(edge_count(n)))

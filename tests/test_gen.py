@@ -185,6 +185,17 @@ class TestAdversarialSearch:
         g, score = adversarial_search(1, 5, 0)
         assert g.n == 1 and score == 1
 
+    def test_returns_the_first_state_at_the_top_score(self, monkeypatch):
+        # scores in call order: extremal, then one per flip; every move but
+        # the last is accepted, and the climb ends one flip past the first
+        # state scoring 2
+        scores = iter([0, 1, 1, 2, 2, 0])
+        seen = []
+        monkeypatch.setattr(gen, "_score", lambda g: seen.append(g) or next(scores))
+        g, score = adversarial_search(6, 5, 0)
+        assert seen[0] == extremal(6)
+        assert g is seen[3] and score == 2
+
 
 class TestGenSpec:
     def test_validation(self):

@@ -8,9 +8,9 @@ import pytest
 
 import monopath
 from monopath import solver
-from monopath.bipartite import PreconditionViolated, _complete_chunks, _interleave_xy
+from monopath.bipartite import PreconditionViolated, _interleave_xy
 from monopath.core import RED, MonopathError
-from monopath.oracle import TableInconsistent, _spanning_path
+from monopath.oracle import TableInconsistent, _min_cover, _spanning_path
 
 
 def test_no_assert_statements_in_the_package():
@@ -64,11 +64,6 @@ def test_interleave_needs_one_fewer_y():
         _interleave_xy([1, 2], [3, 4], RED)
 
 
-def test_complete_chunks_need_more_x_than_y():
-    with pytest.raises(PreconditionViolated):
-        _complete_chunks([1, 2], [3, 4], RED, cover_y=True)
-
-
 def test_inconsistent_endpoint_table_is_typed():
     # mask {1, 2} claims vertex 2 as an end, but {1} is marked unreachable
     ends = [0, 0, 0b10, 0b10]
@@ -76,3 +71,11 @@ def test_inconsistent_endpoint_table_is_typed():
     assert issubclass(TableInconsistent, MonopathError)
     with pytest.raises(TableInconsistent):
         _spanning_path(ends, adj, 0b11)
+
+
+def test_vertex_on_no_maximal_set_is_typed():
+    # only mask {1} is traceable, so vertex 2 lies on no maximal set
+    ends = [0, 0b01, 0, 0]
+    with pytest.raises(TableInconsistent) as e:
+        _min_cover(ends, (0, 0), 2, RED)
+    assert str(e.value) == "vertex 2 lies on no maximal set"

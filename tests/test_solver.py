@@ -365,6 +365,28 @@ class TestEachCandidateOnce:
         assert len({id(h) for h in calls}) == len(calls)
         assert sum(h is g for h in calls) == 1
 
+    @pytest.mark.parametrize(
+        "n, cfg, trace",
+        [
+            (37, SolverConfig(0.5, 0.0, 0.5), "sqrt:pipeline:error(PreconditionViolated)"),
+            (16, SolverConfig(), "sqrt:decompose:error(PreconditionViolated)"),
+        ],
+    )
+    def test_cover_sqrt_fallback_reuses_the_sqrt_steps_work(self, monkeypatch, n, cfg, trace):
+        # a red star: the fallback's bounded pass reuses the sqrt step's
+        # pipeline head and each colour's refine_path, so each runs once, as
+        # in solve
+        g = Colouring.from_function(n, lambda u, v: RED if u == 1 else BLUE)
+        seen = _count_calls(monkeypatch, "long_path_pipeline", "_refine")
+        res = cover_sqrt(g, cfg)
+        assert res.branch_trace[:2] == (trace, "sqrt:fallback")
+        assert validate_cover(g, res.cover).valid
+        assert seen == {"long_path_pipeline": [g], "_refine": [g, g]}
+        seen["long_path_pipeline"].clear()
+        seen["_refine"].clear()
+        solve(g, cfg)
+        assert seen == {"long_path_pipeline": [g], "_refine": [g, g]}
+
 
 class TestSizeOneSkip:
     """A base cover of one path cannot be beaten, so cover_bounded skips the
@@ -650,25 +672,6 @@ class TestGreedyCover:
         assert seen == []
         assert cover.size == 41
         assert validate_cover(g, cover).valid
-
-
-def test_decompose_overrun_falls_back(monkeypatch):
-    # the red hub on 49..64 closes through decompose_full; a decomposition
-    # with one path more than its ceiling must count as a failed branch
-    g = red_hub(64, 49)
-    assert "sqrt:decompose" in solve(g).branch_trace
-    real = solver.decompose_full
-
-    def overrun(view):
-        paths = real(view)
-        ceiling = arith.ceil_div(len(view.X), len(view.Y) + 1)
-        return paths + paths[:1] * (ceiling + 1 - len(paths))
-
-    monkeypatch.setattr(solver, "decompose_full", overrun)
-    res = solve(g)
-    assert {"sqrt:decompose-failed", "sqrt:fallback"} <= set(res.branch_trace)
-    assert "sqrt:decompose" not in res.branch_trace
-    assert validate_cover(g, res.cover).valid
 
 
 class TestFailingCandidate:

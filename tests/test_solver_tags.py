@@ -14,7 +14,6 @@ Entries with a stand-in (their fourth field) are reached only through a
 monkeypatched failure, since no correct input reaches them:
 
 * `<tag>:invalid-dropped` needs a builder that returns an invalid cover;
-* `sqrt:decompose-failed` needs decompose_full to overrun its ceiling;
 * `sqrt:error(...)` and `base:oracle:error(...)` need cover_from_structure
   or exact_f to raise.
 
@@ -37,7 +36,7 @@ from pathlib import Path as FilePath
 import pytest
 
 from conftest import noisy_colouring, red_hub
-from monopath import arith, solver
+from monopath import solver
 from monopath.core import (
     BLUE,
     RED,
@@ -88,14 +87,6 @@ def _path_only(g, s):
     return PathCover(s.path.colour, (s.path,), g.n)
 
 
-def _overrun(view):
-    paths = _real_decompose_full(view)
-    ceiling = arith.ceil_div(len(view.X), len(view.Y) + 1)
-    return paths + paths[:1] * (ceiling + 1 - len(paths))
-
-
-_real_decompose_full = solver.decompose_full
-
 # trace entry -> (colouring, config, entry point, injected (name, stand-in))
 CENSUS = {
     "oracle": (lambda: random_colouring(10, 0.5, 3), DEFAULT, solve, None),
@@ -125,9 +116,6 @@ CENSUS = {
         lambda: red_star(16), DEFAULT, solve, None,
     ),
     "sqrt:decompose": (lambda: red_hub(10, 7), DEFAULT, solve, None),
-    "sqrt:decompose-failed": (
-        lambda: red_hub(64, 49), DEFAULT, solve, ("decompose_full", _overrun),
-    ),
     # the long path stays (1,): too short for the stripping step
     "sqrt:pipeline:error(PreconditionViolated)": (
         lambda: red_star(37), SolverConfig(0.5, 0.0, 0.5), solve, None,
