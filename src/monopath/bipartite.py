@@ -12,7 +12,7 @@ on that: Y is kept whole while X shrinks, so later paths revisit Y.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .core import RED, Colour, Colouring, MonopathError, Path
@@ -59,6 +59,7 @@ class BipartiteView:
     adjacency: Mapping[int, int]
     m: int = 0
     colour: Colour = RED
+    xmask: int = field(init=False, repr=False)  # vertex_mask(X), parsed once
 
     def __post_init__(self):
         xs = tuple(sorted(set(self.X)))
@@ -80,6 +81,7 @@ class BipartiteView:
         object.__setattr__(self, "X", xs)
         object.__setattr__(self, "Y", ys)
         object.__setattr__(self, "adjacency", adj)
+        object.__setattr__(self, "xmask", xmask)
 
     @classmethod
     def from_colouring(
@@ -90,10 +92,10 @@ class BipartiteView:
         colour: Colour = RED,
         m: int = 0,
     ) -> "BipartiteView":
-        xs, ys = tuple(xs), tuple(ys)
-        xmask = vertex_mask(xs)
-        adj = {y: g.mask(y, colour) & xmask for y in ys}
-        return cls(xs, ys, adj, m=m, colour=colour)
+        view = cls(xs, ys, {}, m=m, colour=colour)
+        for y in view.Y:  # filled in place: X is parsed once, in __post_init__
+            view.adjacency[y] = g.mask(y, colour) & view.xmask
+        return view
 
     def degree(self, y: int) -> int:
         return self.adjacency[y].bit_count()
@@ -108,14 +110,13 @@ class DegreeClasses:
 
     @classmethod
     def from_view(cls, v: BipartiteView) -> "DegreeClasses":
-        xmask = vertex_mask(v.X)
-        common = xmask  # the x joined to every y
+        common = v.xmask  # the x joined to every y
         for y in v.Y:
             common &= v.adjacency[y]
         x0 = tuple(mask_vertices(common))
-        x1 = tuple(mask_vertices(xmask & ~common))
-        y0 = tuple(y for y in v.Y if v.adjacency[y] == xmask)
-        y1 = tuple(y for y in v.Y if v.adjacency[y] != xmask)
+        x1 = tuple(mask_vertices(v.xmask & ~common))
+        y0 = tuple(y for y in v.Y if v.adjacency[y] == v.xmask)
+        y1 = tuple(y for y in v.Y if v.adjacency[y] != v.xmask)
         return cls(x0, x1, y0, y1)
 
 
@@ -139,7 +140,7 @@ def long_path(v: BipartiteView) -> Path:
     for y in v.Y:
         if 2 * v.degree(y) < total:
             raise PreconditionViolated("2*deg(y) >= |X| + |Y|", witness=y)
-    return _long_path(v, vertex_mask(v.X))
+    return _long_path(v, v.xmask)
 
 
 def _long_path(v: BipartiteView, free: int) -> Path:
@@ -174,7 +175,7 @@ def decompose(v: BipartiteView) -> tuple[Path, ...]:
         if v.degree(y) < floor_deg:
             raise PreconditionViolated("deg(y) >= |X| - m", witness=y)
     paths: list[Path] = []
-    alive = vertex_mask(v.X)
+    alive = v.xmask
     limit = len(v.Y) + 2 * v.m
     while alive.bit_count() > limit:
         # long_path's bound holds within alive: y misses at most m of X, so
@@ -237,10 +238,10 @@ def decompose_full(v: BipartiteView) -> tuple[Path, ...]:
         raise PreconditionViolated("(ii) |X0|*|Y0| > 2*|X1|*|Y1|")
 
     ys = list(v.Y)
-    x0_all = vertex_mask(cl.x0)  # x-classes are fixed: Y never shrinks
+    x0_all = v.xmask & ~vertex_mask(cl.x1)  # x-classes are fixed: Y never shrinks
     adj = v.adjacency
     paths: list[Path] = []
-    alive = vertex_mask(v.X)
+    alive = v.xmask
     while alive:
         x0a = mask_vertices(alive & x0_all)
         x1a = mask_vertices(alive & ~x0_all)
@@ -286,7 +287,7 @@ RAMSEY_EXACT_THRESHOLD = 14
 def _vertex_masks(v: BipartiteView) -> tuple[list[int], list[int]]:
     """Per-vertex partner masks in view colour and its complement, vertex
     u's at index u - 1 and 0 for a label outside the view."""
-    xmask = vertex_mask(v.X)
+    xmask = v.xmask
     ymask = vertex_mask(v.Y)
     main = [0] * max(v.X + v.Y, default=0)
     other = main[:]

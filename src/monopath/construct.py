@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import filterfalse, islice
 
 from . import arith
 from .bipartite import BipartiteView, decompose, ramsey_path
@@ -304,7 +305,8 @@ def long_path_pipeline(g: Colouring, refined):
     half = n // 2
     q = base.vertices[:half]
     qmask = vertex_mask(q)
-    w = mask_vertices(((1 << n) - 1) & ~qmask)[:half]
+    qset = set(q)
+    w = list(islice(filterfalse(qset.__contains__, range(1, n + 1)), half))
     wmask = vertex_mask(w)
     # opposite-colour edges between q and w only
     rows = g.rows(other)
@@ -315,7 +317,6 @@ def long_path_pipeline(g: Colouring, refined):
         adj[v - 1] = rows[v - 1] & qmask
     # rows off q and w are 0, and vertex 1 is in q or (lowest off q) in w
     probe = _best_greedy(adj, range(1, n + 1))
-    qset = set(q)
     probe_q = qset.intersection(probe)
 
     def tail(slack: float):

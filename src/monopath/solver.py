@@ -81,12 +81,30 @@ def _guarantee(n: int, size: int, cfg: SolverConfig) -> Guarantee:
     return Guarantee.NONE
 
 
-def _pick(
-    n: int, cfg: SolverConfig, cands: list[tuple[str, PathCover]], trace: list[str]
-) -> SolveResult:
-    """The smallest candidate wins, the first listed on ties; the pick ends
-    the trace."""
-    tag, cover = min(cands, key=lambda tc: tc[1].size)
+def _built(c) -> PathCover:
+    """A held candidate's cover: itself, or what _Shared.greedy builds."""
+    return c if isinstance(c, PathCover) else c()
+
+
+def _in_pick_order(cands):
+    """The (tag, candidate) pairs in (size, order), each cover _built: the
+    first wins the pick.  A cover has at least one path and the earlier
+    candidate wins ties, so a one-path candidate cannot be beaten: it is
+    yielded as soon as it is met, and a reader that stops there builds no
+    greedy cover listed after it.  The rest follow, sorted by size."""
+    rest = []
+    for tag, c in cands:
+        c = _built(c)
+        if c.size == 1:
+            yield tag, c
+        else:
+            rest.append((tag, c))
+    yield from sorted(rest, key=lambda tc: tc[1].size)
+
+
+def _pick(n: int, cfg: SolverConfig, cands: list, trace: list[str]) -> SolveResult:
+    """The first candidate _in_pick_order wins; the pick ends the trace."""
+    tag, cover = next(_in_pick_order(cands))
     trace.append(f"pick:{tag}")
     return SolveResult(cover, _guarantee(n, cover.size, cfg), tuple(trace))
 
@@ -157,7 +175,7 @@ def cover_from_structure(g: Colouring, s: LongPathStructure) -> PathCover:
 
 def _greedy_cover(g: Colouring, first) -> PathCover:
     """Strip maximal paths of the globally majority colour; always valid.
-    The first of them is first(gamma), _Shared.first's."""
+    Its first path is _Shared.first's first(gamma); _Shared.greedy builds it."""
     red_edges = sum(map(int.bit_count, g.rows(RED))) // 2
     gamma = RED if 4 * red_edges >= g.n * (g.n - 1) else BLUE
     p, alive = first(gamma)
@@ -198,16 +216,19 @@ class _Shared:
     """What a solve's bounded pass and sqrt step share: each colour's
     first maximal path from the lowest vertex, with the mask of the vertices
     off it, grown once, which the greedy cover strips first and refine_path
-    rotates from; refine_path, unseeded and unbounded, once per colour, which
-    the base structures read and the pipeline tail reuses when its degree
-    bound cannot bind; one cover_from_structure per path, shared by a base
-    structure and the sqrt y-exit; the pipeline with its slack-free head run
-    once; and reduce, whose cover reads no slack, once per witness at slack
-    0, the weakest guard (the sqrt step checks its own first)."""
+    rotates from; the greedy cover, built when a skip test or a pick first
+    reads it past the one-path covers (_can_win, _in_pick_order);
+    refine_path, unseeded and unbounded, once per colour, which the base
+    structures read and the pipeline tail reuses when its degree bound cannot
+    bind; one cover_from_structure per path, shared by a base structure and
+    the sqrt y-exit; the pipeline with its slack-free head run once; and
+    reduce, whose cover reads no slack, once per witness at slack 0, the
+    weakest guard (the sqrt step checks its own first)."""
 
     def __init__(self, g: Colouring, cfg: SolverConfig):
         full = (1 << g.n) - 1
         self.first = cache(lambda gamma: _grow(g, gamma, [], full))
+        self.greedy = cache(lambda: _greedy_cover(g, self.first))
         self.refined = cache(lambda gamma: _refine(g, gamma, *self.first(gamma), None))
         head = cache(lambda: long_path_pipeline(g, self.refined))
         self.structure = lambda slack: head()(slack)
@@ -224,10 +245,11 @@ def _can_win(
     cover) can still win the pick: no valid cover in hand before it in pick
     order may have <= least paths, none after it < least.  ok(cover) says
     whether a held cover is valid, and is asked only of the covers whose
-    size would rule this one out.  If it cannot win, trace <tag>:skipped; the
-    caller skips it."""
-    if all(c.size > least or not ok(c) for c in earlier) and all(
-        c.size >= least or not ok(c) for c in later
+    size would rule this one out.  Held covers are _built in order, only as
+    far as needed: least 1 reads none after it, as no cover has fewer paths.
+    If it cannot win, trace <tag>:skipped; the caller skips it."""
+    if all(c.size > least or not ok(c) for c in map(_built, earlier)) and (
+        least == 1 or all(c.size >= least or not ok(c) for c in map(_built, later))
     ):
         return True
     trace.append(f"{tag}:skipped")
@@ -253,10 +275,10 @@ def _bounded_candidates(
     base strategies, then the bounded-size induction for n above c, each
     built only if _can_win over those before it (least size 2 for
     bounded:reduce, else 1), at every level of the recursion.  The greedy
-    cover is built first but listed in pick order, after the structures:
+    cover is listed after the structures as _Shared.greedy, built when read:
     a structure cover, whose exact size _structure_size reads off its
     refine_path run, is built only if it can win over the covers before it
-    and the greedy cover."""
+    and, above one path, the greedy cover."""
     n = g.n
     trace: list[str] = []
     cands: list[tuple[str, PathCover]] = []
@@ -268,8 +290,6 @@ def _bounded_candidates(
     if n <= DEFAULT_ORACLE_THRESHOLD:
         with _dropped_on_error("base:oracle", trace):
             add(exact_f(g).witness, "base:oracle")
-    # unguarded: the greedy cover is the candidate that is always there
-    greedy = _greedy_cover(g, shared.first)
     for gamma in (RED, BLUE):
         tag = f"base:structure-{gamma.value}"
         earlier = [c for _, c in cands]
@@ -277,9 +297,10 @@ def _bounded_candidates(
             # least size 1 first, so refine_path runs only if that can win
             if _can_win(1, earlier, (), tag, trace):
                 s = LongPathStructure(*shared.refined(gamma))
-                if _can_win(_structure_size(s), earlier, [greedy], tag, trace):
+                if _can_win(_structure_size(s), earlier, [shared.greedy], tag, trace):
                     add(shared.cover(s), tag)
-    add(greedy, "base:greedy")
+    # unguarded: the greedy cover is the candidate that is always there
+    add(shared.greedy, "base:greedy")
 
     if n > cfg.c and _can_win(1, [c for _, c in cands], (), "bounded:pipeline", trace):
         trace.append("bounded:pipeline")
@@ -378,13 +399,14 @@ def solve(g: Colouring, cfg: SolverConfig | None = None) -> SolveResult:
     Each candidate is built at most once, and only if _can_win over the
     valid covers in hand: the oracle and greedy covers are cover_bounded's,
     the sqrt step falls back to its pick, and the _Shared pipeline head and
-    reduce covers are built once.  A base structure cover is built only if
-    its exact size can win, and refine_path runs unbounded once per colour,
-    from the same first path as the greedy cover, shared by the base
+    reduce covers are built once; the greedy cover only when read, never
+    behind a valid one-path candidate.  A base structure cover is built only
+    if its exact size can win, and refine_path runs unbounded once per
+    colour, from the same first path as the greedy cover, shared by the base
     structures and the sqrt pipeline's tail when that is unseeded and its
-    degree bound cannot bind (for n <= 4(c + 1)**2, which at the default c
-    is every n).  A skipped sqrt step or sqrt:reduce adds no sqrt
-    candidate: the fallback would win the bounded pick's tie.
+    degree bound cannot bind (n <= 4(c + 1)**2: every n at the default c).
+    A skipped sqrt step or sqrt:reduce adds no sqrt candidate: the fallback
+    would win the bounded pick's tie.
 
     validate_cover checks only the covers the pick can reach: a held cover
     when its size would make _can_win skip a stage, and the candidates in
@@ -395,10 +417,10 @@ def solve(g: Colouring, cfg: SolverConfig | None = None) -> SolveResult:
     cfg = SolverConfig() if cfg is None else cfg
     shared = _Shared(g, cfg)
     base, bounded_trace = _bounded_candidates(g, cfg, shared)
-    built = dict(base)
     bounded = _pick(g.n, cfg, base, bounded_trace)
     # validate_cover's verdict per cover checked, by id: hashing a cover
-    # reads every vertex, and every cover here lives until solve returns
+    # reads every vertex, and every cover here lives until solve returns; a
+    # greedy cover is checked once built, so one never built has no verdict
     verdicts: dict[int, bool] = {}
 
     def ok(cover: PathCover) -> bool:
@@ -406,8 +428,8 @@ def solve(g: Colouring, cfg: SolverConfig | None = None) -> SolveResult:
             verdicts[id(cover)] = validate_cover(g, cover).valid
         return verdicts[id(cover)]
 
-    oracle = [built["base:oracle"]] if "base:oracle" in built else []
-    held = (oracle, [bounded.cover, built["base:greedy"]])
+    oracle = [c for tag, c in base if tag == "base:oracle"]
+    held = (oracle, [bounded.cover, shared.greedy])
     steps: list[str] = []  # the sqrt step's trace
     sqrt = None
     if _can_win(1, *held, "sqrt:pipeline", steps, ok):
@@ -416,8 +438,8 @@ def solve(g: Colouring, cfg: SolverConfig | None = None) -> SolveResult:
             steps.append("sqrt:fallback")
             sqrt = bounded.cover
     # the pick reaches the candidates in (size, order) up to the first valid one
-    reach = [c for c in (*oracle, sqrt, bounded.cover, built["base:greedy"]) if c is not None]
-    any(ok(c) for c in sorted(reach, key=lambda c: c.size))
+    reach = [c for c in (*oracle, sqrt, bounded.cover, shared.greedy) if c is not None]
+    any(ok(c) for _, c in _in_pick_order(enumerate(reach)))
     trace: list[str] = []
     cands: list[tuple[str, PathCover]] = []
 
@@ -435,7 +457,7 @@ def solve(g: Colouring, cfg: SolverConfig | None = None) -> SolveResult:
         add(sqrt, "sqrt")
     trace.extend(bounded.branch_trace)
     add(bounded.cover, "bounded")
-    add(built["base:greedy"], "greedy")
+    add(shared.greedy() if shared.greedy.cache_info().currsize else shared.greedy, "greedy")
     res = _pick(g.n, cfg, cands, trace)
     labels = _labels(g.n)
     paths = tuple(

@@ -38,6 +38,7 @@ class TestView:
     def test_sorts_and_freezes(self):
         v = BipartiteView((3, 1), (5, 4), {4: 0b1, 5: 0})
         assert v.X == (1, 3) and v.Y == (4, 5)
+        assert v.xmask == 0b101  # vertex_mask(X), which the operations read
         assert v.degree(4) == 1 and v.degree(5) == 0
 
     def test_rejects_overlap_and_stray_keys(self):

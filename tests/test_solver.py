@@ -333,12 +333,15 @@ def _greedy(g: Colouring) -> PathCover:
 
 class TestEachCandidateOnce:
     def test_oracle_and_greedy_run_once_at_n10(self, monkeypatch):
+        # the oracle's cover is one path and comes first in pick order, so
+        # nothing reads the greedy cover and it is never built
         g = random_colouring(10, 0.5, 3)
         seen = _count_calls(monkeypatch, "exact_f", "_greedy_cover")
         res = solve(g)
         assert validate_cover(g, res.cover).valid
+        assert res.branch_trace[-1] == "pick:oracle" and res.cover.size == 1
         assert len(seen["exact_f"]) == 1
-        assert len(seen["_greedy_cover"]) == 1
+        assert seen["_greedy_cover"] == []
 
     def test_fallback_reuses_the_bounded_result(self, monkeypatch):
         g = random_colouring(17, 0.2, 24)
@@ -352,18 +355,17 @@ class TestEachCandidateOnce:
         assert len(seen["_greedy_cover"]) == 1
 
     def test_once_per_colouring_through_reduce(self, monkeypatch):
-        # small constants: both pipelines reduce into sub-colourings, and each
-        # sub-colouring gets its own single run
+        # small constants: both pipelines reduce into one sub-colouring,
+        # whose one-path red structure cover leaves its greedy cover unread;
+        # the top-level colouring builds its own once
         cfg = SolverConfig(c1=1.0, c2=0.0, c=1.0)
         g = red_hub(68, 37)
-        seen = _count_calls(monkeypatch, "_greedy_cover")
+        seen = _count_calls(monkeypatch, "_greedy_cover", "cover_bounded")
         res = solve(g, cfg)
         assert validate_cover(g, res.cover).valid
         assert {"sqrt:reduce", "bounded:reduce"} <= set(res.branch_trace)
-        calls = seen["_greedy_cover"]
-        assert len(calls) > 1
-        assert len({id(h) for h in calls}) == len(calls)
-        assert sum(h is g for h in calls) == 1
+        assert [h.n for h in seen["cover_bounded"]] == [35]
+        assert seen["_greedy_cover"] == [g]
 
     @pytest.mark.parametrize(
         "n, cfg, trace",
@@ -592,6 +594,67 @@ class TestLazyChecks:
         assert res.branch_trace[-3:] == ("bounded", "greedy", "pick:sqrt")
         assert bad not in seen and len(seen) == 1
         assert validate_cover(g, res.cover).valid
+
+
+class TestLazyGreedy:
+    """The greedy cover is built at most once per colouring, and only when a
+    skip test or the pick reads it: never behind a one-path candidate."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_not_built_behind_a_one_path_structure(self, monkeypatch, seed):
+        g = random_colouring(200, 0.1, seed)
+        seen = _count_calls(monkeypatch, "_greedy_cover")
+        res = solve(g, SolverConfig(2.0, 2.0, 2.0))
+        assert "pick:base:structure-R" in res.branch_trace
+        assert res.branch_trace[-3:] == ("bounded", "greedy", "pick:bounded")
+        assert res.cover.size == 1
+        assert seen["_greedy_cover"] == []
+
+    @pytest.mark.parametrize(
+        "make", [lambda: extremal(100), lambda: red_hub(300, 201)], ids=["extremal", "hub"]
+    )
+    def test_built_once_where_a_structure_reads_it(self, monkeypatch, make):
+        # the red structure cover has many paths, so its skip test reads the
+        # greedy cover's size; the later reads take the same cover
+        g = make()
+        seen = _count_calls(monkeypatch, "_greedy_cover")
+        res = solve(g)
+        assert seen["_greedy_cover"] == [g]
+        assert validate_cover(g, res.cover).valid
+
+    def test_invalid_one_path_structure_builds_it(self, monkeypatch):
+        # the bounded pick, an injected invalid one-path structure cover,
+        # no longer rules the greedy cover out: sqrt:reduce's skip test and
+        # the pick read it, and it is built once
+        g = random_colouring(200, 0.1, 0)
+        one = PathCover(RED, (Path(tuple(range(1, g.n)), RED),), g.n)
+        monkeypatch.setattr(solver, "cover_from_structure", lambda h, s: one)
+        seen = _count_calls(monkeypatch, "_greedy_cover")
+        res = solve(g, SolverConfig(2.0, 2.0, 2.0))
+        assert "pick:base:structure-R" in res.branch_trace
+        assert "bounded:invalid-dropped" in res.branch_trace
+        assert seen["_greedy_cover"] == [g]
+        assert validate_cover(g, res.cover).valid
+
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=8), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_pick_is_min_and_stops_at_one_path(self, sizes, data):
+        covers = [PathCover(RED, (Path((1,), RED),) * k, 1) for k in sizes]
+        cut = sizes.index(1) + 1 if 1 in sizes else len(sizes)
+        read = []
+
+        def lazy(i):
+            return lambda: read.append(i) or covers[i]
+
+        # any candidate may be held unbuilt, as the greedy cover is
+        held = [
+            lazy(i) if data.draw(st.booleans()) else c for i, c in enumerate(covers)
+        ]
+        res = solver._pick(1, SolverConfig(), [(str(i), c) for i, c in enumerate(held)], [])
+        want = min(range(len(covers)), key=lambda i: covers[i].size)
+        assert res.branch_trace == (f"pick:{want}",)
+        assert res.cover is covers[want]
+        assert all(i < cut for i in read)
 
 
 class TestFirstPathOnce:
