@@ -1,11 +1,14 @@
-"""scripts/same_covers.py on a tiny plan, so the command keeps working, and
-the committed plan's shape."""
+"""scripts/same_covers.py on a tiny plan, so the command keeps working, the
+committed plan's shape, and the covers that solve and cover_bounded return on
+it."""
 
 from __future__ import annotations
 
 import json
 import sys
 from pathlib import Path as FilePath
+
+import pytest
 
 sys.path.insert(0, str(FilePath(__file__).resolve().parent.parent / "scripts"))
 
@@ -83,3 +86,21 @@ def test_trace_differences_are_counted_per_tag(tmp_path, capsys):
     assert code == 0
     assert "against tags: 2 differing records saved without traces" in diff
     assert not any(line.startswith("against tag ") for line in diff)
+
+
+# same_covers._digest of the list of cover parts (cover and guarantee, or the
+# exception raised) of every committed plan record, in plan order, per entry
+# point: a change of trace alone leaves them as they are
+PLAN_COVERS = {
+    "solve": "9fc39377bfca3cc67f02b94e6bb8adefa9530643347bfaa86490d58c0cf7c784",
+    "cover_bounded": "20855c84157f440a0f03bf96bb8b0c12f5e73aec3c15ec928a7badbe6126982b",
+}
+
+
+@pytest.mark.parametrize("entry", sorted(PLAN_COVERS))
+def test_committed_plan_covers_match_pinned_digest(monkeypatch, entry):
+    monkeypatch.setattr(same_covers, "ENTRIES", {entry: same_covers.ENTRIES[entry]})
+    plan = json.loads(same_covers.PLAN.read_text())
+    parts = [part for _, part, _ in same_covers.records(plan)]
+    assert len(parts) == len(plan) * len(same_covers.CONFIGS)
+    assert same_covers._digest(parts) == PLAN_COVERS[entry]
