@@ -1,6 +1,6 @@
 """Cover pipeline: the reduction recursion, near-spanning-path completion,
 the bounded-size induction, and the sqrt-bound orchestration, plus a
-production solve() that always returns a valid cover.
+production solve() that returns the first valid cover of one candidate list.
 
 With honest default constants every reachable n is a base case; the deep
 branches exist to be exercised with small constants, where their size
@@ -82,13 +82,13 @@ def _guarantee(n: int, size: int, cfg: SolverConfig) -> Guarantee:
 
 
 def _built(c) -> PathCover:
-    """A held candidate's cover: itself, or what _Shared.greedy builds."""
+    """A candidate's cover: itself, or what _Shared.greedy builds."""
     return c if isinstance(c, PathCover) else c()
 
 
 def _in_pick_order(cands):
     """The (tag, candidate) pairs in (size, order), each cover _built: the
-    first wins the pick.  A cover has at least one path and the earlier
+    first valid one wins the pick.  A cover has at least one path and the earlier
     candidate wins ties, so a one-path candidate cannot be beaten: it is
     yielded as soon as it is met, and a reader that stops there builds no
     greedy cover listed after it.  The rest follow, sorted by size."""
@@ -102,11 +102,18 @@ def _in_pick_order(cands):
     yield from sorted(rest, key=lambda tc: tc[1].size)
 
 
-def _pick(n: int, cfg: SolverConfig, cands: list, trace: list[str]) -> SolveResult:
-    """The first candidate _in_pick_order wins; the pick ends the trace."""
-    tag, cover = next(_in_pick_order(cands))
-    trace.append(f"pick:{tag}")
-    return SolveResult(cover, _guarantee(n, cover.size, cfg), tuple(trace))
+def _pick(
+    n: int, cfg: SolverConfig, cands: list, trace: list[str], ok=lambda cover: True
+) -> SolveResult:
+    """The first candidate _in_pick_order that ok finds valid wins, traced
+    pick:<tag>, after <tag>:invalid-dropped for each one found invalid;
+    MonopathError when none is valid."""
+    for tag, cover in _in_pick_order(cands):
+        if ok(cover):
+            trace.append(f"pick:{tag}")
+            return SolveResult(cover, _guarantee(n, cover.size, cfg), tuple(trace))
+        trace.append(f"{tag}:invalid-dropped")
+    raise MonopathError(f"no valid cover; dropped {', '.join(t for t, _ in cands)}")
 
 
 def _reduce_guard(n: int, w: ReductionWitness, slack: float) -> None:
@@ -334,12 +341,11 @@ def _sqrt_step(
     cfg: SolverConfig,
     trace: list[str],
     shared: _Shared,
-    held=((), ()),
-    ok=lambda cover: True,
+    earlier=(), later=(), ok=lambda cover: True,
 ) -> PathCover | None:
     """The sqrt-bound step, or None when a guard fails, a stage raises or
-    _can_win skips its reduce over the covers held before and after it in
-    pick order, ok telling which of them are valid; the trace records the
+    _can_win skips its reduce over the covers before and after it in pick
+    order, ok telling which of them are valid; the trace records the
     branch taken, the guard that failed, the skip or
     <stage>:error(<exception name>), the stage being sqrt:pipeline,
     sqrt:reduce, sqrt:decompose or, for the exits, sqrt."""
@@ -350,7 +356,7 @@ def _sqrt_step(
     if isinstance(s, ReductionWitness):
         with _dropped_on_error("sqrt:reduce", trace):
             _reduce_guard(n, s, cfg.c)
-            if not _can_win(2, *held, "sqrt:reduce", trace, ok):
+            if not _can_win(2, earlier, later, "sqrt:reduce", trace, ok):
                 return None
             cov = shared.reduce(s)
             trace.append("sqrt:reduce")
@@ -393,31 +399,22 @@ def cover_sqrt(g: Colouring, cfg: SolverConfig) -> SolveResult:
 
 
 def solve(g: Colouring, cfg: SolverConfig | None = None) -> SolveResult:
-    """Best valid cover among oracle (small n), the sqrt step, cover_bounded
-    and the greedy cover; strictly smaller size wins, then strategy order.
+    """The first valid cover in (size, order) of one candidate list:
+    base:oracle (small n), sqrt, base:structure-R, base:structure-B,
+    base:greedy, bounded:*; MonopathError if none is valid.  The trace lists
+    the bounded stages, the sqrt step's, <tag>:invalid-dropped for each
+    cover found invalid, then pick:<tag>.
 
-    Each candidate is built at most once, and only if _can_win over the
-    valid covers in hand: the oracle and greedy covers are cover_bounded's,
-    the sqrt step falls back to its pick, and the _Shared pipeline head and
-    reduce covers are built once; the greedy cover only when read, never
-    behind a valid one-path candidate.  A base structure cover is built only
-    if its exact size can win, and refine_path runs unbounded once per
-    colour, from the same first path as the greedy cover, shared by the base
-    structures and the sqrt pipeline's tail when that is unseeded and its
-    degree bound cannot bind (n <= 4(c + 1)**2: every n at the default c).
-    A skipped sqrt step or sqrt:reduce adds no sqrt candidate: the fallback
-    would win the bounded pick's tie.
-
-    validate_cover checks only the covers the pick can reach: a held cover
-    when its size would make _can_win skip a stage, and the candidates in
-    (size, order) up to the first valid one, which wins.  A cover found
-    invalid is traced <tag>:invalid-dropped in its own place; one the pick
-    never reaches is not checked and keeps its plain tag.
+    cover_bounded's candidates are built first, as _can_win over them (the
+    oracle's cover before the sqrt step, the rest after it) decides whether
+    the sqrt step and its reduce run; each is built at most once, the
+    greedy cover only when read (_Shared).  validate_cover checks only the
+    covers the pick can reach: one whose size would make _can_win skip a
+    stage, and the candidates in (size, order) up to the first valid one.
     """
     cfg = SolverConfig() if cfg is None else cfg
     shared = _Shared(g, cfg)
-    base, bounded_trace = _bounded_candidates(g, cfg, shared)
-    bounded = _pick(g.n, cfg, base, bounded_trace)
+    cands, trace = _bounded_candidates(g, cfg, shared)
     # validate_cover's verdict per cover checked, by id: hashing a cover
     # reads every vertex, and every cover here lives until solve returns; a
     # greedy cover is checked once built, so one never built has no verdict
@@ -428,37 +425,13 @@ def solve(g: Colouring, cfg: SolverConfig | None = None) -> SolveResult:
             verdicts[id(cover)] = validate_cover(g, cover).valid
         return verdicts[id(cover)]
 
-    oracle = [c for tag, c in base if tag == "base:oracle"]
-    held = (oracle, [bounded.cover, shared.greedy])
-    steps: list[str] = []  # the sqrt step's trace
-    sqrt = None
-    if _can_win(1, *held, "sqrt:pipeline", steps, ok):
-        sqrt = _sqrt_step(g, cfg, steps, shared, held, ok)
-        if sqrt is None and steps[-1] != "sqrt:reduce:skipped":
-            steps.append("sqrt:fallback")
-            sqrt = bounded.cover
-    # the pick reaches the candidates in (size, order) up to the first valid one
-    reach = [c for c in (*oracle, sqrt, bounded.cover, shared.greedy) if c is not None]
-    any(ok(c) for _, c in _in_pick_order(enumerate(reach)))
-    trace: list[str] = []
-    cands: list[tuple[str, PathCover]] = []
-
-    def add(cover: PathCover, tag: str) -> None:
-        if not verdicts.get(id(cover), True):
-            trace.append(f"{tag}:invalid-dropped")
-            return
-        trace.append(tag)
-        cands.append((tag, cover))
-
-    for cover in oracle:
-        add(cover, "oracle")
-    trace.extend(steps)
-    if sqrt is not None:
-        add(sqrt, "sqrt")
-    trace.extend(bounded.branch_trace)
-    add(bounded.cover, "bounded")
-    add(shared.greedy() if shared.greedy.cache_info().currsize else shared.greedy, "greedy")
-    res = _pick(g.n, cfg, cands, trace)
+    at = sum(tag == "base:oracle" for tag, _ in cands)  # the sqrt cover's place
+    covers = [c for _, c in cands]
+    if _can_win(1, covers[:at], (), "sqrt:pipeline", trace, ok):
+        sqrt = _sqrt_step(g, cfg, trace, shared, covers[:at], covers[at:], ok)
+        if sqrt is not None:
+            cands.insert(at, ("sqrt", sqrt))
+    res = _pick(g.n, cfg, cands, trace, ok)
     labels = _labels(g.n)
     paths = tuple(
         Path(tuple(map(labels.__getitem__, p.vertices)), p.colour)

@@ -85,19 +85,19 @@ def _digest(rec: dict) -> str:
 # returns a reduction witness, but the red structure cover is a single path,
 # which a reduce cover (two paths at least) cannot beat, so sqrt:reduce is
 # skipped; RED_HUB_REDUCE_DIGEST pins a reduce cover at this scale
-LARGE_REDUCE_DIGEST = "02dca70bff1a77b8063283dc689062b2f7a341a057cee797e5b917fb780aae87"
+LARGE_REDUCE_DIGEST = "632ba53f7163148de457f247648bb7bce44b1031b0ee1fd3fed3e1d3e1e5ee42"
 
 
 def test_large_reduce_matches_pinned_digest():
     rec = _record(random_colouring(1000, 0.5, 7), SolverConfig(2.0, 2.0, 2.0))
-    assert rec["trace"][0] == "sqrt:reduce:skipped"
+    assert rec["trace"][-2:] == ["sqrt:reduce:skipped", "pick:base:structure-R"]
     assert _digest(rec) == LARGE_REDUCE_DIGEST
 
 
 # the same for red_hub(2000, 1201) under (2, 2, 2): every base cover has
 # more than one path, and both pipelines return one reduction witness.  The
 # red structure cover (201 paths) is built; the blue one (801) is skipped
-RED_HUB_REDUCE_DIGEST = "b5b4b259004991f66bd229d86ee007365c83cd85f41c2e0b977ea84512433a3e"
+RED_HUB_REDUCE_DIGEST = "020897d6c63800d041dfc636ccd59598745d35b28a861558e804ddc67f311551"
 
 
 def test_red_hub_reduce_is_built_once(monkeypatch):

@@ -20,6 +20,7 @@ from monopath.core import (
     Colouring,
     CoverReport,
     GuardFailed,
+    MonopathError,
     Path,
     PathCover,
     validate_cover,
@@ -339,15 +340,17 @@ class TestEachCandidateOnce:
         seen = _count_calls(monkeypatch, "exact_f", "_greedy_cover")
         res = solve(g)
         assert validate_cover(g, res.cover).valid
-        assert res.branch_trace[-1] == "pick:oracle" and res.cover.size == 1
+        assert res.branch_trace[-1] == "pick:base:oracle" and res.cover.size == 1
         assert len(seen["exact_f"]) == 1
         assert seen["_greedy_cover"] == []
 
     def test_fallback_reuses_the_bounded_result(self, monkeypatch):
+        # the sqrt step fails, and the pick takes a bounded candidate
         g = random_colouring(17, 0.2, 24)
         seen = _count_calls(monkeypatch, "_refine", "_greedy_cover")
         res = solve(g)
-        assert "sqrt:fallback" in res.branch_trace
+        assert "sqrt:decompose:error(PreconditionViolated)" in res.branch_trace
+        assert res.branch_trace[-1] == "pick:base:structure-B"
         assert validate_cover(g, res.cover).valid
         # the bounded base strategies ran for the whole graph exactly once:
         # the unseeded refine_path runs through _refine, once per colour
@@ -438,7 +441,7 @@ class TestStructureSkip:
         res = solve(g)
         assert built == [BLUE]
         assert "sqrt:y-exit" in res.branch_trace
-        assert res.branch_trace[2:5] == (
+        assert res.branch_trace[:3] == (
             "base:structure-R:skipped", "base:structure-B", "base:greedy",
         )
         assert _greedy(g).size == 10
@@ -495,9 +498,7 @@ class TestPickRule:
         seen = _count_calls(monkeypatch, "reduce")
         res = solve(g, SolverConfig(2.0, 2.0, 2.0))
         assert seen["reduce"] == []
-        assert res.branch_trace[0] == "sqrt:reduce:skipped"
-        assert "sqrt" not in res.branch_trace
-        assert res.branch_trace[-1] == "pick:bounded"
+        assert res.branch_trace[-2:] == ("sqrt:reduce:skipped", "pick:base:structure-R")
         assert res.cover.size == 1
 
     def test_skip_reads_a_validated_cover(self, monkeypatch):
@@ -518,25 +519,24 @@ class TestPickRule:
         res = solve(g, SolverConfig(2.0, 2.0, 2.0))
         assert "base:structure-B" in res.branch_trace
         assert "base:structure-R:skipped" in res.branch_trace
-        assert "bounded:invalid-dropped" in res.branch_trace
-        assert res.branch_trace[0] == "sqrt:reduce"
-        assert res.branch_trace[-1] == "pick:sqrt"
+        assert res.branch_trace[-3:] == (
+            "sqrt:reduce", "base:structure-B:invalid-dropped", "pick:sqrt",
+        )
         assert res.cover.size == 4
         assert validate_cover(g, res.cover).valid
 
     def test_failed_guard_falls_back_before_any_skip(self, monkeypatch):
         # the sqrt witness of this hub fails the reduce guard; a one-path
         # greedy cover, let through validation, would rule the reduce out,
-        # but the guard is checked first, so the step still falls back to
-        # the bounded pick, which wins the tie as it did before the rule
+        # but the guard is checked first, so the step adds no cover and the
+        # greedy one wins
         g = red_hub(760, 607)
         one_path = PathCover(RED, (Path(tuple(range(1, g.n + 1)), RED),), g.n)
         monkeypatch.setattr(solver, "_greedy_cover", lambda h, first: one_path)
         monkeypatch.setattr(solver, "validate_cover", lambda h, cover: CoverReport(True))
         res = solve(g, SolverConfig(2.0, 2.0, 2.0))
         trace = res.branch_trace
-        assert trace[:3] == ("sqrt:reduce:error(GuardFailed)", "sqrt:fallback", "sqrt")
-        assert trace[-1] == "pick:sqrt"
+        assert trace[-2:] == ("sqrt:reduce:error(GuardFailed)", "pick:base:greedy")
         assert res.cover.size == 1
 
 
@@ -560,26 +560,27 @@ class TestLazyChecks:
         return seen
 
     def test_one_check_on_the_picked_single_path(self, monkeypatch):
-        # sqrt:reduce's skip reads the bounded pick (one red path), which the
-        # pick then takes; the greedy cover (one blue path) is never checked
+        # sqrt:reduce's skip reads the red structure cover (one path), which
+        # the pick then takes; the greedy cover (one blue path) is never checked
         g = random_colouring(200, 0.5, 0)
         seen = self._checked(monkeypatch)
         res = solve(g, SolverConfig(2.0, 2.0, 2.0))
-        assert res.branch_trace[-1] == "pick:bounded"
+        assert res.branch_trace[-1] == "pick:base:structure-R"
         assert seen == [res.cover]
         assert res.cover.size == 1 and res.cover.colour is RED
         assert _greedy(g) not in seen
 
     def test_invalid_pick_is_dropped_in_its_own_slot(self, monkeypatch):
-        # the sqrt and bounded reduce covers have 4 paths each, the greedy
-        # cover 145: the pick checks the sqrt cover first, drops it, and takes
-        # the bounded one, the next in (size, order); greedy is not checked
+        # the sqrt and bounded reduce covers have 4 paths each, the blue
+        # structure and greedy covers 145: the pick checks the sqrt cover
+        # first, drops it, and takes the bounded one, the next in (size,
+        # order); the larger ones are not checked
         g = red_hub(600, 457)
         seen = self._checked(monkeypatch, reject={1})
         res = solve(g, SolverConfig(2.0, 2.0, 2.0))
-        trace = res.branch_trace
-        assert trace[:2] == ("sqrt:reduce", "sqrt:invalid-dropped")
-        assert trace[-3:] == ("bounded", "greedy", "pick:bounded")
+        assert res.branch_trace[-3:] == (
+            "sqrt:reduce", "sqrt:invalid-dropped", "pick:bounded:reduce",
+        )
         assert [c.size for c in seen] == [4, 4]
         assert seen[1] == res.cover != seen[0]
         assert validate_cover(g, res.cover).valid
@@ -591,9 +592,33 @@ class TestLazyChecks:
         monkeypatch.setattr(solver, "_greedy_cover", lambda h, first: bad)
         seen = self._checked(monkeypatch)
         res = solve(g)
-        assert res.branch_trace[-3:] == ("bounded", "greedy", "pick:sqrt")
+        assert res.branch_trace[-2:] == ("sqrt:y-exit", "pick:sqrt")
         assert bad not in seen and len(seen) == 1
         assert validate_cover(g, res.cover).valid
+
+    def test_next_valid_cover_wins_over_an_invalid_one(self, monkeypatch):
+        # the red structure cover and bounded:y0-exit's have 3 paths each,
+        # the greedy cover 6: the pick drops the first, found invalid, and
+        # takes the next in (size, order), not the greedy cover
+        g = indexed_colouring(22, 0x33E5FCA957FCA92A4549FFFFFFDA9195237FFFFFFFF2A466548CC548CC)
+        seen = self._checked(monkeypatch, reject={1})
+        res = solve(g, SolverConfig(2.0, 2.0, 2.0))
+        assert res.branch_trace[-2:] == (
+            "base:structure-R:invalid-dropped", "pick:bounded:y0-exit",
+        )
+        assert [c.size for c in seen] == [3, 3]
+        assert seen[1] == res.cover != seen[0]
+        assert validate_cover(g, res.cover).valid
+
+    def test_no_valid_candidate_raises(self, monkeypatch):
+        # the greedy cover is this colouring's only candidate under the
+        # default constants: once it is found invalid, none is left
+        g = indexed_colouring(
+            26, 0x7C1040808040107F782041020408081008100428010200286082040010000040811FFFFFFFFFFFF
+        )
+        self._checked(monkeypatch, reject={1})
+        with pytest.raises(MonopathError, match="dropped base:greedy$"):
+            solve(g)
 
 
 class TestLazyGreedy:
@@ -605,8 +630,7 @@ class TestLazyGreedy:
         g = random_colouring(200, 0.1, seed)
         seen = _count_calls(monkeypatch, "_greedy_cover")
         res = solve(g, SolverConfig(2.0, 2.0, 2.0))
-        assert "pick:base:structure-R" in res.branch_trace
-        assert res.branch_trace[-3:] == ("bounded", "greedy", "pick:bounded")
+        assert res.branch_trace[-1] == "pick:base:structure-R"
         assert res.cover.size == 1
         assert seen["_greedy_cover"] == []
 
@@ -623,16 +647,17 @@ class TestLazyGreedy:
         assert validate_cover(g, res.cover).valid
 
     def test_invalid_one_path_structure_builds_it(self, monkeypatch):
-        # the bounded pick, an injected invalid one-path structure cover,
-        # no longer rules the greedy cover out: sqrt:reduce's skip test and
-        # the pick read it, and it is built once
+        # an injected invalid one-path structure cover no longer rules the
+        # greedy cover out: sqrt:reduce's skip test and the pick read it,
+        # and it is built once
         g = random_colouring(200, 0.1, 0)
         one = PathCover(RED, (Path(tuple(range(1, g.n)), RED),), g.n)
         monkeypatch.setattr(solver, "cover_from_structure", lambda h, s: one)
         seen = _count_calls(monkeypatch, "_greedy_cover")
         res = solve(g, SolverConfig(2.0, 2.0, 2.0))
-        assert "pick:base:structure-R" in res.branch_trace
-        assert "bounded:invalid-dropped" in res.branch_trace
+        assert res.branch_trace[-2:] == (
+            "base:structure-R:invalid-dropped", "pick:base:greedy",
+        )
         assert seen["_greedy_cover"] == [g]
         assert validate_cover(g, res.cover).valid
 
@@ -760,7 +785,6 @@ class TestFailingCandidate:
         assert validate_cover(g, res.cover).valid
         want = {
             "sqrt:error(GuardFailed)",
-            "sqrt:fallback",
             "base:structure-R:error(GuardFailed)",
             "base:structure-B:error(GuardFailed)",
         }
@@ -781,7 +805,7 @@ class TestFailingCandidate:
         res = solve(g)
         assert validate_cover(g, res.cover).valid
         assert "base:oracle:error(TableInconsistent)" in res.branch_trace
-        assert "oracle" not in res.branch_trace
+        assert "base:oracle" not in res.branch_trace
 
 
 def test_results_share_vertex_labels():

@@ -49,7 +49,7 @@ from monopath.core import (
 )
 from monopath.gen import extremal, random_colouring
 from monopath.oracle import TableInconsistent
-from monopath.solver import SolverConfig, solve
+from monopath.solver import SolverConfig, cover_sqrt, solve
 
 DEFAULT = SolverConfig()
 C2 = SolverConfig(c1=2.0, c2=0.0, c=2.0)
@@ -89,7 +89,6 @@ def _path_only(g, s):
 
 # trace entry -> (colouring, config, entry point, injected (name, stand-in))
 CENSUS = {
-    "oracle": (lambda: random_colouring(10, 0.5, 3), DEFAULT, solve, None),
     "base:oracle": (lambda: random_colouring(10, 0.5, 3), DEFAULT, solve, None),
     "base:oracle:error(TableInconsistent)": (
         lambda: random_colouring(10, 0.5, 3), DEFAULT, solve,
@@ -97,9 +96,6 @@ CENSUS = {
     ),
     "base:structure-R": (lambda: random_colouring(200, 0.5, 0), C222, solve, None),
     "base:greedy": (lambda: extremal(100), DEFAULT, solve, None),
-    "greedy": (lambda: extremal(100), DEFAULT, solve, None),
-    "bounded": (lambda: extremal(100), DEFAULT, solve, None),
-    "sqrt": (lambda: extremal(100), DEFAULT, solve, None),
     "pick:sqrt": (lambda: extremal(100), DEFAULT, solve, None),
     "sqrt:y-exit": (lambda: extremal(100), DEFAULT, solve, None),
     "sqrt:error(GuardFailed)": (
@@ -110,7 +106,8 @@ CENSUS = {
         lambda: extremal(100), DEFAULT, solve,
         ("cover_from_structure", _path_only),
     ),
-    "sqrt:fallback": (lambda: red_star(16), DEFAULT, solve, None),
+    # only cover_sqrt falls back; solve's pick reads the bounded candidates
+    "sqrt:fallback": (lambda: red_star(16), DEFAULT, cover_sqrt, None),
     # |X| = 1 <= |Y| = 15 fails decompose_full's (i)
     "sqrt:decompose:error(PreconditionViolated)": (
         lambda: red_star(16), DEFAULT, solve, None,
