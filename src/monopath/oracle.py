@@ -37,11 +37,6 @@ class TooLarge(MonopathError):
     """Instance exceeds the subset-DP resource guard."""
 
 
-class TableInconsistent(MonopathError):
-    """The subset DP's own tables contradict each other: a bug, never a
-    property of the input colouring."""
-
-
 def _guard(n: int, threshold: int) -> None:
     if n > threshold:
         raise TooLarge(f"n={n} exceeds oracle threshold {threshold}")
@@ -129,26 +124,20 @@ def _push_ends(adj: tuple[int, ...], part: int, ends: list[int]) -> None:
 
 
 def _spanning_path(ends: list[int], adj: tuple[int, ...], mask: int) -> list[int]:
-    """Walk one witness path back out of the endpoint table, lowest ids first."""
-    ebit = ends[mask] & -ends[mask]
-    cur = ebit.bit_length()
-    out = [cur]
+    """Walk one witness path back out of the endpoint table, lowest ids first.
+
+    By the table's definition an end w of a mask m of two or more vertices
+    has a neighbour that ends a path on m - w, and ends[m - w] lies inside
+    m - w: so the next vertex is the lowest bit of adj[w] & ends[m - w],
+    which is never 0."""
+    b = ends[mask] & -ends[mask]
+    out = [b.bit_length()]
     m = mask
-    while m != 1 << (cur - 1):
-        m2 = m & ~(1 << (cur - 1))
-        cand = adj[cur - 1] & m2
-        nxt = 0
-        while cand:
-            b = cand & -cand
-            cand ^= b
-            if ends[m2] & b:
-                nxt = b
-                break
-        if not nxt:
-            raise TableInconsistent(f"no predecessor of {cur} in mask {m:#x}")
-        cur = nxt.bit_length()
-        out.append(cur)
-        m = m2
+    while m != b:
+        m ^= b
+        b = adj[b.bit_length() - 1] & ends[m]
+        b &= -b
+        out.append(b.bit_length())
     return out
 
 
@@ -188,6 +177,9 @@ def min_cover_colour(
 def _min_cover(
     ends: list[int], adj: tuple[int, ...], n: int, gamma: Colour
 ) -> tuple[int, PathCover]:
+    """The minimum cover by maximal traceable sets, from gamma's endpoint
+    table.  Every vertex v lies on one ({v} is traceable), so cost always
+    finds a set through the lowest vertex left."""
     full = (1 << n) - 1
     if ends[full]:
         p = Path(tuple(_spanning_path(ends, adj, full)), gamma)
@@ -217,8 +209,6 @@ def _min_cover(
             c = cost(t) + 1
             if best is None or c < best[0]:
                 best = (c, w)
-        if best is None:
-            raise TableInconsistent(f"vertex {v + 1} lies on no maximal set")
         memo[s] = best[0]
         choice[s] = best[1]
         return best[0]

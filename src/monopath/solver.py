@@ -227,10 +227,10 @@ class _Shared:
     reads it past the one-path covers (_can_win, _in_pick_order);
     refine_path, unseeded and unbounded, once per colour, which the base
     structures read and the pipeline tail reuses when its degree bound cannot
-    bind; one cover_from_structure per path, shared by a base structure and
-    the sqrt y-exit; the pipeline with its slack-free head run once; and
-    reduce, whose cover reads no slack, once per witness at slack 0, the
-    weakest guard (the sqrt step checks its own first)."""
+    bind; one cover_from_structure per path, shared by a base structure, a
+    bounded exit and the sqrt y-exit; the pipeline with its slack-free head
+    run once; and reduce, whose cover reads no slack, once per witness at
+    slack 0, the weakest guard (the sqrt step checks its own first)."""
 
     def __init__(self, g: Colouring, cfg: SolverConfig):
         full = (1 << g.n) - 1
@@ -265,10 +265,18 @@ def _can_win(
 
 @contextmanager
 def _dropped_on_error(tag: str, trace: list[str]):
-    """Run one stage of the solve; a MonopathError it raises, a failed guard
-    included, drops what the stage would have built, the trace records
+    """Run one stage of the solve that can fail; a MonopathError it raises
+    drops what the stage would have built, the trace records
     <tag>:error(<exception name>) and the caller carries on.  This is the
-    module's only exception handler."""
+    module's only exception handler, and it wraps the six stages whose
+    arithmetic may not close: bounded:pipeline and sqrt:pipeline (the
+    stripping step's PreconditionViolated, or GuardFailed when it strips
+    nothing), bounded:reduce and sqrt:reduce (the reduce guard's
+    GuardFailed), bounded:strip (the same two as a pipeline) and
+    sqrt:decompose (decompose_full's PreconditionViolated).  The other
+    stages raise no MonopathError: exact_f's size guard cannot fire at
+    n <= DEFAULT_ORACLE_THRESHOLD, and refine_path, the greedy cover and
+    cover_from_structure raise none."""
     try:
         yield
     except MonopathError as exc:
@@ -295,17 +303,15 @@ def _bounded_candidates(
         cands.append((tag, cover))
 
     if n <= DEFAULT_ORACLE_THRESHOLD:
-        with _dropped_on_error("base:oracle", trace):
-            add(exact_f(g).witness, "base:oracle")
+        add(exact_f(g).witness, "base:oracle")
     for gamma in (RED, BLUE):
         tag = f"base:structure-{gamma.value}"
         earlier = [c for _, c in cands]
-        with _dropped_on_error(tag, trace):
-            # least size 1 first, so refine_path runs only if that can win
-            if _can_win(1, earlier, (), tag, trace):
-                s = LongPathStructure(*shared.refined(gamma))
-                if _can_win(_structure_size(s), earlier, [shared.greedy], tag, trace):
-                    add(shared.cover(s), tag)
+        # least size 1 first, so refine_path runs only if that can win
+        if _can_win(1, earlier, (), tag, trace):
+            s = LongPathStructure(*shared.refined(gamma))
+            if _can_win(_structure_size(s), earlier, [shared.greedy], tag, trace):
+                add(shared.cover(s), tag)
     # unguarded: the greedy cover is the candidate that is always there
     add(shared.greedy, "base:greedy")
 
@@ -320,13 +326,12 @@ def _bounded_candidates(
                     add(shared.reduce(found), "bounded:reduce")
         elif isinstance(found, LongPathStructure):
             if 4 * len(_gamma_isolated(found)) ** 2 <= n:
-                tag, build = "bounded:y0-exit", cover_from_structure
+                add(shared.cover(found), "bounded:y0-exit")
             elif len(found.y_degrees) ** 2 <= n:
-                tag, build = "bounded:y-exit", cover_from_structure
+                add(shared.cover(found), "bounded:y-exit")
             else:
-                tag, build = "bounded:strip", _strip_and_mop
-            with _dropped_on_error(tag, trace):
-                add(build(g, found), tag)
+                with _dropped_on_error("bounded:strip", trace):
+                    add(_strip_and_mop(g, found), "bounded:strip")
     return cands, trace
 
 
@@ -346,9 +351,8 @@ def _sqrt_step(
     """The sqrt-bound step, or None when a guard fails, a stage raises or
     _can_win skips its reduce over the covers before and after it in pick
     order, ok telling which of them are valid; the trace records the
-    branch taken, the guard that failed, the skip or
-    <stage>:error(<exception name>), the stage being sqrt:pipeline,
-    sqrt:reduce, sqrt:decompose or, for the exits, sqrt."""
+    branch taken, the skip or <stage>:error(<exception name>), the stage
+    being sqrt:pipeline, sqrt:reduce or sqrt:decompose."""
     n = g.n
     s = None
     with _dropped_on_error("sqrt:pipeline", trace):
@@ -367,11 +371,8 @@ def _sqrt_step(
     y0 = _gamma_isolated(s)
     coeff = 18 * Fraction(cfg.c)
     if arith.le_sqrt_minus_quartic(len(y0), n, coeff) or (len(s.y_degrees) + 1) ** 2 <= n:
-        with _dropped_on_error("sqrt", trace):
-            cov = shared.cover(s)
-            trace.append("sqrt:y-exit")
-            return cov
-        return None
+        trace.append("sqrt:y-exit")
+        return shared.cover(s)
 
     red = s.path.colour.complement
     with _dropped_on_error("sqrt:decompose", trace):

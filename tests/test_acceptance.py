@@ -9,12 +9,10 @@ import csv
 import io
 import math
 import random
-from itertools import product
 
 from conftest import (
     all_colourings,
     alternating_in_view,
-    bip_colour_adjacency,
     from_int,
     has_mono_path_with_edges,
     long_path_instance,
@@ -131,12 +129,16 @@ def test_criterion_05_decompose_full_suite():
 def _ramsey_exhaustive(side: int, k: int, l: int) -> bool:
     xs = tuple(range(1, side + 1))
     ys = tuple(range(side + 1, 2 * side + 1))
-    cells = list(product(ys, xs))
+    xset, yset = set(xs), set(ys)
+    verts = [*xs, *ys]
+    # bit i of a colouring is the cell (ys[i // side], xs[i % side]), so
+    # y's red neighbours are one `side`-bit row of it
+    row = [frozenset(x for x in xs if r >> (x - 1) & 1) for r in range(1 << side)]
+    full = (1 << side) - 1
     for bits in range(1 << (side * side)):
-        adj = {y: set() for y in ys}
-        for i, (y, x) in enumerate(cells):
-            if bits >> i & 1:
-                adj[y].add(x)
+        # red edges, listed at both ends; the view reads only the ys' rows
+        adj = {y: row[bits >> (side * j) & full] for j, y in enumerate(ys)}
+        adj.update({x: {y for y in ys if x in adj[y]} for x in xs})
         v = _view(side, side, adj)
         out = ramsey_path(v, k, l)
         p = out.path
@@ -145,19 +147,18 @@ def _ramsey_exhaustive(side: int, k: int, l: int) -> bool:
             return False
         # every step must alternate sides and carry the claimed colour
         for s, t in zip(vs, vs[1:]):
-            x, y = (s, t) if s in set(xs) else (t, s)
-            if x not in set(xs) or y not in set(ys):
+            x, y = (s, t) if s in xset else (t, s)
+            if x not in xset or y not in yset:
                 return False
             if (x in adj[y]) != (out.colour is RED):
                 return False
         if p.length < (k if out.colour is RED else l):
             return False
-        # independent recount: the disjunction itself, by threshold DFS
-        red_adj = bip_colour_adjacency(v, True)
-        blue_adj = bip_colour_adjacency(v, False)
-        verts = [*xs, *ys]
+        # independent recount: the disjunction itself, by threshold DFS over
+        # the red edges above and their bipartite complement
+        blue_adj = {w: (yset if w in xset else xset) - adj[w] for w in verts}
         if not (
-            has_mono_path_with_edges(red_adj, verts, k)
+            has_mono_path_with_edges(adj, verts, k)
             or has_mono_path_with_edges(blue_adj, verts, l)
         ):
             return False

@@ -26,7 +26,7 @@ from monopath.core import (
     validate_cover,
 )
 from monopath.gen import extremal, indexed_colouring, random_colouring
-from monopath.oracle import TableInconsistent, exact_f
+from monopath.oracle import exact_f
 from monopath.solver import (
     Guarantee,
     SolverConfig,
@@ -369,6 +369,16 @@ class TestEachCandidateOnce:
         assert {"sqrt:reduce", "bounded:reduce"} <= set(res.branch_trace)
         assert [h.n for h in seen["cover_bounded"]] == [35]
         assert seen["_greedy_cover"] == [g]
+
+    def test_one_structure_cover_per_path(self, monkeypatch):
+        # the blue base structure, the bounded y0-exit and the sqrt y-exit
+        # share one path, so its cover is built once
+        g = indexed_colouring(16, 0xA91482041402009010010208002010)
+        seen = _count_calls(monkeypatch, "cover_from_structure")
+        res = solve(g, SolverConfig(2.0, 2.0, 2.0))
+        assert {"base:structure-B", "bounded:y0-exit", "sqrt:y-exit"} <= set(res.branch_trace)
+        assert validate_cover(g, res.cover).valid
+        assert seen["cover_from_structure"] == [g]
 
     @pytest.mark.parametrize(
         "n, cfg, trace",
@@ -760,52 +770,6 @@ class TestGreedyCover:
         assert seen == []
         assert cover.size == 41
         assert validate_cover(g, cover).valid
-
-
-class TestFailingCandidate:
-    """A candidate builder's MonopathError drops that candidate, not the solve."""
-
-    @pytest.mark.parametrize(
-        "cfg, bounded_tag",
-        [(SolverConfig(), None), (SolverConfig(1.0, 0.0, 1.0), "bounded:y-exit")],
-        ids=["default", "1,0,1"],
-    )
-    def test_cover_from_structure_error(self, monkeypatch, cfg, bounded_tag):
-        # both structure covers can win over the greedy cover here, so both
-        # are built (on extremal(100) the red one is skipped by its size);
-        # the blue one only because the failed red one is not in hand
-        g = indexed_colouring(15, 0x427FFFE0E8E1711803043881D0)
-        assert "base:structure-B:skipped" in solve(g, cfg).branch_trace
-
-        def fail(g, s):
-            raise GuardFailed("injected")
-
-        monkeypatch.setattr(solver, "cover_from_structure", fail)
-        res = solve(g, cfg)
-        assert validate_cover(g, res.cover).valid
-        want = {
-            "sqrt:error(GuardFailed)",
-            "base:structure-R:error(GuardFailed)",
-            "base:structure-B:error(GuardFailed)",
-        }
-        if bounded_tag:
-            want.add(f"{bounded_tag}:error(GuardFailed)")
-        assert want <= set(res.branch_trace)
-        # an exit is listed only once its builder has returned
-        taken = {"base:structure-R", "base:structure-B", "sqrt:y-exit", bounded_tag}
-        assert not taken & set(res.branch_trace)
-
-    def test_oracle_error(self, monkeypatch):
-        g = random_colouring(10, 0.5, 3)
-
-        def fail(g):
-            raise TableInconsistent("injected")
-
-        monkeypatch.setattr(solver, "exact_f", fail)
-        res = solve(g)
-        assert validate_cover(g, res.cover).valid
-        assert "base:oracle:error(TableInconsistent)" in res.branch_trace
-        assert "base:oracle" not in res.branch_trace
 
 
 def test_results_share_vertex_labels():

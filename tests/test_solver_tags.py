@@ -11,19 +11,11 @@ A key may end in `#<reason>`: a second instance that reaches the same entry
 another way.
 
 Entries with a stand-in (their fourth field) are reached only through a
-monkeypatched failure, since no correct input reaches them:
-
-* `<tag>:invalid-dropped` needs a builder that returns an invalid cover;
-* `sqrt:error(...)` and `base:oracle:error(...)` need cover_from_structure
-  or exact_f to raise.
-
-`bounded:reduce:error(...)` has no entry.  The bounded pipeline runs with
-slack 0, so the reduce guard asks sqrt(n) - sqrt(n - |S|) >= k.  Witnesses
-from the probe, the Ramsey path or a clique certificate have k = 1 and
-|S| >= 2 sqrt(n), which always passes.  A stripping witness of k paths has
-|S| = k|Y|; over every n <= 20000 and every |Y| the stripping step admits,
-the margin sqrt(n) - sqrt(n - k|Y|) - k is at least 0.67, and it grows
-with n.
+monkeypatched failure, since no correct input reaches them: a
+`<tag>:invalid-dropped` needs a builder that returns an invalid cover.
+Every stage handed to `_dropped_on_error` fails on a natural input, with no
+stand-in, except those in UNFAILED_STAGES
+(`test_every_wrapped_stage_fails_naturally`).
 """
 
 from __future__ import annotations
@@ -41,14 +33,11 @@ from monopath.core import (
     BLUE,
     RED,
     Colouring,
-    GuardFailed,
-    Path,
     PathCover,
     iter_edges,
     validate_cover,
 )
 from monopath.gen import extremal, random_colouring
-from monopath.oracle import TableInconsistent
 from monopath.solver import SolverConfig, cover_sqrt, solve
 
 DEFAULT = SolverConfig()
@@ -74,14 +63,6 @@ def forced_red_star(seed: int) -> Colouring:
     )
 
 
-def _raise_guard(*args):
-    raise GuardFailed("injected")
-
-
-def _raise_table(*args):
-    raise TableInconsistent("injected")
-
-
 def _path_only(g, s):
     """An invalid structure cover: the path without its outside vertices."""
     return PathCover(s.path.colour, (s.path,), g.n)
@@ -90,18 +71,10 @@ def _path_only(g, s):
 # trace entry -> (colouring, config, entry point, injected (name, stand-in))
 CENSUS = {
     "base:oracle": (lambda: random_colouring(10, 0.5, 3), DEFAULT, solve, None),
-    "base:oracle:error(TableInconsistent)": (
-        lambda: random_colouring(10, 0.5, 3), DEFAULT, solve,
-        ("exact_f", _raise_table),
-    ),
     "base:structure-R": (lambda: random_colouring(200, 0.5, 0), C222, solve, None),
     "base:greedy": (lambda: extremal(100), DEFAULT, solve, None),
     "pick:sqrt": (lambda: extremal(100), DEFAULT, solve, None),
     "sqrt:y-exit": (lambda: extremal(100), DEFAULT, solve, None),
-    "sqrt:error(GuardFailed)": (
-        lambda: extremal(100), DEFAULT, solve,
-        ("cover_from_structure", _raise_guard),
-    ),
     "sqrt:invalid-dropped": (
         lambda: extremal(100), DEFAULT, solve,
         ("cover_from_structure", _path_only),
@@ -143,6 +116,12 @@ CENSUS = {
     "bounded:strip:error(PreconditionViolated)": (
         lambda: red_hub(10, 7), C2, solve, None,
     ),
+    # the blue path holds the clique 1..36 and Y the hub 37..44, so
+    # |X| = |Y| + 2m exactly (36 = 8 + 2*14): the stripping step makes no
+    # pass
+    "bounded:strip:error(GuardFailed)": (
+        lambda: red_hub(44, 37), C2, solve, None,
+    ),
     # skips by the pick rule: at n = 10 the oracle's cover is one path, which
     # no later candidate can beat, the sqrt step included
     "sqrt:pipeline:skipped": (lambda: random_colouring(10, 0.5, 3), DEFAULT, solve, None),
@@ -167,6 +146,17 @@ CENSUS = {
     # red_hub(2000, 1201)'s blue one has 801 paths, more than the red one's
     # 201 before it
     "base:structure-B:skipped#size": (lambda: red_hub(2000, 1201), DEFAULT, solve, None),
+}
+
+
+# stages handed to _dropped_on_error that no input is known to fail, with why
+UNFAILED_STAGES = {
+    # the bounded pipeline runs at slack 0, so the guard asks
+    # k <= sqrt(n) - sqrt(n - |S|), which is at least |S| / (2 sqrt(n)).  The
+    # probe, Ramsey and clique witnesses have k = 1 and |S| >= 2 sqrt(n); a
+    # strip witness has k paths over |S| = k|Y| vertices with
+    # |Y| > sqrt(n) + 8 n**(1/4), which is >= 2 sqrt(n) for n <= 4096
+    "bounded:reduce": "its guard provably holds for n <= 4096; unproven above",
 }
 
 
@@ -237,3 +227,23 @@ def test_census_entry_is_reached(monkeypatch, entry):
     assert _entry(entry) in res.branch_trace, res.branch_trace
     assert validate_cover(g, res.cover).valid
     assert not any("|" in t for t in res.branch_trace)
+
+
+def test_every_wrapped_stage_fails_naturally():
+    tree = ast.parse(FilePath(solver.__file__).read_text())
+    stages = {
+        node.args[0].value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", "") == "_dropped_on_error"
+    }
+    assert stages == {
+        "bounded:pipeline", "bounded:reduce", "bounded:strip",
+        "sqrt:pipeline", "sqrt:reduce", "sqrt:decompose",
+    }
+    natural = [_entry(key) for key, entry in CENSUS.items() if entry[3] is None]
+    unfailed = [
+        stage for stage in sorted(stages)
+        if not any(re.fullmatch(re.escape(stage) + r":error\(\w+\)", e) for e in natural)
+    ]
+    assert unfailed == sorted(UNFAILED_STAGES)
