@@ -229,6 +229,26 @@ class LongPathStructure:
 
 @dataclass(frozen=True)
 class ReductionWitness:
+    """A vertex set S and paths of each colour covering it; the reduction
+    step covers [n] \\ S and adds the k paths of the inner cover's colour.
+
+    Every witness find_long_path_structure returns, at any slack >= 0,
+    leaves a vertex outside S and passes arith.reduce_guard(n, |S|, 0, k),
+    sqrt(n - |S|) + k <= sqrt(n), so solver.reduce checks neither.  Let
+    dp = slack + 1 >= 1, r = sqrt(n) and t = ceil(2 dp r) >= 2r.
+    - The probe, Ramsey and clique witnesses have k = 1 and |S| >= t, or
+      |S| > floor(2 dp r) for the clique, so |S| >= 2r and
+      r - sqrt(n - |S|) = |S| / (r + sqrt(n - |S|)) >= |S| / (2r) >= 1.
+    - A strip witness has k = j passes and |S| = j|Y|, with
+      |Y| > r + 8 dp n**(1/4) and m = t <= 2 dp r + 1.  After j passes
+      L = n - j|Y| <= 2|Y| + 2m.  Set u = |Y| - r > 8 dp n**(1/4) >= 8;
+      then u**2 - 2u > (3/4)u**2 > 48 dp**2 r > 2r + 2m, so L < u**2, that is
+      r + sqrt(L) < |Y|.  Hence j = (r - sqrt(L))(r + sqrt(L)) / |Y|
+      <= r - sqrt(L).
+    - S lies in q and misses w (probe, Ramsey), on P and misses Y (strip),
+      or on P and misses the outside vertex y (clique).
+    """
+
     S: tuple[int, ...]
     red_paths: tuple[Path, ...]
     blue_paths: tuple[Path, ...]
@@ -322,7 +342,9 @@ def long_path_pipeline(g: Colouring, refined):
     def tail(slack: float):
         dp = arith._frac(slack) + 1
         t = arith.ceil_of_coeff_sqrt(2 * dp, n)  # witness size target
-        if len(probe_q) >= t and len(probe) > 1:
+        # t >= 2 and a one-vertex probe holds at most one vertex of q, so a
+        # probe that gets past this test has an edge
+        if len(probe_q) >= t:
             return _witness(probe_q, [Path(tuple(probe), other), Path(q, gamma)])
 
         # k (the opposite colour's target) is odd, l (gamma's) even and both
@@ -338,9 +360,10 @@ def long_path_pipeline(g: Colouring, refined):
                     seed = out.path
                 else:
                     # only ramsey_path's exact search (n <= 29) gets here: its
-                    # greedy opening is the probe's, and an opposite-colour path
-                    # of >= 2t - 1 edges alternates, so it holds >= t vertices
-                    # of q
+                    # greedy opening is the probe's (test_bipartite's
+                    # test_padded_rows_give_the_same_greedy_path), and an
+                    # opposite-colour path of >= 2t - 1 edges alternates, so it
+                    # holds >= t vertices of q
                     s = qset.intersection(out.path.vertices)
                     return _witness(s, [out.path, Path(q, gamma)])
             except CannotCertify:

@@ -122,17 +122,14 @@ def _reduce_guard(n: int, w: ReductionWitness, slack: float) -> None:
         raise GuardFailed(f"sqrt({n}-{size}) + {slack} + {w.k} > sqrt({n})")
 
 
-def reduce(g: Colouring, w: ReductionWitness, cfg: SolverConfig, slack: float) -> PathCover:
+def reduce(g: Colouring, w: ReductionWitness, cfg: SolverConfig) -> PathCover:
     """Cover [n] \\ S with cover_bounded, then append the witness paths
-    matching its colour.  The arithmetic guard, with slack the paper's
-    C1 - C2, is checked exactly first.  The inductive hypothesis on fewer
-    vertices is the bounded induction, not solve(), which would fork two
-    fresh pipelines per level."""
-    n = g.n
-    _reduce_guard(n, w, slack)
-    keep = mask_vertices(((1 << n) - 1) & ~vertex_mask(w.S))
-    if not keep:
-        return PathCover(RED, w.red_paths, n)
+    matching its colour.  S must leave a vertex out; a witness from the
+    long-path pipeline does, and passes the reduce guard at slack 0
+    (ReductionWitness), so the guard is not checked here.  The inductive
+    hypothesis on fewer vertices is the bounded induction, not solve(), which
+    would fork two fresh pipelines per level."""
+    keep = mask_vertices(((1 << g.n) - 1) & ~vertex_mask(w.S))
     sub, mapping = g.induced(keep)
     inner = cover_bounded(sub, cfg).cover
     mapped = tuple(
@@ -140,7 +137,7 @@ def reduce(g: Colouring, w: ReductionWitness, cfg: SolverConfig, slack: float) -
         for p in inner.paths
     )
     extra = w.red_paths if inner.colour is RED else w.blue_paths
-    return PathCover(inner.colour, mapped + tuple(extra), n)
+    return PathCover(inner.colour, mapped + tuple(extra), g.n)
 
 
 def cover_from_structure(g: Colouring, s: LongPathStructure) -> PathCover:
@@ -229,8 +226,7 @@ class _Shared:
     structures read and the pipeline tail reuses when its degree bound cannot
     bind; one cover_from_structure per path, shared by a base structure, a
     bounded exit and the sqrt y-exit; the pipeline with its slack-free head
-    run once; and reduce, whose cover reads no slack, once per witness at
-    slack 0, the weakest guard (the sqrt step checks its own first)."""
+    run once; and reduce, once per witness."""
 
     def __init__(self, g: Colouring, cfg: SolverConfig):
         full = (1 << g.n) - 1
@@ -239,7 +235,7 @@ class _Shared:
         self.refined = cache(lambda gamma: _refine(g, gamma, *self.first(gamma), None))
         head = cache(lambda: long_path_pipeline(g, self.refined))
         self.structure = lambda slack: head()(slack)
-        self.reduce = cache(lambda w: reduce(g, w, cfg, 0))
+        self.reduce = cache(lambda w: reduce(g, w, cfg))
         covers: dict[Path, PathCover] = {}  # a structure's degrees follow from its path
         self.cover = lambda s: covers.get(s.path) or covers.setdefault(
             s.path, cover_from_structure(g, s))
@@ -268,15 +264,13 @@ def _dropped_on_error(tag: str, trace: list[str]):
     """Run one stage of the solve that can fail; a MonopathError it raises
     drops what the stage would have built, the trace records
     <tag>:error(<exception name>) and the caller carries on.  This is the
-    module's only exception handler, and it wraps the six stages whose
-    arithmetic may not close: bounded:pipeline and sqrt:pipeline (the
-    stripping step's PreconditionViolated, or GuardFailed when it strips
-    nothing), bounded:reduce and sqrt:reduce (the reduce guard's
-    GuardFailed), bounded:strip (the same two as a pipeline) and
-    sqrt:decompose (decompose_full's PreconditionViolated).  The other
-    stages raise no MonopathError: exact_f's size guard cannot fire at
-    n <= DEFAULT_ORACLE_THRESHOLD, and refine_path, the greedy cover and
-    cover_from_structure raise none."""
+    module's only exception handler, and it wraps the five stages whose
+    arithmetic may not close: bounded:pipeline, sqrt:pipeline and
+    bounded:strip (the stripping step's PreconditionViolated, or GuardFailed
+    when it strips nothing), sqrt:reduce (the reduce guard's GuardFailed)
+    and sqrt:decompose (decompose_full's PreconditionViolated).  The other
+    stages raise none; exact_f's size guard cannot fire at
+    n <= DEFAULT_ORACLE_THRESHOLD."""
     try:
         yield
     except MonopathError as exc:
@@ -322,8 +316,7 @@ def _bounded_candidates(
             found = shared.structure(0)
         if isinstance(found, ReductionWitness):
             if _can_win(2, [c for _, c in cands], (), "bounded:reduce", trace):
-                with _dropped_on_error("bounded:reduce", trace):
-                    add(shared.reduce(found), "bounded:reduce")
+                add(shared.reduce(found), "bounded:reduce")
         elif isinstance(found, LongPathStructure):
             if 4 * len(_gamma_isolated(found)) ** 2 <= n:
                 add(shared.cover(found), "bounded:y0-exit")

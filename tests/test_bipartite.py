@@ -381,6 +381,27 @@ class TestRamseyPath:
         assert got == RamseyOutcome(out.colour, path)
         _check_outcome(w, got, k, l)
 
+    def test_padded_rows_give_the_same_greedy_path(self):
+        # long_path_pipeline's probe runs _best_greedy over rows for 1..n,
+        # zero off q and w, listed over 1..n; ramsey_path runs it over the
+        # same view's rows listed over sorted(X + Y).  A zero row is never a
+        # start nor anyone's neighbour, and vertex 1 is in q or w, so the
+        # exact search's opening is the probe (construct.long_path_pipeline)
+        rng = random.Random(2802)
+        for _ in range(300):
+            n = rng.randint(2, 40)
+            xs_ys = [1, *rng.sample(range(2, n + 1), rng.randint(1, n - 1))]
+            rng.shuffle(xs_ys)
+            cut = rng.randint(1, len(xs_ys) - 1)
+            xs, ys = xs_ys[:cut], xs_ys[cut:]
+            p = rng.choice((0.0, 0.1, 0.5, 0.9))
+            adj = {y: vertex_mask(x for x in xs if rng.random() < p) for y in ys}
+            rows, _ = bipartite._vertex_masks(BipartiteView(xs, ys, adj))
+            padded = rows + [0] * (n - len(rows))
+            assert bipartite._best_greedy(padded, range(1, n + 1)) == (
+                bipartite._best_greedy(rows, sorted(xs + ys))
+            )
+
     def test_large_greedy_can_certify(self):
         # dense one-sided instance: the greedy pass finds the long red path
         a = b = 40

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -627,8 +628,12 @@ def _check_structure(g, s: LongPathStructure, slack):
 
 
 def _check_witness(g, w: ReductionWitness):
+    """The witness's paths cover S in each colour, and it meets what
+    solver.reduce trusts (ReductionWitness): S leaves a vertex out and
+    sqrt(n - |S|) + k <= sqrt(n)."""
     sset = set(w.S)
-    assert sset
+    assert sset and len(sset) < g.n
+    assert arith.reduce_guard(g.n, len(sset), 0, w.k)
     for fam, colour in ((w.red_paths, RED), (w.blue_paths, BLUE)):
         assert fam
         covered = set()
@@ -838,6 +843,42 @@ class TestFindLongPathStructure:
         out = find_long_path_structure(g, 0.0)
         assert isinstance(out, LongPathStructure)
         assert not out.y_degrees and len(out.path.vertices) == 12
+
+    def test_every_witness_passes_the_slack_0_reduce_guard(self):
+        # the proof in ReductionWitness's docstring, on noisy colourings at
+        # four slacks and on a strip witness of two passes: the red hub on
+        # 739..900 at slack 2 has |X| = 738, |Y| = 162 and m = 180
+        rng = random.Random(2801)
+        cases = [(noisy_colouring(rng, rng.randint(16, 80)), slack)
+                 for _ in range(100) for slack in (0, 0.5, 1, 2)]
+        cases.append((red_hub(900, 739), 2))
+        ks = []
+        for g, slack in cases:
+            try:
+                out = find_long_path_structure(g, slack)
+            except (GuardFailed, PreconditionViolated):
+                continue
+            if isinstance(out, ReductionWitness):
+                _check_witness(g, out)
+                ks.append(out.k)
+        assert ks[-1] == 2 and len(ks) > 50
+
+    def test_strip_witness_inequality_is_exact(self):
+        # the strip case of the proof over every admissible (n, |Y|): the
+        # structure test turns Y away, |Y| > sqrt(n) + 8 dp n**(1/4), and
+        # |X| = n - |Y| > |Y| + 2m, so j = ceil((|X| - |Y| - 2m)/|Y|) passes
+        # cover |S| = j|Y|; then reduce_guard(n, j|Y|, 0, j) in integers
+        for dp in (1, Fraction(3, 2), 2, 3):
+            for n in range(2, 501):
+                m = arith.ceil_of_coeff_sqrt(2 * dp, n)
+                lo = int(n**0.5 + 8 * dp * n**0.25)  # the float guess, then exact
+                while lo > 0 and not arith.le_sqrt_plus_quartic(lo - 1, n, 8 * dp):
+                    lo -= 1
+                while arith.le_sqrt_plus_quartic(lo, n, 8 * dp):
+                    lo += 1
+                for y in range(lo, (n - 2 * m + 1) // 2):
+                    j = -(-(n - 2 * y - 2 * m) // y)
+                    assert j * j <= n and 4 * j * j * n <= (j * y + j * j) ** 2
 
     def test_large_random_zero_constants(self, big_random_5000):
         # slow: n = 5000, the regime where the slack = 0 guard admits input

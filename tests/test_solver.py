@@ -139,7 +139,7 @@ class TestReduce:
     def test_appends_matching_colour(self):
         g = Colouring.monochromatic(10, RED)
         w = self.witness(g)
-        cover = reduce(g, w, SolverConfig(), -2.0)
+        cover = reduce(g, w, SolverConfig())
         assert validate_cover(g, cover).valid
         assert cover.colour is RED
         assert cover.size == 2  # inner spanning path + the red witness path
@@ -147,16 +147,10 @@ class TestReduce:
     def test_blue_recursion_gets_blue_paths(self):
         g = Colouring.monochromatic(10, BLUE)
         w = self.witness(g)
-        cover = reduce(g, w, SolverConfig(), -2.0)
+        cover = reduce(g, w, SolverConfig())
         assert validate_cover(g, cover).valid
         assert cover.colour is BLUE
         assert cover.size == 3  # inner path + two blue singletons
-
-    def test_guard_failure(self):
-        g = Colouring.monochromatic(10, RED)
-        w = self.witness(g)
-        with pytest.raises(GuardFailed):
-            reduce(g, w, SolverConfig(), 0.0)
 
     def test_guard_counts_a_repeated_vertex_of_s_once(self):
         # sqrt(100 - |S|) + 0 + k <= 10 with k = 1 holds from |S| = 19 on;
@@ -167,17 +161,6 @@ class TestReduce:
         with pytest.raises(GuardFailed, match=r"sqrt\(100-18\)"):
             solver._reduce_guard(100, repeated, 0)
 
-    def test_empty_keep_returns_red_family(self):
-        g = Colouring.monochromatic(3, RED)
-        w = ReductionWitness(
-            S=(1, 2, 3),
-            red_paths=(Path((1, 2, 3), RED),),
-            blue_paths=(Path((1,), BLUE), Path((2,), BLUE), Path((3,), BLUE)),
-        )
-        cover = reduce(g, w, SolverConfig(), -2.0)
-        assert validate_cover(g, cover).valid
-        assert cover.paths == w.red_paths
-
     def test_vertex_relabelling_is_correct(self, rng):
         # remove two vertices from a random colouring and check every inner
         # pathedge survives the mapping back to original labels
@@ -186,7 +169,7 @@ class TestReduce:
         red = (Path(s, RED),) if g.colour(3, 7) is RED else (Path((3,), RED), Path((7,), RED))
         blue = (Path(s, BLUE),) if g.colour(3, 7) is BLUE else (Path((3,), BLUE), Path((7,), BLUE))
         w = ReductionWitness(S=s, red_paths=red, blue_paths=blue)
-        cover = reduce(g, w, SolverConfig(), -3.0)
+        cover = reduce(g, w, SolverConfig())
         assert validate_cover(g, cover).valid
 
 

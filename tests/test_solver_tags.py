@@ -14,8 +14,7 @@ Entries with a stand-in (their fourth field) are reached only through a
 monkeypatched failure, since no correct input reaches them: a
 `<tag>:invalid-dropped` needs a builder that returns an invalid cover.
 Every stage handed to `_dropped_on_error` fails on a natural input, with no
-stand-in, except those in UNFAILED_STAGES
-(`test_every_wrapped_stage_fails_naturally`).
+stand-in (`test_every_wrapped_stage_fails_naturally`).
 """
 
 from __future__ import annotations
@@ -149,17 +148,6 @@ CENSUS = {
 }
 
 
-# stages handed to _dropped_on_error that no input is known to fail, with why
-UNFAILED_STAGES = {
-    # the bounded pipeline runs at slack 0, so the guard asks
-    # k <= sqrt(n) - sqrt(n - |S|), which is at least |S| / (2 sqrt(n)).  The
-    # probe, Ramsey and clique witnesses have k = 1 and |S| >= 2 sqrt(n); a
-    # strip witness has k paths over |S| = k|Y| vertices with
-    # |Y| > sqrt(n) + 8 n**(1/4), which is >= 2 sqrt(n) for n <= 4096
-    "bounded:reduce": "its guard provably holds for n <= 4096; unproven above",
-}
-
-
 def _entry(key: str) -> str:
     """The trace entry a CENSUS key stands for."""
     return key.partition("#")[0]
@@ -238,7 +226,7 @@ def test_every_wrapped_stage_fails_naturally():
         and getattr(node.func, "id", "") == "_dropped_on_error"
     }
     assert stages == {
-        "bounded:pipeline", "bounded:reduce", "bounded:strip",
+        "bounded:pipeline", "bounded:strip",
         "sqrt:pipeline", "sqrt:reduce", "sqrt:decompose",
     }
     natural = [_entry(key) for key, entry in CENSUS.items() if entry[3] is None]
@@ -246,4 +234,4 @@ def test_every_wrapped_stage_fails_naturally():
         stage for stage in sorted(stages)
         if not any(re.fullmatch(re.escape(stage) + r":error\(\w+\)", e) for e in natural)
     ]
-    assert unfailed == sorted(UNFAILED_STAGES)
+    assert unfailed == []
