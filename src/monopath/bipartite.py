@@ -113,8 +113,11 @@ class DegreeClasses:
         common = v.xmask  # the x joined to every y
         for y in v.Y:
             common &= v.adjacency[y]
-        x0 = tuple(mask_vertices(common))
-        x1 = tuple(mask_vertices(v.xmask & ~common))
+        if common == v.xmask:  # every x is in X0, and v.X lists them
+            x0, x1 = v.X, ()
+        else:
+            x0 = tuple(mask_vertices(common))
+            x1 = tuple(mask_vertices(v.xmask & ~common))
         y0 = tuple(y for y in v.Y if v.adjacency[y] == v.xmask)
         y1 = tuple(y for y in v.Y if v.adjacency[y] != v.xmask)
         return cls(x0, x1, y0, y1)
@@ -241,12 +244,11 @@ def decompose_full(v: BipartiteView) -> tuple[Path, ...]:
     adj = v.adjacency
     paths: list[Path] = []
     alive = v.xmask
-    while alive:
-        x0a = mask_vertices(alive & x0_all)
-        x1a = mask_vertices(alive & ~x0_all)
+    x0a, x1a = list(cl.x0), list(cl.x1)  # the alive classes: all of X first
+    while True:
         if not x1a:
             # every remaining x sees all of Y: plain chunking finishes
-            paths.extend(_complete_chunks(mask_vertices(alive), ys, v.colour))
+            paths.extend(_complete_chunks(x0a, ys, v.colour))
             return tuple(paths)
         # both nonempty: an alive X1 vertex misses some y, and y0a holds
         # the entry Y0, which (ii) leaves nonempty
@@ -262,20 +264,19 @@ def decompose_full(v: BipartiteView) -> tuple[Path, ...]:
         paths.append(Path(tuple(r_verts), v.colour))
         alive &= ~vertex_mask(p_xs + q_xs)
 
-        x1_next = mask_vertices(alive & ~x0_all)
-        if not x1_next or alive.bit_count() > len(ys):
+        x0a = mask_vertices(alive & x0_all)
+        x1a = mask_vertices(alive & ~x0_all)
+        if not x1a or alive.bit_count() > len(ys):
             continue  # done, complete finish or recursion
         # |X'| <= |Y| with a deficient x left: close with one more path
         y0n = [y for y in ys if not alive & ~adj[y]]
-        x0n = mask_vertices(alive & x0_all)
-        q2_ys = y0n[: len(x1_next) + 1]
-        q2 = _interleave_xy(q2_ys, x1_next, v.colour).vertices
+        q2_ys = y0n[: len(x1a) + 1]
+        q2 = _interleave_xy(q2_ys, x1a, v.colour).vertices
         taken = vertex_mask(q2_ys)
-        p2_ys = [y for y in ys if not taken >> (y - 1) & 1][: len(x0n) - 1]
-        r2 = _interleave_xy(x0n, p2_ys, v.colour).vertices + q2
+        p2_ys = [y for y in ys if not taken >> (y - 1) & 1][: len(x0a) - 1]
+        r2 = _interleave_xy(x0a, p2_ys, v.colour).vertices + q2
         paths.append(Path(r2, v.colour))
         return tuple(paths)
-    return tuple(paths)
 
 
 # --- bipartite path Ramsey -------------------------------------------------

@@ -42,7 +42,25 @@ def test_every_declared_pair_is_listed_and_nothing_worse_passes(capsys):
     code, rows = _table(capsys, BEFORE, BEFORE)
     assert code == 0
     declared = json.loads(bench_compare.BENCHMARK.read_text())
-    assert list(rows) == [
-        (w["name"], m["name"]) for w in declared["workloads"] for m in declared["end_to_end"]
-    ]
+    metrics = [m["name"] for m in declared["end_to_end"]] + ["passes"]
+    assert list(rows) == [(w["name"], m) for w in declared["workloads"] for m in metrics]
     assert all(r[-1] in ("+0.0%", "-") for r in rows.values())
+
+
+def test_passes_are_the_median_of_the_runs(tmp_path, capsys):
+    # hub has runs in both files, random-deep only in the after file
+    runs = {"hub": [191, 230, 200], "random-deep": []}
+    before = {w: {"median": {}, "runs": [{"passes": k} for k in ks]} for w, ks in runs.items()}
+    after = {
+        "hub": {"median": {}, "runs": [{"passes": k} for k in (240, 250, 252, 260)]},
+        "random-deep": {"median": {}, "runs": [{"passes": 371}]},
+    }
+    paths = []
+    for name, data in (("before", before), ("after", after)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps({"workloads": data}))
+    code, rows = _table(capsys, *paths)
+    assert code == 0
+    assert rows["hub", "passes"] == ["200", "251", "+25.5%"]
+    assert rows["random-deep", "passes"] == ["-", "371", "-"]
+    assert rows["oracle-sweep", "passes"] == ["-", "-", "-"]

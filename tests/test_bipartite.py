@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import product
 
@@ -267,6 +268,52 @@ class TestDecomposeFull:
             if paths[-1].vertices[-1] in v.Y:
                 closed.append(len(paths))
         assert len(closed) > 100 and max(closed) >= 5
+
+
+def _listing_views():
+    """A wide hub's view at n = 300 on shuffled labels, so X1 = Y1 = 0, then
+    views with both X1 and Y1 nonempty: two that finish by chunking and one
+    that ends in the closing path."""
+    rng = random.Random(29)
+    labels = list(range(1, 301))
+    rng.shuffle(labels)
+    xs, ys = labels[:283], labels[283:]
+    views = [BipartiteView(xs, ys, dict.fromkeys(ys, vertex_mask(xs)))]
+    for sizes in [(250, 30, 12, 6), (200, 60, 20, 4), (51, 100, 40, 10)]:
+        views.append(_class_view(rng, *sizes))
+    return views
+
+
+# sha256 of each view's classes and decompose_full paths, recorded when every
+# class list was re-read from a mask, before decompose_full reused them
+LISTING_DIGESTS = [
+    "64b35dc2b4b1559958d6e444336dbcd133a2f4179ed6d324ea8230945ab09355",
+    "c88f57df0ba330eaca3cc64858734245793642095bdcde403c2a9d854a76ae72",
+    "7dada2142fa590ee5edef9a42523b072ff33fdf902a79790e71089c0e970a112",
+    "f5b0692c5381535cd7eeb5de5e3468245ac2123d0aac9bcbff90e966b5cd1d3b",
+]
+
+
+def test_class_lists_are_the_mask_listings():
+    digests = []
+    for v in _listing_views():
+        cl = DegreeClasses.from_view(v)
+        common = v.xmask
+        for y in v.Y:
+            common &= v.adjacency[y]
+        assert cl.x0 == tuple(mask_vertices(common))
+        assert cl.x1 == tuple(mask_vertices(v.xmask & ~common))
+        paths = decompose_full(v)
+        record = (cl.x0, cl.x1, cl.y0, cl.y1, [p.vertices for p in paths])
+        digests.append(hashlib.sha256(repr(record).encode()).hexdigest())
+    assert digests == LISTING_DIGESTS
+    v = _listing_views()[0]
+    assert DegreeClasses.from_view(v).x1 == ()
+    step = len(v.Y) + 1  # X1 = 0: plain chunks of X, each threading the low ys
+    chunks = [v.X[i : i + step] for i in range(0, len(v.X), step)]
+    assert decompose_full(v) == tuple(
+        bipartite._interleave_xy(c, v.Y[: len(c) - 1], RED) for c in chunks
+    )
 
 
 def _class_view(rng, a, b, c, d):

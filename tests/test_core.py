@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 import tracemalloc
 
@@ -82,11 +85,58 @@ def _round_trips(vertices: list[int], form: str) -> None:
     assert vertex_mask(mask_vertices(mask)) == mask
 
 
+def _pop_reference(mask: int) -> list[int]:
+    """mask_vertices by one bit test per position."""
+    return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+@st.composite
+def _masks_around_the_cut(draw):
+    """A mask t bits wide, t in 0..3000, with k set bits on either side of
+    the digit pass's cut: below t/8, or from t/8 up to t."""
+    top = draw(st.integers(0, 3000))
+    if not top:
+        return 0
+    cut = -(-top // 8)  # the fewest set bits that one in 8 allows
+    k = draw(st.one_of(st.integers(1, max(1, cut - 1)), st.integers(cut, top)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return 1 << (top - 1) | sum(1 << i for i in rng.sample(range(top - 1), k - 1))
+
+
 class TestMaskHelpers:
     """vertex_mask parses one digit string for k vertices of top vertex t when
     (k - 28) * 28 >= t, and ORs one bit per vertex otherwise; both must give
-    the mask of the vertex set, which mask_vertices lists back in ascending
-    order."""
+    the mask of the vertex set.  mask_vertices lists it back in ascending
+    order on one of two paths: a mask t > 64 bits wide with k * 8 >= t set
+    bits through one pass over bin()'s digits, any other by popping its low
+    bit once per vertex.  Both must equal a bit-by-bit reference."""
+
+    @given(_masks_around_the_cut())
+    @settings(max_examples=300, deadline=None)
+    def test_listing_matches_the_bit_by_bit_reference(self, mask):
+        assert mask_vertices(mask) == _pop_reference(mask)
+
+    @pytest.mark.parametrize(
+        "mask",
+        [
+            0,
+            1,
+            1 << 2999,
+            (1 << 3000) - 1,
+            (1 << 64) - 1,  # full, but 64 bits wide: pops
+            1 << 64 | 0xFF,  # 65 wide, 9 set: digit pass
+            1 << 64 | 0x7F,  # 65 wide, 8 set: pops
+            1 << 1999 | (1 << 249) - 1,  # 2000 wide, 250 set: digit pass
+            1 << 1999 | (1 << 248) - 1,  # 2000 wide, 249 set: pops
+        ],
+    )
+    def test_listing_fixed_cases(self, mask):
+        assert mask_vertices(mask) == _pop_reference(mask)
+
+    @given(st.integers(max_value=-1))
+    def test_negative_mask_raises(self, mask):
+        with pytest.raises(ValueError):
+            mask_vertices(mask)
 
     @given(st.data(), st.integers(1, 3000), st.sampled_from(sorted(_FORMS)))
     @settings(max_examples=300, deadline=None)
@@ -335,6 +385,22 @@ class TestPath:
         assert p.reversed() == Path((2, 1, 3), RED)
         assert Path((7,), BLUE).length == 0
         assert Path((), BLUE).length == 0
+
+    def test_slots_copies_equality_and_hash(self):
+        p = Path([3, 1, 2], RED)
+        cover = PathCover(RED, [p, Path((4,), RED)], 4)
+        assert not hasattr(p, "__dict__") and not hasattr(cover, "__dict__")
+        copies = (lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy, dataclasses.replace)
+        for value in (p, cover):
+            for make in copies:
+                twin = make(value)
+                assert twin == value and hash(twin) == hash(value)
+        # fields compare and hash as one tuple, and lists still become tuples
+        assert hash(p) == hash(((3, 1, 2), RED)) and p != Path((3, 1, 2), BLUE)
+        assert hash(cover) == hash((RED, (p, Path((4,), RED)), 4))
+        assert dataclasses.replace(p, vertices=[2, 1]).vertices == (2, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.colour = BLUE
 
 
 def _validate_reference(g, cover):
