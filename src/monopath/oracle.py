@@ -200,13 +200,8 @@ def _min_cover(
             return got
         v = (s & -s).bit_length() - 1
         best = None
-        seen = set()
-        for w in by_v[v]:
-            t = s & ~w
-            if t in seen:
-                continue
-            seen.add(t)
-            c = cost(t) + 1
+        for w in by_v[v]:  # memo answers a repeated s & ~w; the first best w stays
+            c = cost(s & ~w) + 1
             if best is None or c < best[0]:
                 best = (c, w)
         memo[s] = best[0]

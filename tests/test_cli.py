@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import os
 import runpy
@@ -7,14 +8,14 @@ import tracemalloc
 
 import pytest
 
-from monopath import cli
+from monopath import cli, solver
 from monopath.cli import MAX_SWEEP_ROWS, SWEEP_COLUMNS, SweepPlan, _build_parser, main
 from monopath.cli import run_sweep
 from monopath.codec import decode, encode
 from monopath.core import BLUE, RED, Colouring, FailureKind, Path, PathCover
 from monopath.core import validate_cover
-from monopath.gen import MAX_N, adversarial_search, extremal, random_colouring
-from monopath.oracle import OracleResult
+from monopath.gen import MAX_N, adversarial_search, build, extremal, random_colouring
+from monopath.oracle import OracleResult, exact_f
 from monopath.solver import Guarantee, SolveResult
 
 
@@ -354,6 +355,64 @@ class TestSweepCommand:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert "|" in rows[0]["branch_trace"]
         assert "," not in rows[0]["branch_trace"]
+
+
+# extremal, random p = 0.5 and p = 0.2 at n = 4..12 with the oracle on;
+# extremal at n = 15 and 16, where only a threshold of 16 lets the oracle
+# run; and n = 12 under threshold 10, whose oracle column stays empty
+DIGEST_PLANS = (
+    SweepPlan(tuple(range(4, 13)), ("extremal", "random:p=0.5", "random:p=0.2"), (0, 1, 2), True),
+    SweepPlan((15, 16), ("extremal",), (0,), True, 16),
+    SweepPlan((12,), ("extremal", "random:p=0.5"), (0,), True, 10),
+)
+# sha256 of the DIGEST_PLANS sweeps' CSV rows without wall_time_ms
+DIGEST = "094683f642e866bf1aeb4c73c69d860746830425e195f9bd54eeff6760b90acb"
+
+
+class TestSweepOracleColumn:
+    """With the oracle on, a sweep row runs exact_f once: at n <= 14 solve's
+    base:oracle pick gives the column, above 14 the sweep runs it itself."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+
+        def counted(where):
+            def exact(g, **kw):
+                seen.append((where, g.n))
+                return exact_f(g, **kw)
+            return exact
+
+        monkeypatch.setattr(solver, "exact_f", counted("solver"))
+        monkeypatch.setattr(cli, "exact_f", counted("cli"))
+        return seen
+
+    def test_one_oracle_run_per_row_up_to_14(self, calls):
+        plan = SweepPlan((4, 9, 14), ("extremal", "random:p=0.5", "random:p=0.2"), (0, 1), True)
+        rows = list(csv.DictReader(io.StringIO(run_sweep(plan))))
+        assert len(rows) == 15 and all(r["oracle_value"] for r in rows)
+        assert sorted(calls) == sorted(("solver", int(r["n"])) for r in rows)
+
+    def test_one_oracle_run_per_row_above_14(self, calls):
+        rows = list(csv.DictReader(io.StringIO(run_sweep(DIGEST_PLANS[1]))))
+        assert [r["oracle_value"] for r in rows] == ["3", "4"]
+        assert calls == [("cli", 15), ("cli", 16)]
+
+    def test_csv_is_unchanged(self):
+        wall = SWEEP_COLUMNS.index("wall_time_ms")
+        texts = [run_sweep(plan) for plan in DIGEST_PLANS]
+        lines = [
+            ",".join(c for i, c in enumerate(row) if i != wall)
+            for text in texts
+            for row in csv.reader(io.StringIO(text))
+        ]
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == DIGEST
+        rows = [r for text in texts for r in csv.DictReader(io.StringIO(text))]
+        checked = [r for r in rows if r["oracle_value"]]
+        assert len(checked) == len(rows) - 2  # n = 12 under threshold 10
+        for r in checked:
+            g = build(cli._spec_for(r["generator"], int(r["n"]), int(r["seed"])))
+            assert int(r["oracle_value"]) == exact_f(g, threshold=16).value
 
 
 def test_module_runs_as_a_script(monkeypatch, capsys):

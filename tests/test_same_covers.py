@@ -1,6 +1,6 @@
 """scripts/same_covers.py on a tiny plan, so the command keeps working, the
 committed plan's shape, and the covers that solve and cover_bounded return on
-it."""
+it, the oracle's at n <= 14."""
 
 from __future__ import annotations
 
@@ -9,6 +9,10 @@ import sys
 from pathlib import Path as FilePath
 
 import pytest
+
+from monopath.gen import indexed_colouring
+from monopath.oracle import exact_f
+from monopath.solver import solve
 
 sys.path.insert(0, str(FilePath(__file__).resolve().parent.parent / "scripts"))
 
@@ -104,3 +108,17 @@ def test_committed_plan_covers_match_pinned_digest(monkeypatch, entry):
     parts = [part for _, part, _ in same_covers.records(plan)]
     assert len(parts) == len(plan) * len(same_covers.CONFIGS)
     assert same_covers._digest(parts) == PLAN_COVERS[entry]
+
+
+def test_small_plan_colourings_pick_the_oracle():
+    # what the sweep's oracle column relies on: at n <= 14 solve picks the
+    # oracle's own cover, so its size is exact_f's value
+    plan = json.loads(same_covers.PLAN.read_text())
+    small = [indexed_colouring(n, int(index, 16)) for n, index in plan if n <= 14]
+    assert len(small) == 16
+    for g in small:
+        value = exact_f(g).value
+        for cfg in same_covers.CONFIGS.values():
+            res = solve(g, cfg)
+            assert res.branch_trace[-1] == "pick:base:oracle"
+            assert res.cover.size == value

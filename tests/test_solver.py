@@ -74,6 +74,23 @@ class TestSolveSmall:
             assert validate_cover(g, res.cover).valid
             assert res.cover.size == exact_f(g).value
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 10),
+        p=st.floats(0, 1),
+        seed=st.integers(0, 2**32),
+        cfg=st.sampled_from(
+            [SolverConfig(), SolverConfig(2.0, 2.0, 2.0), SolverConfig(1.0, 0.0, 1.0),
+             SolverConfig(2.0, 0.0, 2.0)]
+        ),
+    )
+    def test_small_n_picks_the_oracle(self, n, p, seed, cfg):
+        # the sweep's oracle column reads exact_f's value off this pick
+        g = random_colouring_with(random.Random(seed), n, p)
+        res = solve(g, cfg)
+        assert res.branch_trace[-1] == "pick:base:oracle"
+        assert res.cover.size == exact_f(g).value
+
     def test_singleton_and_edge(self):
         one = Colouring.monochromatic(1, RED)
         assert solve(one).cover.size == 1
