@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -258,8 +259,10 @@ def _sweep_row(task: tuple[int, str, int, bool, int]) -> dict[str, object]:
 def run_sweep(plan: SweepPlan) -> str:
     """Execute the plan and return the CSV text."""
     tasks = plan.tasks()
-    if plan.workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=plan.workers) as pool:
+    # the pool starts all its workers at once, so never more than rows or CPUs
+    workers = min(plan.workers, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_row, tasks, chunksize=8))
     else:
         rows = [_sweep_row(t) for t in tasks]

@@ -1,6 +1,8 @@
 """Cover pipeline: the reduction recursion, near-spanning-path completion,
 the bounded-size induction, and the sqrt-bound orchestration, plus a
-production solve() that returns the first valid cover of one candidate list.
+production solve() that returns the first valid cover, in (size, order), of
+one candidate list.  Each candidate is a stage that _pick advances best
+first, so a cover that cannot win is never built.
 
 With honest default constants every reachable n is a base case; the deep
 branches exist to be exercised with small constants, where their size
@@ -81,39 +83,40 @@ def _guarantee(n: int, size: int, cfg: SolverConfig) -> Guarantee:
     return Guarantee.NONE
 
 
-def _built(c) -> PathCover:
-    """A candidate's cover: itself, or what _Shared.greedy builds."""
-    return c if isinstance(c, PathCover) else c()
-
-
-def _in_pick_order(cands):
-    """The (tag, candidate) pairs in (size, order), each cover _built: the
-    first valid one wins the pick.  A cover has at least one path and the earlier
-    candidate wins ties, so a one-path candidate cannot be beaten: it is
-    yielded as soon as it is met, and a reader that stops there builds no
-    greedy cover listed after it.  The rest follow, sorted by size."""
-    rest = []
-    for tag, c in cands:
-        c = _built(c)
-        if c.size == 1:
-            yield tag, c
-        else:
-            rest.append((tag, c))
-    yield from sorted(rest, key=lambda tc: tc[1].size)
-
-
 def _pick(
-    n: int, cfg: SolverConfig, cands: list, trace: list[str], ok=lambda cover: True
+    n: int, cfg: SolverConfig, stages: dict, trace: list[str], ok=lambda cover: True
 ) -> SolveResult:
-    """The first candidate _in_pick_order that ok finds valid wins, traced
-    pick:<tag>, after <tag>:invalid-dropped for each one found invalid;
-    MonopathError when none is valid."""
-    for tag, cover in _in_pick_order(cands):
-        if ok(cover):
+    """The first cover in (size, order) that ok finds valid, over stages, a
+    dict from each candidate's name to its stage in pick order.  A stage is
+    a generator: it yields lower bounds on its cover's size, then (tag,
+    cover), and ends without a cover when it fails.  Each stage starts at
+    bound 1, a built cover's bound is its size, and the stage with the least
+    (bound, order) goes next: it is advanced, or its cover is checked.  A
+    valid cover wins, traced <name>:skipped for each stage left unbuilt, then
+    pick:<tag>; an invalid one is dropped, traced <tag>:invalid-dropped.  As
+    no bound exceeds its stage's final size, no cover left unbuilt could
+    have won.  MonopathError when no cover is valid."""
+    bounds = dict.fromkeys(stages, 1)  # the live stages' bounds, in pick order
+    built: dict[str, tuple[str, PathCover]] = {}
+    while bounds:
+        name = min(bounds, key=bounds.get)  # min keeps the first of equals
+        if name not in built:
+            step = next(stages[name], None)
+            if step is None:
+                del bounds[name]
+            elif isinstance(step, int):
+                bounds[name] = step
+            else:
+                built[name], bounds[name] = step, step[1].size
+        elif ok(built[name][1]):
+            tag, cover = built[name]
+            trace.extend(f"{k}:skipped" for k in bounds if k not in built)
             trace.append(f"pick:{tag}")
             return SolveResult(cover, _guarantee(n, cover.size, cfg), tuple(trace))
-        trace.append(f"{tag}:invalid-dropped")
-    raise MonopathError(f"no valid cover; dropped {', '.join(t for t, _ in cands)}")
+        else:
+            trace.append(f"{built[name][0]}:invalid-dropped")
+            del bounds[name]
+    raise MonopathError(f"no valid cover; dropped {', '.join(t for t, _ in built.values())}")
 
 
 def _reduce_guard(n: int, w: ReductionWitness, slack: float) -> None:
@@ -179,7 +182,7 @@ def cover_from_structure(g: Colouring, s: LongPathStructure) -> PathCover:
 
 def _greedy_cover(g: Colouring, first) -> PathCover:
     """Strip maximal paths of the globally majority colour; always valid.
-    Its first path is _Shared.first's first(gamma); _Shared.greedy builds it."""
+    Its first path is first(gamma), _Shared.first in a solve."""
     red_edges = sum(map(int.bit_count, g.rows(RED))) // 2
     gamma = RED if 4 * red_edges >= g.n * (g.n - 1) else BLUE
     p, alive = first(gamma)
@@ -217,21 +220,18 @@ def _strip_and_mop(g: Colouring, s: LongPathStructure) -> PathCover:
 
 
 class _Shared:
-    """What a solve's bounded pass and sqrt step share: each colour's
-    first maximal path from the lowest vertex, with the mask of the vertices
-    off it, grown once, which the greedy cover strips first and refine_path
-    rotates from; the greedy cover, built when a skip test or a pick first
-    reads it past the one-path covers (_can_win, _in_pick_order);
-    refine_path, unseeded and unbounded, once per colour, which the base
-    structures read and the pipeline tail reuses when its degree bound cannot
-    bind; one cover_from_structure per path, shared by a base structure, a
-    bounded exit and the sqrt y-exit; the pipeline with its slack-free head
-    run once; and reduce, once per witness."""
+    """What the stages of one colouring share, each built once: each
+    colour's first maximal path from the lowest vertex, with the mask of the
+    vertices off it, which the greedy cover strips first and refine_path
+    rotates from; refine_path, unseeded and unbounded, once per colour,
+    which the base structures read and the pipeline tail reuses when its
+    degree bound cannot bind; one cover_from_structure per path, shared by a
+    base structure, a bounded exit and the sqrt y-exit; the pipeline with
+    its slack-free head run once; and reduce, once per witness."""
 
     def __init__(self, g: Colouring, cfg: SolverConfig):
         full = (1 << g.n) - 1
         self.first = cache(lambda gamma: _grow(g, gamma, [], full))
-        self.greedy = cache(lambda: _greedy_cover(g, self.first))
         self.refined = cache(lambda gamma: _refine(g, gamma, *self.first(gamma), None))
         head = cache(lambda: long_path_pipeline(g, self.refined))
         self.structure = lambda slack: head()(slack)
@@ -241,111 +241,95 @@ class _Shared:
             s.path, cover_from_structure(g, s))
 
 
-def _can_win(
-    least: int, earlier, later, tag: str, trace: list[str], ok=lambda cover: True
-) -> bool:
-    """Whether a cover of at least `least` paths (exactly, for a structure
-    cover) can still win the pick: no valid cover in hand before it in pick
-    order may have <= least paths, none after it < least.  ok(cover) says
-    whether a held cover is valid, and is asked only of the covers whose
-    size would rule this one out.  Held covers are _built in order, only as
-    far as needed: least 1 reads none after it, as no cover has fewer paths.
-    If it cannot win, trace <tag>:skipped; the caller skips it."""
-    if all(c.size > least or not ok(c) for c in map(_built, earlier)) and (
-        least == 1 or all(c.size >= least or not ok(c) for c in map(_built, later))
-    ):
-        return True
-    trace.append(f"{tag}:skipped")
-    return False
-
-
 @contextmanager
 def _dropped_on_error(tag: str, trace: list[str]):
     """Run one stage of the solve that can fail; a MonopathError it raises
-    drops what the stage would have built, the trace records
-    <tag>:error(<exception name>) and the caller carries on.  This is the
-    module's only exception handler, and it wraps the five stages whose
+    ends the stage without a cover, the trace records
+    <tag>:error(<exception name>) and the pick carries on.  This is the
+    module's only exception handler, and it wraps the five steps whose
     arithmetic may not close: bounded:pipeline, sqrt:pipeline and
     bounded:strip (the stripping step's PreconditionViolated, or GuardFailed
     when it strips nothing), sqrt:reduce (the reduce guard's GuardFailed)
     and sqrt:decompose (decompose_full's PreconditionViolated).  The other
-    stages raise none; exact_f's size guard cannot fire at
-    n <= DEFAULT_ORACLE_THRESHOLD."""
+    steps raise none; exact_f's size guard cannot fire at
+    n <= DEFAULT_ORACLE_THRESHOLD.  A stage may yield inside it: when the
+    pick leaves that stage suspended, closing it raises GeneratorExit, which
+    is no MonopathError and passes through untraced."""
     try:
         yield
     except MonopathError as exc:
         trace.append(f"{tag}:error({type(exc).__name__})")
 
 
-def _bounded_candidates(
-    g: Colouring, cfg: SolverConfig, shared: _Shared
-) -> tuple[list[tuple[str, PathCover]], list[str]]:
-    """cover_bounded's tagged candidates in pick order, and its trace: the
-    base strategies, then the bounded-size induction for n above c, each
-    built only if _can_win over those before it (least size 2 for
-    bounded:reduce, else 1), at every level of the recursion.  The greedy
-    cover is listed after the structures as _Shared.greedy, built when read:
-    a structure cover, whose exact size _structure_size reads off its
-    refine_path run, is built only if it can win over the covers before it
-    and, above one path, the greedy cover."""
+def _stages(
+    g: Colouring, cfg: SolverConfig, shared: _Shared, trace: list[str], sqrt=()
+) -> dict:
+    """The candidates' stages for _pick, by name in pick order: base:oracle
+    (n <= 14), the sqrt step when solve passes it in, each colour's base
+    structure, base:greedy, and the bounded-size induction for n above c.  A
+    structure stage yields its cover's exact size once refine_path has run;
+    bounded yields 2 before its reduce runs, a reduce cover having at least
+    two paths.  Each stage traces its steps and the tag of the cover it
+    builds."""
     n = g.n
-    trace: list[str] = []
-    cands: list[tuple[str, PathCover]] = []
 
-    def add(cover: PathCover, tag: str) -> None:
+    def add(tag: str, cover: PathCover) -> tuple[str, PathCover]:
         trace.append(tag)
-        cands.append((tag, cover))
+        return tag, cover
 
-    if n <= DEFAULT_ORACLE_THRESHOLD:
-        add(exact_f(g).witness, "base:oracle")
-    for gamma in (RED, BLUE):
-        tag = f"base:structure-{gamma.value}"
-        earlier = [c for _, c in cands]
-        # least size 1 first, so refine_path runs only if that can win
-        if _can_win(1, earlier, (), tag, trace):
-            s = LongPathStructure(*shared.refined(gamma))
-            if _can_win(_structure_size(s), earlier, [shared.greedy], tag, trace):
-                add(shared.cover(s), tag)
-    # unguarded: the greedy cover is the candidate that is always there
-    add(shared.greedy, "base:greedy")
+    def oracle():
+        yield add("base:oracle", exact_f(g).witness)
 
-    if n > cfg.c and _can_win(1, [c for _, c in cands], (), "bounded:pipeline", trace):
+    def structure(tag, gamma):
+        s = LongPathStructure(*shared.refined(gamma))
+        yield _structure_size(s)
+        yield add(tag, shared.cover(s))
+
+    def greedy():
+        yield add("base:greedy", _greedy_cover(g, shared.first))
+
+    def bounded():
         trace.append("bounded:pipeline")
         found = None
         with _dropped_on_error("bounded:pipeline", trace):
             found = shared.structure(0)
         if isinstance(found, ReductionWitness):
-            if _can_win(2, [c for _, c in cands], (), "bounded:reduce", trace):
-                add(shared.reduce(found), "bounded:reduce")
+            yield 2
+            yield add("bounded:reduce", shared.reduce(found))
         elif isinstance(found, LongPathStructure):
             if 4 * len(_gamma_isolated(found)) ** 2 <= n:
-                add(shared.cover(found), "bounded:y0-exit")
+                yield add("bounded:y0-exit", shared.cover(found))
             elif len(found.y_degrees) ** 2 <= n:
-                add(shared.cover(found), "bounded:y-exit")
+                yield add("bounded:y-exit", shared.cover(found))
             else:
                 with _dropped_on_error("bounded:strip", trace):
-                    add(_strip_and_mop(g, found), "bounded:strip")
-    return cands, trace
+                    yield add("bounded:strip", _strip_and_mop(g, found))
+
+    stages = {"base:oracle": oracle()} if n <= DEFAULT_ORACLE_THRESHOLD else {}
+    stages.update(sqrt)
+    for gamma in (RED, BLUE):
+        tag = f"base:structure-{gamma.value}"
+        stages[tag] = structure(tag, gamma)
+    stages["base:greedy"] = greedy()
+    if n > cfg.c:
+        stages["bounded"] = bounded()
+    return stages
 
 
 def cover_bounded(g: Colouring, cfg: SolverConfig) -> SolveResult:
     """Always returns a valid cover; follows the bounded-size induction for
-    n above the constant, base strategies otherwise (and alongside)."""
-    return _pick(g.n, cfg, *_bounded_candidates(g, cfg, _Shared(g, cfg)))
+    n above the constant, base strategies otherwise (and alongside).  Its
+    pick reads no validation."""
+    trace: list[str] = []
+    return _pick(g.n, cfg, _stages(g, cfg, _Shared(g, cfg), trace), trace)
 
 
-def _sqrt_step(
-    g: Colouring,
-    cfg: SolverConfig,
-    trace: list[str],
-    shared: _Shared,
-    earlier=(), later=(), ok=lambda cover: True,
-) -> PathCover | None:
-    """The sqrt-bound step, or None when a guard fails, a stage raises or
-    _can_win skips its reduce over the covers before and after it in pick
-    order, ok telling which of them are valid; the trace records the
-    branch taken, the skip or <stage>:error(<exception name>), the stage
-    being sqrt:pipeline, sqrt:reduce or sqrt:decompose."""
+def _sqrt_step(g: Colouring, cfg: SolverConfig, trace: list[str], shared: _Shared):
+    """The sqrt-bound step as a stage (see _pick): it yields 2 before its
+    reduce runs, then ("sqrt", cover), and ends without a cover when a guard
+    fails or a step raises.  The trace records the branch taken or
+    <step>:error(<exception name>), the step being sqrt:pipeline,
+    sqrt:reduce or sqrt:decompose."""
     n = g.n
     s = None
     with _dropped_on_error("sqrt:pipeline", trace):
@@ -353,79 +337,55 @@ def _sqrt_step(
     if isinstance(s, ReductionWitness):
         with _dropped_on_error("sqrt:reduce", trace):
             _reduce_guard(n, s, cfg.c)
-            if not _can_win(2, earlier, later, "sqrt:reduce", trace, ok):
-                return None
+            yield 2
             cov = shared.reduce(s)
             trace.append("sqrt:reduce")
-            return cov
-    if not isinstance(s, LongPathStructure):
-        return None
-
-    y0 = _gamma_isolated(s)
-    coeff = 18 * Fraction(cfg.c)
-    if arith.le_sqrt_minus_quartic(len(y0), n, coeff) or (len(s.y_degrees) + 1) ** 2 <= n:
-        trace.append("sqrt:y-exit")
-        return shared.cover(s)
-
-    red = s.path.colour.complement
-    with _dropped_on_error("sqrt:decompose", trace):
-        # decompose_full checks its own preconditions (i) and (ii)
-        xs, ys = s.path.vertices, s.y_degrees
-        paths = decompose_full(BipartiteView.from_colouring(g, xs, ys, colour=red))
-        trace.append("sqrt:decompose")
-        return PathCover(red, paths, n)
-    return None
+            yield "sqrt", cov
+    elif isinstance(s, LongPathStructure):
+        y0 = _gamma_isolated(s)
+        coeff = 18 * Fraction(cfg.c)
+        if arith.le_sqrt_minus_quartic(len(y0), n, coeff) or (len(s.y_degrees) + 1) ** 2 <= n:
+            trace.append("sqrt:y-exit")
+            yield "sqrt", shared.cover(s)
+        else:
+            red = s.path.colour.complement
+            with _dropped_on_error("sqrt:decompose", trace):
+                # decompose_full checks its own preconditions (i) and (ii)
+                xs, ys = s.path.vertices, s.y_degrees
+                paths = decompose_full(BipartiteView.from_colouring(g, xs, ys, colour=red))
+                trace.append("sqrt:decompose")
+                yield "sqrt", PathCover(red, paths, n)
 
 
 def cover_sqrt(g: Colouring, cfg: SolverConfig) -> SolveResult:
-    """The sqrt-bound orchestration; when a guard fails it falls back to
-    cover_bounded's pick, built from the sqrt step's _Shared, and the trace
-    records the detour."""
+    """The sqrt-bound orchestration, its step run to the end; when the step
+    ends without a cover it falls back to cover_bounded's pick, built from
+    the step's _Shared, and the trace records the detour."""
     trace: list[str] = []
     shared = _Shared(g, cfg)
-    cov = _sqrt_step(g, cfg, trace, shared)
-    if cov is None:
-        inner = _pick(g.n, cfg, *_bounded_candidates(g, cfg, shared))
-        trace.append("sqrt:fallback")
-        trace.extend(inner.branch_trace)
-        cov = inner.cover
-    return SolveResult(cov, _guarantee(g.n, cov.size, cfg), tuple(trace))
+    step = None
+    for step in _sqrt_step(g, cfg, trace, shared):
+        pass
+    if isinstance(step, tuple):
+        return SolveResult(step[1], _guarantee(g.n, step[1].size, cfg), tuple(trace))
+    trace.append("sqrt:fallback")
+    return _pick(g.n, cfg, _stages(g, cfg, shared, trace), trace)
 
 
 def solve(g: Colouring, cfg: SolverConfig | None = None) -> SolveResult:
     """The first valid cover in (size, order) of one candidate list:
     base:oracle (small n), sqrt, base:structure-R, base:structure-B,
-    base:greedy, bounded:*; MonopathError if none is valid.  The trace lists
-    the bounded stages, the sqrt step's, <tag>:invalid-dropped for each
-    cover found invalid, then pick:<tag>.
-
-    cover_bounded's candidates are built first, as _can_win over them (the
-    oracle's cover before the sqrt step, the rest after it) decides whether
-    the sqrt step and its reduce run; each is built at most once, the
-    greedy cover only when read (_Shared).  validate_cover checks only the
-    covers the pick can reach: one whose size would make _can_win skip a
-    stage, and the candidates in (size, order) up to the first valid one.
-    """
+    base:greedy, bounded:*; MonopathError if none is valid.  _pick builds
+    them best first, so a cover that cannot win is not built, and
+    validate_cover checks each cover the pick reaches once.  The trace lists
+    each stage's steps as the pick advances it, and <tag>:invalid-dropped
+    where a cover is found invalid; then <name>:skipped for each stage left
+    unbuilt, and pick:<tag>."""
     cfg = SolverConfig() if cfg is None else cfg
     shared = _Shared(g, cfg)
-    cands, trace = _bounded_candidates(g, cfg, shared)
-    # validate_cover's verdict per cover checked, by id: hashing a cover
-    # reads every vertex, and every cover here lives until solve returns; a
-    # greedy cover is checked once built, so one never built has no verdict
-    verdicts: dict[int, bool] = {}
-
-    def ok(cover: PathCover) -> bool:
-        if id(cover) not in verdicts:
-            verdicts[id(cover)] = validate_cover(g, cover).valid
-        return verdicts[id(cover)]
-
-    at = sum(tag == "base:oracle" for tag, _ in cands)  # the sqrt cover's place
-    covers = [c for _, c in cands]
-    if _can_win(1, covers[:at], (), "sqrt:pipeline", trace, ok):
-        sqrt = _sqrt_step(g, cfg, trace, shared, covers[:at], covers[at:], ok)
-        if sqrt is not None:
-            cands.insert(at, ("sqrt", sqrt))
-    res = _pick(g.n, cfg, cands, trace, ok)
+    trace: list[str] = []
+    stages = _stages(g, cfg, shared, trace, {"sqrt": _sqrt_step(g, cfg, trace, shared)})
+    res = _pick(g.n, cfg, stages, trace, lambda cover: validate_cover(g, cover).valid)
     labels = _labels(g.n)
     paths = tuple(
         Path(tuple(map(labels.__getitem__, p.vertices)), p.colour)

@@ -327,6 +327,40 @@ class TestSweepCommand:
         assert out == ""
         assert err == "monopath: error: need workers >= 1, got 0\n"
 
+    def test_workers_are_bounded_by_rows_and_cpus(self, monkeypatch):
+        # a stub pool records max_workers and runs the rows in this process,
+        # so no process starts whatever the plan asks for
+        asked = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        two = SweepPlan((4, 5), ("extremal",), (0,), workers=100_000)
+        eight = SweepPlan(tuple(range(4, 12)), ("extremal",), (0,), workers=100_000)
+        text = run_sweep(eight)
+        run_sweep(two)
+        assert asked == [3, 2]
+        # an unknown CPU count runs the rows in this process, without a pool
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        wall = SWEEP_COLUMNS.index("wall_time_ms")
+        strip = lambda text: [
+            [c for i, c in enumerate(row.split(",")) if i != wall] for row in text.splitlines()
+        ]
+        assert strip(run_sweep(eight)) == strip(text)
+        assert asked == [3, 2]
+
     def test_workers_parity(self):
         plan1 = SweepPlan((8, 12), ("extremal", "random:p=0.3"), (0, 1), True, 14, 1)
         plan4 = SweepPlan((8, 12), ("extremal", "random:p=0.3"), (0, 1), True, 14, 4)
@@ -366,7 +400,7 @@ DIGEST_PLANS = (
     SweepPlan((12,), ("extremal", "random:p=0.5"), (0,), True, 10),
 )
 # sha256 of the DIGEST_PLANS sweeps' CSV rows without wall_time_ms
-DIGEST = "094683f642e866bf1aeb4c73c69d860746830425e195f9bd54eeff6760b90acb"
+DIGEST = "bdea4d2910031e8e2b5c013dee2559c8b83a37d50ee262e574767ba253322ec1"
 
 
 class TestSweepOracleColumn:

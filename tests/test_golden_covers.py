@@ -83,21 +83,24 @@ def _digest(rec: dict) -> str:
 # sha256 of _record as sorted compact JSON for a dense n = 1000 colouring
 # under (2, 2, 2), far above the golden file's n <= 80.  Its sqrt pipeline
 # returns a reduction witness, but the red structure cover is a single path,
-# which a reduce cover (two paths at least) cannot beat, so sqrt:reduce is
-# skipped; RED_HUB_REDUCE_DIGEST pins a reduce cover at this scale
-LARGE_REDUCE_DIGEST = "632ba53f7163148de457f247648bb7bce44b1031b0ee1fd3fed3e1d3e1e5ee42"
+# which a reduce cover (two paths at least) cannot beat, so the sqrt stage is
+# skipped before its reduce runs; RED_HUB_REDUCE_DIGEST pins a reduce cover
+# at this scale
+LARGE_REDUCE_DIGEST = "f55f3ee4b2b68831558df8ff876050866821b3a65489ba0351168f1a4adbbd43"
 
 
 def test_large_reduce_matches_pinned_digest():
     rec = _record(random_colouring(1000, 0.5, 7), SolverConfig(2.0, 2.0, 2.0))
-    assert rec["trace"][-2:] == ["sqrt:reduce:skipped", "pick:base:structure-R"]
+    assert rec["trace"][:2] == ["base:structure-R", "sqrt:skipped"]
+    assert rec["trace"][-1] == "pick:base:structure-R"
     assert _digest(rec) == LARGE_REDUCE_DIGEST
 
 
 # the same for red_hub(2000, 1201) under (2, 2, 2): every base cover has
 # more than one path, and both pipelines return one reduction witness.  The
-# red structure cover (201 paths) is built; the blue one (801) is skipped
-RED_HUB_REDUCE_DIGEST = "020897d6c63800d041dfc636ccd59598745d35b28a861558e804ddc67f311551"
+# sqrt reduce cover (2 paths) is built and wins; the structure covers (201
+# and 801 paths) and the bounded reduce, which could only tie it, are not
+RED_HUB_REDUCE_DIGEST = "3f043efee6646a7cec8b4fcfdaa4325073df3742d101caa0913c1a1a5b129f2d"
 
 
 def test_red_hub_reduce_is_built_once(monkeypatch):
@@ -118,7 +121,8 @@ def test_red_hub_reduce_is_built_once(monkeypatch):
     monkeypatch.setattr(Colouring, "induced", induced)
     monkeypatch.setattr(solver, "long_path_pipeline", pipeline)
     rec = _record(g, SolverConfig(2.0, 2.0, 2.0))
-    assert {"sqrt:reduce", "bounded:reduce", "base:structure-R"} <= set(rec["trace"])
+    assert {"bounded:pipeline", "sqrt:reduce", "bounded:skipped"} <= set(rec["trace"])
+    assert rec["trace"][-1] == "pick:sqrt"
     # one induced copy and one pipeline head for the top-level colouring
     assert sum(h is g for h in copies) == 1
     assert sum(h is g for h in heads) == 1

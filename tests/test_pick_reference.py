@@ -1,10 +1,15 @@
-"""An eager reference for solve's and cover_bounded's pick.
+"""An eager reference for solve's and cover_bounded's pick, and the bounds
+that let the pick be lazy.
 
 The reference builds every candidate cover straight from the stage
 functions, recursing through itself for reduce, and takes the first valid
 one in (size, order); cover_bounded's pick reads no validation.  It shares
 no memo, pick or skip with the solver, so any laziness there that changes a
 cover on a fresh input shows as a difference here.
+
+solver._pick skips a stage whose bound is above a valid cover's size.  That
+equals the reference only if no stage yields a bound above its own cover's
+size, which the drained stages below check at every level of the recursion.
 """
 
 from __future__ import annotations
@@ -14,11 +19,12 @@ import sys
 from fractions import Fraction
 from pathlib import Path as FilePath
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import noisy_colouring
-from monopath import arith
+from monopath import arith, solver
 from monopath.bipartite import BipartiteView, decompose_full
 from monopath.construct import (
     LongPathStructure,
@@ -42,6 +48,7 @@ from monopath.solver import (
 sys.path.insert(0, str(FilePath(__file__).resolve().parent.parent / "scripts"))
 
 from same_covers import CONFIGS  # noqa: E402
+from test_solver_tags import CENSUS  # noqa: E402
 
 
 def _or_none(build):
@@ -117,3 +124,61 @@ def test_solve_and_cover_bounded_match_the_eager_reference(n, seed, name):
     g, cfg = noisy_colouring(random.Random(seed), n), CONFIGS[name]
     assert _same(solve(g, cfg).cover, ref_solve(g, cfg))
     assert _same(cover_bounded(g, cfg).cover, min(ref_bounded(g, cfg), key=PathCover.size.fget))
+
+
+def _drained(real_pick):
+    """_pick that first runs every stage to its end and checks what the lazy
+    pick relies on: each bound is at least the one before it (1 at the
+    start) and at most the size of the stage's cover, and a structure
+    stage's bound is its cover's exact size.  It then picks from the drained
+    stages, so the covers stay the same."""
+
+    def pick(n, cfg, stages, trace, ok=lambda cover: True):
+        replay = {}
+        for name, stage in stages.items():
+            steps = list(stage)
+            bounds = [1, *(b for b in steps if isinstance(b, int))]
+            assert bounds == sorted(bounds), (name, bounds)
+            if steps and isinstance(steps[-1], tuple):
+                size = steps[-1][1].size
+                assert bounds[-1] <= size, (name, bounds, size)
+                if name.startswith("base:structure-"):
+                    assert bounds[1:] == [size], (name, bounds, size)
+            replay[name] = iter(steps)
+        return real_pick(n, cfg, replay, trace, ok)
+
+    return pick
+
+
+def _reduce_checked(real_reduce):
+    def reduce(g, w, cfg):
+        cover = real_reduce(g, w, cfg)
+        assert cover.size >= 2  # the bound both reduce stages yield
+        return cover
+
+    return reduce
+
+
+def _check_bounds(g, cfg, entry=solve):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_pick", _drained(solver._pick))
+        mp.setattr(solver, "reduce", _reduce_checked(solver.reduce))
+        return entry(g, cfg)
+
+
+@given(
+    st.one_of(st.integers(2, 15), st.integers(30, 300)),
+    st.integers(0, 2**32),
+    st.sampled_from(sorted(CONFIGS)),
+)
+@settings(max_examples=40, deadline=None)
+def test_stage_bounds_hold_on_fresh_inputs(n, seed, name):
+    g, cfg = noisy_colouring(random.Random(seed), n), CONFIGS[name]
+    assert _same(_check_bounds(g, cfg).cover, solve(g, cfg).cover)
+
+
+@pytest.mark.parametrize("entry", sorted(k for k, v in CENSUS.items() if v[3] is None))
+def test_stage_bounds_hold_on_census_instances(entry):
+    build, cfg, entry_point, _ = CENSUS[entry]
+    g = build()
+    assert _same(_check_bounds(g, cfg, entry_point).cover, entry_point(g, cfg).cover)

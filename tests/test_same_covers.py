@@ -68,9 +68,9 @@ def test_trace_differences_are_counted_per_tag(tmp_path, capsys):
     plan.write_text(json.dumps([[16, hex(3**70)]]))
     _, out = _run(capsys, "--plan", plan)
     # two saved records: one with a tag renamed, one with an entry more
-    for i, edit in ((0, lambda t: t.replace("base:greedy", "base:old")), (1, lambda t: t + "|x:y")):
+    for i, edit in ((0, lambda t: t.replace("sqrt:y-exit", "sqrt:old")), (1, lambda t: t + "|x:y")):
         key, cover, whole, trace = out[i].rsplit(" ", 3)
-        assert "base:greedy" in trace.split("|")
+        assert "sqrt:y-exit" in trace.split("|")
         out[i] = f"{key} {cover} {'0' * len(whole)} {edit(trace)}"
     saved = tmp_path / "saved.txt"
     saved.write_text("\n".join(out) + "\n")
@@ -79,8 +79,8 @@ def test_trace_differences_are_counted_per_tag(tmp_path, capsys):
     assert code == 0
     tags = [line for line in diff if line.startswith("against tag")]
     assert tags == [
-        "against tag base:greedy: +1 -0",
-        "against tag base:old: +0 -1",
+        "against tag sqrt:old: +0 -1",
+        "against tag sqrt:y-exit: +1 -0",
         "against tag x:y: +0 -1",
     ]
 

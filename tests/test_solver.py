@@ -352,31 +352,36 @@ class TestEachCandidateOnce:
         assert "sqrt:decompose:error(PreconditionViolated)" in res.branch_trace
         assert res.branch_trace[-1] == "pick:base:structure-B"
         assert validate_cover(g, res.cover).valid
-        # the bounded base strategies ran for the whole graph exactly once:
-        # the unseeded refine_path runs through _refine, once per colour
+        # the bounded base strategies ran for the whole graph at most once:
+        # the unseeded refine_path runs through _refine, once per colour, and
+        # the blue structure cover, one path, wins before the greedy cover,
+        # listed after it, is built
         assert seen["_refine"] == [g, g]
-        assert len(seen["_greedy_cover"]) == 1
+        assert seen["_greedy_cover"] == []
 
     def test_once_per_colouring_through_reduce(self, monkeypatch):
-        # small constants: both pipelines reduce into one sub-colouring,
-        # whose one-path red structure cover leaves its greedy cover unread;
-        # the top-level colouring builds its own once
+        # small constants: both pipelines return one witness, and the sqrt
+        # cover (3 paths) leaves room for the bounded one, so both reduce
+        # covers are built: they share one reduce into one sub-colouring,
+        # and each colouring builds its greedy cover once
         cfg = SolverConfig(c1=1.0, c2=0.0, c=1.0)
-        g = red_hub(68, 37)
-        seen = _count_calls(monkeypatch, "_greedy_cover", "cover_bounded")
+        g = red_hub(144, 98)
+        seen = _count_calls(monkeypatch, "_greedy_cover", "cover_bounded", "reduce")
         res = solve(g, cfg)
         assert validate_cover(g, res.cover).valid
         assert {"sqrt:reduce", "bounded:reduce"} <= set(res.branch_trace)
-        assert [h.n for h in seen["cover_bounded"]] == [35]
-        assert seen["_greedy_cover"] == [g]
+        assert seen["reduce"] == [g]
+        [sub] = seen["cover_bounded"]
+        assert sub.n == 96
+        assert seen["_greedy_cover"] == [g, sub]
 
     def test_one_structure_cover_per_path(self, monkeypatch):
-        # the blue base structure, the bounded y0-exit and the sqrt y-exit
-        # share one path, so its cover is built once
+        # the bounded y0-exit and the sqrt y-exit share one path, so its
+        # cover is built once
         g = indexed_colouring(16, 0xA91482041402009010010208002010)
         seen = _count_calls(monkeypatch, "cover_from_structure")
         res = solve(g, SolverConfig(2.0, 2.0, 2.0))
-        assert {"base:structure-B", "bounded:y0-exit", "sqrt:y-exit"} <= set(res.branch_trace)
+        assert {"bounded:y0-exit", "sqrt:y-exit"} <= set(res.branch_trace)
         assert validate_cover(g, res.cover).valid
         assert seen["cover_from_structure"] == [g]
 
@@ -416,7 +421,7 @@ class TestSizeOneSkip:
         res = cover_bounded(g, SolverConfig(2.0, 2.0, 2.0))
         assert seen["long_path_pipeline"] == []
         assert "bounded:pipeline" not in res.branch_trace
-        assert "bounded:pipeline:skipped" in res.branch_trace
+        assert "bounded:skipped" in res.branch_trace
         assert res.branch_trace[-1] == f"pick:base:structure-{colour.value}"
         assert res.cover == cover_from_structure(g, LongPathStructure(*refine_path(g, colour)))
         assert res.cover.size == 1
@@ -433,13 +438,14 @@ class TestSizeOneSkip:
 
 
 class TestStructureSkip:
-    """A structure cover is built only if its exact size can win, and each
-    colour's unbounded refine_path runs once per solve."""
+    """A structure stage yields its cover's exact size once refine_path has
+    run, so the cover is built only if that size can win; each colour's
+    unbounded refine_path runs once per solve."""
 
     def test_extremal_builds_no_red_structure_cover(self, monkeypatch):
-        # red 42 paths, blue 10 and greedy 10: red loses to the greedy cover,
-        # blue wins the tie with it, and the sqrt step's y-exit reads the
-        # same structure, so it takes that cover instead of a second build
+        # red 42 paths, blue 10, and the sqrt step's y-exit 10, which reads
+        # the blue structure and comes first in pick order: neither base
+        # structure cover can win, so the one cover built is the y-exit's
         g = extremal(100)
         built = []
         real = solver.cover_from_structure
@@ -450,9 +456,9 @@ class TestStructureSkip:
         )
         res = solve(g)
         assert built == [BLUE]
-        assert "sqrt:y-exit" in res.branch_trace
-        assert res.branch_trace[:3] == (
-            "base:structure-R:skipped", "base:structure-B", "base:greedy",
+        assert res.branch_trace == (
+            "sqrt:y-exit", "base:greedy",
+            "base:structure-R:skipped", "base:structure-B:skipped", "pick:sqrt",
         )
         assert _greedy(g).size == 10
         assert res.cover.size == 10
@@ -474,7 +480,7 @@ class TestStructureSkip:
             monkeypatch.setattr(module, "_refine", wrapper)
         res = solve(g)
         assert "sqrt:y-exit" in res.branch_trace
-        assert runs == [(g, RED), (g, BLUE)]
+        assert sorted(runs, key=lambda run: run[1].value) == [(g, BLUE), (g, RED)]
 
     def test_bounded_tail_does_not_reuse(self, monkeypatch):
         # at slack 0 the bound 2 sqrt(n) is below n - 1, so the bounded
@@ -491,11 +497,13 @@ class TestStructureSkip:
 
 
 class TestPickRule:
-    """A candidate is built only while it can still win the pick
-    (solver._can_win); a reduce cover has at least two paths."""
+    """A stage is advanced only while its (bound, order) is the least in the
+    pick (solver._pick), so a candidate is built only while it can still
+    win; a reduce cover has at least two paths."""
 
     def test_structure_b_not_built_after_a_single_path(self, monkeypatch):
-        # least size 1 rules blue out before its refine_path (_refine) runs
+        # red's one-path cover, at (1, red's place), is checked before blue
+        # is first advanced, so blue's refine_path (_refine) never runs
         g = random_colouring(200, 0.5, 0)
         seen = _count_calls(monkeypatch, "_refine", "cover_from_structure")
         res = cover_bounded(g, SolverConfig(2.0, 2.0, 2.0))
@@ -508,52 +516,60 @@ class TestPickRule:
         seen = _count_calls(monkeypatch, "reduce")
         res = solve(g, SolverConfig(2.0, 2.0, 2.0))
         assert seen["reduce"] == []
-        assert res.branch_trace[-2:] == ("sqrt:reduce:skipped", "pick:base:structure-R")
+        assert res.branch_trace[:2] == ("base:structure-R", "sqrt:skipped")
+        assert res.branch_trace[-1] == "pick:base:structure-R"
         assert res.cover.size == 1
 
     def test_skip_reads_a_validated_cover(self, monkeypatch):
-        # the top-level colouring's structure cover becomes an invalid single
-        # path; the sub-colouring that reduce recurses into keeps its real
-        # ones, so the sqrt:reduce cover stays valid and must be built.  The
-        # blue structure cover (145 paths, as many as the greedy cover) is
-        # still built; the red one (157) is skipped before any builder runs
+        # stages are skipped only behind a cover found valid.  The top-level
+        # colouring's greedy cover becomes an invalid single path, which no
+        # stage's bound can beat; the sub-colourings that reduce recurses
+        # into keep their real ones.  It is dropped, so the pick goes on and
+        # builds both reduce covers (4 paths each); the structure stages
+        # (157 and 145 paths) are skipped by their bounds
         g = red_hub(600, 457)
-        real = solver.cover_from_structure
+        real = solver._greedy_cover
 
-        def invalid_for_g(h, s):
+        def invalid_for_g(h, first):
             if h is g:
-                return PathCover(s.path.colour, (Path((1,), s.path.colour),), h.n)
-            return real(h, s)
+                return PathCover(RED, (Path((1,), RED),), h.n)
+            return real(h, first)
 
-        monkeypatch.setattr(solver, "cover_from_structure", invalid_for_g)
+        monkeypatch.setattr(solver, "_greedy_cover", invalid_for_g)
+        seen = _count_calls(monkeypatch, "cover_from_structure")
         res = solve(g, SolverConfig(2.0, 2.0, 2.0))
-        assert "base:structure-B" in res.branch_trace
-        assert "base:structure-R:skipped" in res.branch_trace
+        assert res.branch_trace[:2] == ("base:greedy", "base:greedy:invalid-dropped")
+        assert {"sqrt:reduce", "bounded:reduce"} <= set(res.branch_trace)
         assert res.branch_trace[-3:] == (
-            "sqrt:reduce", "base:structure-B:invalid-dropped", "pick:sqrt",
+            "base:structure-R:skipped", "base:structure-B:skipped", "pick:sqrt",
         )
+        assert g not in seen["cover_from_structure"]
         assert res.cover.size == 4
         assert validate_cover(g, res.cover).valid
 
     def test_failed_guard_falls_back_before_any_skip(self, monkeypatch):
         # the sqrt witness of this hub fails the reduce guard; a one-path
-        # greedy cover, let through validation, would rule the reduce out,
-        # but the guard is checked first, so the step adds no cover and the
-        # greedy one wins
+        # greedy cover, let through validation, would leave the reduce
+        # skipped, but the guard is checked before the stage yields its
+        # bound, so the stage ends, builds nothing and is not skipped, and the
+        # greedy cover wins
         g = red_hub(760, 607)
         one_path = PathCover(RED, (Path(tuple(range(1, g.n + 1)), RED),), g.n)
         monkeypatch.setattr(solver, "_greedy_cover", lambda h, first: one_path)
         monkeypatch.setattr(solver, "validate_cover", lambda h, cover: CoverReport(True))
+        seen = _count_calls(monkeypatch, "reduce")
         res = solve(g, SolverConfig(2.0, 2.0, 2.0))
         trace = res.branch_trace
-        assert trace[-2:] == ("sqrt:reduce:error(GuardFailed)", "pick:base:greedy")
+        assert trace[:2] == ("sqrt:reduce:error(GuardFailed)", "base:greedy")
+        assert trace[-1] == "pick:base:greedy"
+        assert "sqrt:skipped" not in trace
+        assert seen["reduce"] == []
         assert res.cover.size == 1
 
 
 class TestLazyChecks:
-    """solve checks a cover only where the pick can reach it: when its size
-    decides a _can_win verdict, and in (size, order) up to the first valid
-    candidate."""
+    """solve checks a cover only when it heads the pick: in (size, order) up
+    to the first valid candidate, each cover once."""
 
     @staticmethod
     def _checked(monkeypatch, reject=()):
@@ -570,8 +586,8 @@ class TestLazyChecks:
         return seen
 
     def test_one_check_on_the_picked_single_path(self, monkeypatch):
-        # sqrt:reduce's skip reads the red structure cover (one path), which
-        # the pick then takes; the greedy cover (one blue path) is never checked
+        # the red structure cover (one path) heads the pick once built and is
+        # taken; the greedy cover (one blue path) is never built or checked
         g = random_colouring(200, 0.5, 0)
         seen = self._checked(monkeypatch)
         res = solve(g, SolverConfig(2.0, 2.0, 2.0))
@@ -588,21 +604,26 @@ class TestLazyChecks:
         g = red_hub(600, 457)
         seen = self._checked(monkeypatch, reject={1})
         res = solve(g, SolverConfig(2.0, 2.0, 2.0))
-        assert res.branch_trace[-3:] == (
-            "sqrt:reduce", "sqrt:invalid-dropped", "pick:bounded:reduce",
+        trace = res.branch_trace
+        assert trace[trace.index("sqrt:reduce"):][:3] == (
+            "sqrt:reduce", "bounded:reduce", "sqrt:invalid-dropped",
         )
+        assert trace[-1] == "pick:bounded:reduce"
         assert [c.size for c in seen] == [4, 4]
         assert seen[1] == res.cover != seen[0]
         assert validate_cover(g, res.cover).valid
 
     def test_unreached_invalid_cover_keeps_its_tag(self, monkeypatch):
-        # an invalid greedy cover behind a valid smaller pick is never read
+        # an invalid greedy cover (11 paths), built while the sqrt cover's 10
+        # paths do not yet head the pick, is never checked
         g = extremal(100)
         bad = PathCover(BLUE, (Path((1,), BLUE),) * 11, g.n)
         monkeypatch.setattr(solver, "_greedy_cover", lambda h, first: bad)
         seen = self._checked(monkeypatch)
         res = solve(g)
-        assert res.branch_trace[-2:] == ("sqrt:y-exit", "pick:sqrt")
+        assert res.branch_trace[:2] == ("sqrt:y-exit", "base:greedy")
+        assert res.branch_trace[-1] == "pick:sqrt"
+        assert "base:greedy:invalid-dropped" not in res.branch_trace
         assert bad not in seen and len(seen) == 1
         assert validate_cover(g, res.cover).valid
 
@@ -613,27 +634,32 @@ class TestLazyChecks:
         g = indexed_colouring(22, 0x33E5FCA957FCA92A4549FFFFFFDA9195237FFFFFFFF2A466548CC548CC)
         seen = self._checked(monkeypatch, reject={1})
         res = solve(g, SolverConfig(2.0, 2.0, 2.0))
-        assert res.branch_trace[-2:] == (
-            "base:structure-R:invalid-dropped", "pick:bounded:y0-exit",
-        )
+        assert "base:structure-R:invalid-dropped" in res.branch_trace
+        assert res.branch_trace[-1] == "pick:bounded:y0-exit"
         assert [c.size for c in seen] == [3, 3]
         assert seen[1] == res.cover != seen[0]
         assert validate_cover(g, res.cover).valid
 
     def test_no_valid_candidate_raises(self, monkeypatch):
-        # the greedy cover is this colouring's only candidate under the
-        # default constants: once it is found invalid, none is left
+        # the sqrt step fails on this colouring under the default constants,
+        # so the greedy cover (4 paths) wins; with every check failing, the
+        # structure covers (8 and 26 paths) are built and dropped in turn,
+        # and none is left
         g = indexed_colouring(
             26, 0x7C1040808040107F782041020408081008100428010200286082040010000040811FFFFFFFFFFFF
         )
-        self._checked(monkeypatch, reject={1})
-        with pytest.raises(MonopathError, match="dropped base:greedy$"):
+        seen = self._checked(monkeypatch, reject=range(1, 4))
+        with pytest.raises(
+            MonopathError,
+            match="dropped base:greedy, base:structure-R, base:structure-B$",
+        ):
             solve(g)
+        assert [c.size for c in seen] == [4, 8, 26]
 
 
 class TestLazyGreedy:
-    """The greedy cover is built at most once per colouring, and only when a
-    skip test or the pick reads it: never behind a one-path candidate."""
+    """The greedy cover is built at most once per colouring, and only when
+    its stage heads the pick: never behind a one-path candidate."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_not_built_behind_a_one_path_structure(self, monkeypatch, seed):
@@ -648,8 +674,9 @@ class TestLazyGreedy:
         "make", [lambda: extremal(100), lambda: red_hub(300, 201)], ids=["extremal", "hub"]
     )
     def test_built_once_where_a_structure_reads_it(self, monkeypatch, make):
-        # the red structure cover has many paths, so its skip test reads the
-        # greedy cover's size; the later reads take the same cover
+        # the structures' bounds, their exact sizes, are above one path, as
+        # is the sqrt cover, so the greedy stage heads the pick at bound 1
+        # and its cover is built, once
         g = make()
         seen = _count_calls(monkeypatch, "_greedy_cover")
         res = solve(g)
@@ -658,38 +685,62 @@ class TestLazyGreedy:
 
     def test_invalid_one_path_structure_builds_it(self, monkeypatch):
         # an injected invalid one-path structure cover no longer rules the
-        # greedy cover out: sqrt:reduce's skip test and the pick read it,
-        # and it is built once
+        # greedy cover out: both structures' real covers are one path, so
+        # both stubs are built and dropped, and then the greedy cover, built
+        # once, wins over the sqrt reduce's two paths at least
         g = random_colouring(200, 0.1, 0)
         one = PathCover(RED, (Path(tuple(range(1, g.n)), RED),), g.n)
         monkeypatch.setattr(solver, "cover_from_structure", lambda h, s: one)
         seen = _count_calls(monkeypatch, "_greedy_cover")
         res = solve(g, SolverConfig(2.0, 2.0, 2.0))
-        assert res.branch_trace[-2:] == (
-            "base:structure-R:invalid-dropped", "pick:base:greedy",
+        assert res.branch_trace == (
+            "base:structure-R", "base:structure-R:invalid-dropped",
+            "base:structure-B", "base:structure-B:invalid-dropped",
+            "base:greedy", "sqrt:skipped", "bounded:skipped", "pick:base:greedy",
         )
         assert seen["_greedy_cover"] == [g]
         assert validate_cover(g, res.cover).valid
 
-    @given(st.lists(st.integers(1, 4), min_size=1, max_size=8), st.data())
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 4), st.lists(st.integers(1, 4), max_size=3), st.booleans()),
+            min_size=1, max_size=8,
+        ),
+        st.data(),
+    )
     @settings(max_examples=200, deadline=None)
-    def test_pick_is_min_and_stops_at_one_path(self, sizes, data):
-        covers = [PathCover(RED, (Path((1,), RED),) * k, 1) for k in sizes]
-        cut = sizes.index(1) + 1 if 1 in sizes else len(sizes)
-        read = []
+    def test_pick_is_min_and_stops_at_one_path(self, specs, data):
+        # each stage: its cover's size, the bounds it yields (sorted and cut
+        # to the size) and whether it ends without a cover; some covers are
+        # invalid.  The pick is the first valid cover in (size, order), and no
+        # stage is advanced at a (bound, order) above the winner's
+        covers = [PathCover(RED, (Path((1,), RED),) * k, 1) for k, _, _ in specs]
+        valid = [data.draw(st.booleans()) for _ in specs]
+        advanced = []
 
-        def lazy(i):
-            return lambda: read.append(i) or covers[i]
+        def stage(i, k, bounds, fails):
+            at = 1
+            for b in sorted(min(b, k) for b in bounds):
+                advanced.append((at, i))
+                yield b
+                at = b
+            advanced.append((at, i))
+            if not fails:
+                yield str(i), covers[i]
 
-        # any candidate may be held unbuilt, as the greedy cover is
-        held = [
-            lazy(i) if data.draw(st.booleans()) else c for i, c in enumerate(covers)
-        ]
-        res = solver._pick(1, SolverConfig(), [(str(i), c) for i, c in enumerate(held)], [])
-        want = min(range(len(covers)), key=lambda i: covers[i].size)
-        assert res.branch_trace == (f"pick:{want}",)
+        stages = {str(i): stage(i, *spec) for i, spec in enumerate(specs)}
+        ok = lambda cover: valid[next(i for i, c in enumerate(covers) if c is cover)]
+        live = [i for i, (_, _, fails) in enumerate(specs) if not fails and valid[i]]
+        if not live:
+            with pytest.raises(MonopathError):
+                solver._pick(1, SolverConfig(), stages, [], ok)
+            return
+        want = min(live, key=lambda i: covers[i].size)
+        trace = []
+        res = solver._pick(1, SolverConfig(), stages, trace, ok)
         assert res.cover is covers[want]
-        assert all(i < cut for i in read)
+        assert trace[-1] == f"pick:{want}"
+        assert all(step <= (covers[want].size, want) for step in advanced)
 
 
 class TestFirstPathOnce:

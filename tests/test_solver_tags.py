@@ -2,13 +2,15 @@
 instance whose solve returns a validated cover.
 
 The tags are read from solver.py itself: every string literal handed to
-`trace.append`, `add` or `_dropped_on_error`, or assigned to `tag`.  An
-f-string stands for every entry that matches it with its fields filled in;
-a stage handed to `_dropped_on_error` is reached by the stage's own entry or
-by `<stage>:error(<ExceptionName>)`.  A tag literal added to solver.py
-without an entry in CENSUS fails `test_every_tag_literal_has_an_instance`.
-A key may end in `#<reason>`: a second instance that reaches the same entry
-another way.
+`trace.append`, `add` or `_dropped_on_error`, or assigned to `tag`; the tag
+of every cover a stage yields, reached as `pick:<tag>`; and the name of
+every stage handed to `_pick` (a key of a stages dict), reached as
+`<name>:skipped`, save FIRST.  An f-string stands for every entry that
+matches it with its fields filled in; a step handed to `_dropped_on_error`
+is reached by the step's own entry or by `<step>:error(<ExceptionName>)`.
+A tag literal added to solver.py without an entry in CENSUS fails
+`test_every_tag_literal_has_an_instance`.  A key may end in `#<reason>`: a
+second instance that reaches the same entry another way.
 
 Entries with a stand-in (their fourth field) are reached only through a
 monkeypatched failure, since no correct input reaches them: a
@@ -37,12 +39,15 @@ from monopath.core import (
     validate_cover,
 )
 from monopath.gen import extremal, random_colouring
-from monopath.solver import SolverConfig, cover_sqrt, solve
+from monopath.solver import SolverConfig, cover_bounded, cover_sqrt, solve
 
 DEFAULT = SolverConfig()
 C2 = SolverConfig(c1=2.0, c2=0.0, c=2.0)
 C1 = SolverConfig(c1=1.0, c2=0.0, c=1.0)
 C222 = SolverConfig(c1=2.0, c2=2.0, c=2.0)
+# the stage the pick advances first whenever it is listed, so it is never
+# left unbuilt
+FIRST = "base:oracle"
 
 
 def red_star(n: int) -> Colouring:
@@ -107,8 +112,9 @@ CENSUS = {
         lambda: forced_red_star(1762), C1, solve, None,
     ),
     # a red hub of 8 on 20: no base cover is a single path, so the bounded
-    # pipeline runs, and its witness passes the reduce guard
-    "bounded:reduce": (lambda: red_hub(20, 13), C2, solve, None),
+    # pipeline runs, and its witness passes the reduce guard.  Under solve
+    # the sqrt step's two-path cover wins before the reduce is built
+    "bounded:reduce": (lambda: red_hub(20, 13), C2, cover_bounded, None),
     "bounded:y0-exit": (lambda: red_star(20), C2, solve, None),
     "bounded:y-exit": (lambda: red_hub(10, 8), C2, solve, None),
     "bounded:strip": (lambda: red_hub(41, 35), C2, solve, None),
@@ -121,30 +127,30 @@ CENSUS = {
     "bounded:strip:error(GuardFailed)": (
         lambda: red_hub(44, 37), C2, solve, None,
     ),
-    # skips by the pick rule: at n = 10 the oracle's cover is one path, which
-    # no later candidate can beat, the sqrt step included
-    "sqrt:pipeline:skipped": (lambda: random_colouring(10, 0.5, 3), DEFAULT, solve, None),
+    # stages left unbuilt: at n = 10 the oracle's cover is one path, which
+    # no later candidate can beat, so no other stage runs
+    "sqrt:skipped": (lambda: random_colouring(10, 0.5, 3), DEFAULT, solve, None),
     "base:structure-R:skipped": (
         lambda: random_colouring(10, 0.5, 3), DEFAULT, solve, None,
     ),
+    "base:greedy:skipped": (lambda: random_colouring(10, 0.5, 3), DEFAULT, solve, None),
     # the red structure cover is one path, which neither the blue one, the
     # bounded induction nor a reduce cover (two paths at least) can beat
     "base:structure-B:skipped": (
         lambda: random_colouring(200, 0.5, 0), C222, solve, None,
     ),
-    "bounded:pipeline:skipped": (
-        lambda: random_colouring(200, 0.5, 0), C222, solve, None,
-    ),
-    "sqrt:reduce:skipped": (lambda: random_colouring(200, 0.5, 0), C222, solve, None),
-    # the red structure cover has two paths, the bounded witness's reduce
-    # at least as many, and it would come later in the pick order
-    "bounded:reduce:skipped": (lambda: red_hub(16, 10), C2, solve, None),
+    "bounded:skipped": (lambda: random_colouring(200, 0.5, 0), C222, solve, None),
+    # the sqrt step has yielded its reduce's bound of 2 when the red
+    # structure cover's one path wins
+    "sqrt:skipped#reduce": (lambda: random_colouring(200, 0.5, 0), C222, solve, None),
+    # the bounded witness's reduce would have two paths at least, as many as
+    # the sqrt cover, which comes first in pick order
+    "bounded:skipped#reduce": (lambda: red_hub(16, 10), C2, solve, None),
     # skips by a structure cover's exact size: extremal(100)'s red one has
-    # 42 paths, more than the greedy cover's 10, which comes after it
+    # 42 paths, more than the sqrt cover's 10, and its blue one 10, as many
+    # as the sqrt cover, which comes first in pick order
     "base:structure-R:skipped#size": (lambda: extremal(100), DEFAULT, solve, None),
-    # red_hub(2000, 1201)'s blue one has 801 paths, more than the red one's
-    # 201 before it
-    "base:structure-B:skipped#size": (lambda: red_hub(2000, 1201), DEFAULT, solve, None),
+    "base:structure-B:skipped#size": (lambda: extremal(100), DEFAULT, solve, None),
 }
 
 
@@ -168,8 +174,28 @@ def _field_pattern(node: ast.AST) -> str | None:
 def tag_patterns() -> set[str]:
     """One regex per tag literal in solver.py, each matching whole entries."""
     tree = ast.parse(FilePath(solver.__file__).read_text())
-    found = set()
+    assigned: dict[str, set[str]] = {}  # a variable's tag literals
     for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            target, value = node.targets[0], node.value
+            pairs = [(target, value)]
+            if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
+                pairs = zip(target.elts, value.elts)
+            for t, v in pairs:
+                pattern = _field_pattern(v)
+                if isinstance(t, ast.Name) and pattern:
+                    assigned.setdefault(t.id, set()).add(pattern)
+
+    def patterns(node: ast.AST) -> set[str]:
+        """A literal's pattern, or those of the literals a name is assigned."""
+        pattern = _field_pattern(node)
+        if pattern is not None:
+            return {pattern}
+        return assigned.get(node.id, set()) if isinstance(node, ast.Name) else set()
+
+    found = set(assigned.get("tag", ()))
+    for node in ast.walk(tree):
+        names = []  # stage names
         if isinstance(node, ast.Call):
             func = node.func
             name = getattr(func, "attr", getattr(func, "id", ""))
@@ -179,15 +205,18 @@ def tag_patterns() -> set[str]:
                     pattern = _field_pattern(arg)
                     if pattern is not None:
                         found.add(pattern + suffix)
-        elif isinstance(node, ast.Assign):
-            target, value = node.targets[0], node.value
-            pairs = [(target, value)]
-            if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
-                pairs = zip(target.elts, value.elts)
-            for t, v in pairs:
-                pattern = _field_pattern(v)
-                if isinstance(t, ast.Name) and t.id == "tag" and pattern:
-                    found.add(pattern)
+        elif isinstance(node, ast.Yield) and isinstance(node.value, ast.Tuple):
+            found |= {f"pick:{p}" for p in patterns(node.value.elts[0])}
+        elif isinstance(node, ast.Dict):
+            names = [k for k, v in zip(node.keys, node.values) if isinstance(v, ast.Call)]
+        elif (
+            isinstance(node, ast.Assign)
+            and isinstance(node.targets[0], ast.Subscript)
+            and isinstance(node.value, ast.Call)
+        ):
+            names = [node.targets[0].slice]
+        found |= {p + ":skipped" for k in names for p in patterns(k)}
+    found.discard(re.escape(FIRST) + ":skipped")
     return found
 
 
