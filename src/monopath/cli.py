@@ -16,7 +16,6 @@ import io
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import codec
@@ -262,6 +261,9 @@ def run_sweep(plan: SweepPlan) -> str:
     # the pool starts all its workers at once, so never more than rows or CPUs
     workers = min(plan.workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        # imported here: the pool's modules cost every other run about 2 MB
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_row, tasks, chunksize=8))
     else:

@@ -12,7 +12,7 @@ colour.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import filterfalse, islice
 
 from . import arith
@@ -304,9 +304,11 @@ def find_long_path_structure(g: Colouring, slack: float):
 
 def long_path_pipeline(g: Colouring, refined):
     """find_long_path_structure(g, .) as a function of the slack >= 0.  The
-    head of the pipeline, which reads no slack (two_path_cover, the halves q
-    and w, the probe and its vertices in q), runs here once, so a caller
-    that needs two slacks shares it.
+    head of the pipeline, which reads no slack (two_path_cover and its
+    spanning shortcut), runs here once, and the probe (the halves q and w,
+    _best_greedy over the opposite-colour edges between them, and its
+    vertices in q) at most once, on the first tail that can read it; so a
+    caller that needs two slacks shares both.
 
     refined(gamma) must return refine_path(g, gamma), unseeded and
     unbounded.  The tail calls it in place of refine_path when it has no
@@ -324,50 +326,58 @@ def long_path_pipeline(g: Colouring, refined):
 
     half = n // 2
     q = base.vertices[:half]
-    qmask = vertex_mask(q)
     qset = set(q)
-    w = list(islice(filterfalse(qset.__contains__, range(1, n + 1)), half))
-    wmask = vertex_mask(w)
-    # opposite-colour edges between q and w only
-    rows = g.rows(other)
-    adj = [0] * n
-    for v in q:
-        adj[v - 1] = rows[v - 1] & wmask
-    for v in w:
-        adj[v - 1] = rows[v - 1] & qmask
-    # rows off q and w are 0, and vertex 1 is in q or (lowest off q) in w
-    probe = _best_greedy(adj, range(1, n + 1))
-    probe_q = qset.intersection(probe)
+
+    @cache
+    def probe() -> tuple[list[int], list[int], set[int]]:
+        """w, the probe's path and its vertices in q."""
+        qmask = vertex_mask(q)
+        w = list(islice(filterfalse(qset.__contains__, range(1, n + 1)), half))
+        wmask = vertex_mask(w)
+        # opposite-colour edges between q and w only
+        rows = g.rows(other)
+        adj = [0] * n
+        for v in q:
+            adj[v - 1] = rows[v - 1] & wmask
+        for v in w:
+            adj[v - 1] = rows[v - 1] & qmask
+        # rows off q and w are 0, and vertex 1 is in q or (lowest off q) in w
+        path = _best_greedy(adj, range(1, n + 1))
+        return w, path, qset.intersection(path)
 
     def tail(slack: float):
         dp = arith._frac(slack) + 1
         t = arith.ceil_of_coeff_sqrt(2 * dp, n)  # witness size target
-        # t >= 2 and a one-vertex probe holds at most one vertex of q, so a
-        # probe that gets past this test has an edge
-        if len(probe_q) >= t:
-            return _witness(probe_q, [Path(tuple(probe), other), Path(q, gamma)])
-
-        # k (the opposite colour's target) is odd, l (gamma's) even and both
-        # sides hold ceil((k + l)/2) vertices, so of ramsey_path's errors only
-        # CannotCertify can occur
         seed = None
-        k, l = 2 * t - 1, 2 * half - 2 * t
-        if l >= 1:
-            view = BipartiteView.from_colouring(g, q, w, colour=other)
-            try:
-                out = ramsey_path(view, k, l)
-                if out.colour is gamma:
-                    seed = out.path
-                else:
-                    # only ramsey_path's exact search (n <= 29) gets here: its
-                    # greedy opening is the probe's (test_bipartite's
-                    # test_padded_rows_give_the_same_greedy_path), and an
-                    # opposite-colour path of >= 2t - 1 edges alternates, so it
-                    # holds >= t vertices of q
-                    s = qset.intersection(out.path.vertices)
-                    return _witness(s, [out.path, Path(q, gamma)])
-            except CannotCertify:
-                pass
+        # the probe witness needs |probe ∩ q| >= t and ramsey_path needs
+        # l = 2 half - 2t >= 1; as |q| = half, neither holds for t > half
+        if t <= half:
+            w, path, probe_q = probe()
+            # t >= 2 and a one-vertex probe holds at most one vertex of q, so
+            # a probe that gets past this test has an edge
+            if len(probe_q) >= t:
+                return _witness(probe_q, [Path(tuple(path), other), Path(q, gamma)])
+
+            # k (the opposite colour's target) is odd, l (gamma's) even and
+            # both sides hold ceil((k + l)/2) vertices, so of ramsey_path's
+            # errors only CannotCertify can occur
+            k, l = 2 * t - 1, 2 * half - 2 * t
+            if l >= 1:
+                view = BipartiteView.from_colouring(g, q, w, colour=other)
+                try:
+                    out = ramsey_path(view, k, l)
+                    if out.colour is gamma:
+                        seed = out.path
+                    else:
+                        # only ramsey_path's exact search (n <= 29) gets here:
+                        # its greedy opening is the probe's (test_bipartite's
+                        # test_padded_rows_give_the_same_greedy_path), and an
+                        # opposite-colour path of >= 2t - 1 edges alternates,
+                        # so it holds >= t vertices of q
+                        s = qset.intersection(out.path.vertices)
+                        return _witness(s, [out.path, Path(q, gamma)])
+                except CannotCertify:
+                    pass
 
         bound_int = arith.floor_of_coeff_sqrt(2 * dp, n)
         if seed is None and bound_int >= n - 1:

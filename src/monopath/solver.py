@@ -93,7 +93,10 @@ def _pick(
     bound 1, a built cover's bound is its size, and the stage with the least
     (bound, order) goes next: it is advanced, or its cover is checked.  A
     valid cover wins, traced <name>:skipped for each stage left unbuilt, then
-    pick:<tag>; an invalid one is dropped, traced <tag>:invalid-dropped.  As
+    pick:<tag>; an invalid one is dropped, traced <tag>:invalid-dropped.  A
+    stage left unbuilt may have run its costly step already (a pipeline or
+    refine_path) and yielded a bound: its <name>:skipped reads the same as
+    that of a stage never advanced.  As
     no bound exceeds its stage's final size, no cover left unbuilt could
     have won.  MonopathError when no cover is valid."""
     bounds = dict.fromkeys(stages, 1)  # the live stages' bounds, in pick order

@@ -3,6 +3,7 @@ import hashlib
 import io
 import os
 import runpy
+import subprocess
 import sys
 import tracemalloc
 
@@ -345,7 +346,7 @@ class TestSweepCommand:
             def map(self, fn, tasks, chunksize=1):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Pool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
         two = SweepPlan((4, 5), ("extremal",), (0,), workers=100_000)
         eight = SweepPlan(tuple(range(4, 12)), ("extremal",), (0,), workers=100_000)
@@ -458,3 +459,16 @@ def test_module_runs_as_a_script(monkeypatch, capsys):
         runpy.run_module("monopath.cli", run_name="__main__")
     assert e.value.code == 0
     assert decode(capsys.readouterr().out) == extremal(4)
+
+
+def test_import_loads_no_process_pool():
+    # only sweep --workers > 1 starts a pool, so no other run pays for its
+    # modules
+    pool = ("multiprocessing", "concurrent.futures.process")
+    code = f"import sys, monopath.cli; print([m for m in {pool} if m in sys.modules])"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "[]\n"

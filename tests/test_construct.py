@@ -26,7 +26,7 @@ from monopath.construct import (
     rotate_or_extend,
     two_path_cover,
 )
-from monopath import arith, bipartite, construct
+from monopath import arith, bipartite, construct, solver
 from monopath.bipartite import PreconditionViolated
 from monopath.core import BLUE, RED, Colouring, GuardFailed, Path, iter_edges
 from monopath.core import InvalidEdge, mask_vertices, validate_cover, vertex_mask
@@ -897,3 +897,57 @@ class TestFindLongPathStructure:
                 assert d <= bound
         else:
             _check_witness(g, out)
+
+
+class TestProbe:
+    """long_path_pipeline builds the probe (construct._best_greedy over the
+    q x w opposite-colour edges) at most once per head, and only for a tail
+    whose target t = ceil(2(slack + 1) sqrt(n)) is at most n // 2."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        """The n of each probe run, and per pipeline head its n and the
+        targets of the tails run on it."""
+        probes, heads = [], []
+        real_probe, real_head = construct._best_greedy, solver.long_path_pipeline
+
+        def probe(adj, verts):
+            probes.append(len(adj))
+            return real_probe(adj, verts)
+
+        def head(g, refined):
+            tail, targets = real_head(g, refined), []
+            heads.append((g.n, targets))
+
+            def counted(slack):
+                targets.append(arith.ceil_of_coeff_sqrt(2 * (slack + 1), g.n))
+                return tail(slack)
+
+            return counted
+
+        monkeypatch.setattr(construct, "_best_greedy", probe)
+        monkeypatch.setattr(solver, "long_path_pipeline", head)
+        return probes, heads
+
+    def test_default_constants_never_build_it(self, monkeypatch):
+        # the sqrt step's t exceeds n: the hub's pipeline runs, its probe not
+        probes, heads = self._count(monkeypatch)
+        res = solve(red_hub(300, 283))
+        assert res.branch_trace[0] == "sqrt:decompose"
+        assert [n for n, _ in heads] == [300] and probes == []
+
+    @pytest.mark.parametrize(
+        "first, n, reading",
+        [(457, 600, [600, 456, 311, 455, 311]), (10, 15, [])],
+        ids=["in-reach", "out-of-reach"],
+    )
+    def test_once_per_head_that_can_read_it(self, monkeypatch, first, n, reading):
+        # under (2, 0, 2) the sqrt step and the bounded pipeline both run a
+        # tail on the top head: at n = 600 both targets are in reach (147 and
+        # 49 <= 300), and so are those of reduce's heads; at n = 15 neither
+        # is (24 and 8 > 7)
+        probes, heads = self._count(monkeypatch)
+        solve(red_hub(n, first), SolverConfig(2.0, 0.0, 2.0))
+        assert len(heads[0][1]) == 2
+        assert [m for m, ts in heads if min(ts) <= m // 2] == reading
+        assert probes == reading
