@@ -25,11 +25,19 @@ column (from an older copy of this script) still compares by digest; for
 the tag counts, make the saved run with this script and the older
 package's sources on PYTHONPATH.
 
-The committed plan holds 300 colourings: 100 at n = 16..29, 150 at
-n = 2..100 and 50 at n = 101..200, each with probability 1/2 a random
-colouring of random density, else a red hub of random width on random labels
-with 0, 2 or 10 % of its edges flipped.  `--write-plan` draws it again from
-PLAN_SEED.
+The committed plan holds 380 colourings, drawn from two seeds (BLOCKS).
+From the first: 100 at n = 16..29, 150 at n = 2..100 and 50 at n =
+101..200.  From the second: 80 at n = 15..80 (rows 300..379), above the
+oracle's threshold, so the constructive branches decide solve's covers.
+Each is with probability 1/2 a random colouring of random density, else a
+red hub of random width on random labels with 0, 2 or 10 % of its edges
+flipped.  `--write-plan` draws it again.
+
+tests/data/same_covers.txt holds this script's stdout on the committed
+plan, and Tier-1 replays the plan --against it: any cover or trace that
+differs fails.  A change that alters them on purpose re-pins the file with
+
+    PYTHONPATH=src python scripts/same_covers.py > tests/data/same_covers.txt
 """
 
 from __future__ import annotations
@@ -47,9 +55,11 @@ from monopath.gen import indexed_colouring
 from monopath.solver import SolverConfig, cover_bounded, cover_sqrt, solve
 
 PLAN = Path(__file__).with_name("same_covers_plan.json")
-PLAN_SEED = 20260916
-# (count, lowest n, highest n) per block of the plan
-BLOCKS = ((100, 16, 29), (150, 2, 100), (50, 101, 200))
+# (seed, its blocks in turn), a block being (count, lowest n, highest n)
+BLOCKS = (
+    (20260916, ((100, 16, 29), (150, 2, 100), (50, 101, 200))),
+    (20240903, ((80, 15, 80),)),
+)
 CONFIGS = {
     "default": SolverConfig(),
     "2,2,2": SolverConfig(2.0, 2.0, 2.0),
@@ -71,18 +81,30 @@ def _draw(rng: random.Random, n: int) -> int:
     return sum(1 << i for i, red in enumerate(bits) if red)
 
 
-def make_plan(seed: int = PLAN_SEED) -> list[list]:
-    rng = random.Random(seed)
+def make_plan() -> list[list]:
     plan = []
-    for count, lo, hi in BLOCKS:
-        for _ in range(count):
-            n = rng.randint(lo, hi)
-            plan.append([n, hex(_draw(rng, n))])
+    for seed, blocks in BLOCKS:
+        rng = random.Random(seed)
+        for count, lo, hi in blocks:
+            for _ in range(count):
+                n = rng.randint(lo, hi)
+                plan.append([n, hex(_draw(rng, n))])
     return plan
 
 
 def _digest(obj) -> str:
     return hashlib.sha256(json.dumps(obj, separators=(",", ":")).encode()).hexdigest()
+
+
+def record(fn, g, cfg) -> tuple[list, list[str]]:
+    """(cover part, trace) of one call: the cover's colour and paths and the
+    guarantee, or the name of the exception raised, and the branch trace."""
+    try:
+        res = fn(g, cfg)
+    except Exception as exc:  # an exception type is part of the outcome
+        return ["raised", type(exc).__name__], []
+    cover = [res.cover.colour.value, [list(p.vertices) for p in res.cover.paths]]
+    return [cover, res.guarantee.value], list(res.branch_trace)
 
 
 def records(plan):
@@ -91,14 +113,7 @@ def records(plan):
         g = indexed_colouring(n, int(index, 16))
         for entry, fn in ENTRIES.items():
             for name, cfg in CONFIGS.items():
-                try:
-                    res = fn(g, cfg)
-                except Exception as exc:  # an exception type is part of the outcome
-                    part, trace = ["raised", type(exc).__name__], []
-                else:
-                    cover = [res.cover.colour.value, [list(p.vertices) for p in res.cover.paths]]
-                    part, trace = [cover, res.guarantee.value], list(res.branch_trace)
-                yield f"{i} {entry} {name}", part, trace
+                yield f"{i} {entry} {name}", *record(fn, g, cfg)
 
 
 def _read(saved: Path) -> dict[str, tuple[str, str, list[str] | None]]:
@@ -121,7 +136,7 @@ def main(argv=None) -> int:
                     help="plan file (default: the committed one)")
     ap.add_argument("--against", type=Path, help="saved stdout of an earlier run to compare with")
     ap.add_argument("--write-plan", action="store_true",
-                    help="draw the plan from PLAN_SEED and write it to --plan")
+                    help="draw the plan from its seeds and write it to --plan")
     args = ap.parse_args(argv)
     if args.write_plan:
         lines = ",\n".join(json.dumps(row) for row in make_plan())

@@ -7,14 +7,20 @@ itself.  Keep these slow and obvious.
 
 from __future__ import annotations
 
+import io
 import random
+from contextlib import redirect_stdout
 from itertools import combinations
+from pathlib import Path as FilePath
 
 import pytest
 
 from monopath.core import BLUE, RED, Colour, Colouring, Path, edge_count, iter_edges
 from monopath.core import vertex_mask
 from monopath.gen import indexed_colouring
+
+# what solve, cover_bounded and cover_sqrt return on the committed plan
+SAVED_COVERS = FilePath(__file__).parent / "data" / "same_covers.txt"
 
 
 def from_int(n: int, x: int) -> Colouring:
@@ -239,6 +245,18 @@ def bip_colour_adjacency(v, of_view_colour: bool) -> dict[int, set[int]]:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC0FFEE)
+
+
+@pytest.fixture(scope="session")
+def replay() -> list[str]:
+    """stdout of scripts/same_covers.py on the committed plan --against
+    tests/data/same_covers.txt, run once for the tests that read it."""
+    import same_covers
+
+    out = io.StringIO()
+    with redirect_stdout(out):
+        same_covers.main(["--against", str(SAVED_COVERS)])
+    return out.getvalue().splitlines()
 
 
 @pytest.fixture(scope="session")

@@ -4,12 +4,9 @@ changes and the marks past each metric's bound in BENCHMARK.json."""
 from __future__ import annotations
 
 import json
-import sys
 from pathlib import Path as FilePath
 
-sys.path.insert(0, str(FilePath(__file__).resolve().parent.parent / "scripts"))
-
-import bench_compare  # noqa: E402
+import bench_compare
 
 DATA = FilePath(__file__).resolve().parent / "data"
 BEFORE = DATA / "bench_compare_before.json"

@@ -6,13 +6,10 @@ from __future__ import annotations
 import importlib.util
 import sys
 import textwrap
-from pathlib import Path as FilePath
 
 import pytest
 
-sys.path.insert(0, str(FilePath(__file__).resolve().parent.parent / "scripts"))
-
-import line_coverage  # noqa: E402
+import line_coverage
 
 TINY = textwrap.dedent(
     """\

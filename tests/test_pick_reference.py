@@ -15,9 +15,7 @@ size, which the drained stages below check at every level of the recursion.
 from __future__ import annotations
 
 import random
-import sys
 from fractions import Fraction
-from pathlib import Path as FilePath
 
 import pytest
 from hypothesis import given, settings
@@ -44,11 +42,8 @@ from monopath.solver import (
     cover_from_structure,
     solve,
 )
-
-sys.path.insert(0, str(FilePath(__file__).resolve().parent.parent / "scripts"))
-
-from same_covers import CONFIGS  # noqa: E402
-from test_solver_tags import CENSUS  # noqa: E402
+from same_covers import CONFIGS
+from test_solver_tags import CENSUS
 
 
 def _or_none(build):

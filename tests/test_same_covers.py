@@ -1,27 +1,64 @@
-"""scripts/same_covers.py on a tiny plan, so the command keeps working, the
-committed plan's shape, and the covers that solve and cover_bounded return on
-it, the oracle's at n <= 14."""
+"""What solve, cover_bounded and cover_sqrt return, pinned by one file:
+tests/data/same_covers.txt, the stdout of scripts/same_covers.py on the
+committed plan.  Replaying the plan against it fails on any cover or trace
+that differs, and the failure gives the command that re-pins the file.
+
+Also: the script on a tiny plan, so the command and the replay check keep
+working, the committed plan's shape, two solves far above the plan's n, and
+the oracle's covers at n <= 14."""
 
 from __future__ import annotations
 
 import json
-import sys
 from pathlib import Path as FilePath
 
 import pytest
 
-from monopath.gen import indexed_colouring
+import same_covers
+from conftest import SAVED_COVERS as SAVED
+from conftest import red_hub
+from monopath import solver
+from monopath.core import Colouring
+from monopath.gen import indexed_colouring, random_colouring
 from monopath.oracle import exact_f
-from monopath.solver import solve
-
-sys.path.insert(0, str(FilePath(__file__).resolve().parent.parent / "scripts"))
-
-import same_covers  # noqa: E402
-
+from monopath.solver import SolverConfig, solve
 
 def _run(capsys, *argv) -> tuple[int, list[str]]:
     code = same_covers.main([str(a) for a in argv])
     return code, capsys.readouterr().out.splitlines()
+
+
+def _differences(out: list[str], saved: FilePath) -> list[str]:
+    """The replay check on the stdout of a run --against saved: [] when the
+    run printed saved line for line, else the run's `against` lines, which
+    count the differing records, name the first one and count the tags
+    added and removed.  The script exits 0 on a trace-only difference, so
+    the check reads the lines, not the exit status."""
+    report = [line for line in out if line.startswith("against")]
+    same = out[: len(out) - len(report)] == saved.read_text().splitlines()
+    return [] if same else report
+
+
+def test_committed_plan_replays_the_saved_output(replay):
+    report = _differences(replay, SAVED)
+    if report:
+        pytest.fail("\n".join([
+            f"the plan's replay differs from {SAVED.name}; re-pin a change made on purpose "
+            f"with: PYTHONPATH=src python scripts/same_covers.py > tests/data/{SAVED.name}",
+            *report,
+        ]))
+
+
+@pytest.mark.parametrize("entry", sorted(same_covers.ENTRIES))
+def test_committed_plan_covers_match_pinned_digest(replay, entry):
+    # the cover parts alone: these pass on a change that moves only traces
+    plan = json.loads(same_covers.PLAN.read_text())
+    saved = same_covers._read(SAVED)
+    records = [line.split(" ") for line in replay if line[:1].isdigit()]
+    got = [row for row in records if row[1] == entry]
+    assert len(got) == len(plan) * len(same_covers.CONFIGS)
+    differ = [" ".join(row[:3]) for row in got if saved[" ".join(row[:3])][0] != row[3]]
+    assert differ == [], f"{len(differ)} {entry} covers differ, first: {differ[:1]}"
 
 
 def test_committed_plan_is_the_drawn_one():
@@ -53,6 +90,7 @@ def test_tiny_plan_digests_and_compares(tmp_path, capsys):
         "against first cover difference: none",
         "against first trace difference: none",
     ]
+    assert _differences(again, saved) == []
 
     # a changed cover digest in the saved run is reported, and fails the gate
     key, cover, whole, trace = out[per_instance + 1].rsplit(" ", 3)
@@ -61,6 +99,7 @@ def test_tiny_plan_digests_and_compares(tmp_path, capsys):
     code, diff = _run(capsys, "--plan", plan, "--against", saved)
     assert code == 1
     assert diff[-2] == f"against first cover difference: instance {key} (n=16)"
+    assert diff[-2] in _differences(diff, saved)
 
 
 def test_trace_differences_are_counted_per_tag(tmp_path, capsys):
@@ -83,6 +122,10 @@ def test_trace_differences_are_counted_per_tag(tmp_path, capsys):
         "against tag sqrt:y-exit: +1 -0",
         "against tag x:y: +0 -1",
     ]
+    # the script passes a trace-only difference; the replay check fails it
+    report = _differences(diff, saved)
+    assert set(tags) < set(report)
+    assert "against first trace difference: instance 0 solve default (n=16)" in report
 
     # a saved run without the trace column still compares by digest
     saved.write_text("\n".join(line.rsplit(" ", 1)[0] for line in out[:-2]) + "\n")
@@ -92,22 +135,69 @@ def test_trace_differences_are_counted_per_tag(tmp_path, capsys):
     assert not any(line.startswith("against tag ") for line in diff)
 
 
-# same_covers._digest of the list of cover parts (cover and guarantee, or the
-# exception raised) of every committed plan record, in plan order, per entry
-# point: a change of trace alone leaves them as they are
-PLAN_COVERS = {
-    "solve": "9fc39377bfca3cc67f02b94e6bb8adefa9530643347bfaa86490d58c0cf7c784",
-    "cover_bounded": "20855c84157f440a0f03bf96bb8b0c12f5e73aec3c15ec928a7badbe6126982b",
-}
+# same_covers._digest of the whole record ([cover part, trace]) of a dense
+# n = 1000 colouring under (2, 2, 2), far above the plan's n <= 200.  Its
+# sqrt pipeline returns a reduction witness, but the red structure cover is a
+# single path, which a reduce cover (two paths at least) cannot beat, so the
+# sqrt stage is skipped before its reduce runs; RED_HUB_REDUCE_DIGEST pins a
+# reduce cover at this scale
+LARGE_REDUCE_DIGEST = "45f47c2eee245a619ec676c515a06914ae0c618ef41b46ff6a17dc2df7e0481c"
 
 
-@pytest.mark.parametrize("entry", sorted(PLAN_COVERS))
-def test_committed_plan_covers_match_pinned_digest(monkeypatch, entry):
-    monkeypatch.setattr(same_covers, "ENTRIES", {entry: same_covers.ENTRIES[entry]})
+def test_large_reduce_matches_pinned_digest():
+    part, trace = same_covers.record(
+        solve, random_colouring(1000, 0.5, 7), SolverConfig(2.0, 2.0, 2.0)
+    )
+    assert trace[:2] == ["base:structure-R", "sqrt:skipped"]
+    assert trace[-1] == "pick:base:structure-R"
+    assert same_covers._digest([part, trace]) == LARGE_REDUCE_DIGEST
+
+
+# the same for red_hub(2000, 1201) under (2, 2, 2): every base cover has
+# more than one path, and both pipelines return one reduction witness.  The
+# sqrt reduce cover (2 paths) is built and wins; the structure covers (201
+# and 801 paths) and the bounded reduce, which could only tie it, are not
+RED_HUB_REDUCE_DIGEST = "d583b56e43c65d8599fe2fa045d2a42d6fde8d6d5c297c3725a00b8af2c7c5e8"
+
+
+def test_red_hub_reduce_is_built_once(monkeypatch):
+    g = red_hub(2000, 1201)
+    copies, heads = [], []
+    real_induced, real_pipeline = Colouring.induced, solver.long_path_pipeline
+
+    def induced(h, keep):
+        copies.append(h)
+        return real_induced(h, keep)
+
+    def pipeline(h, refined):
+        heads.append(h)
+        return real_pipeline(h, refined)
+
+    monkeypatch.setattr(Colouring, "induced", induced)
+    monkeypatch.setattr(solver, "long_path_pipeline", pipeline)
+    part, trace = same_covers.record(solve, g, SolverConfig(2.0, 2.0, 2.0))
+    assert {"bounded:pipeline", "sqrt:reduce", "bounded:skipped"} <= set(trace)
+    assert trace[-1] == "pick:sqrt"
+    # one induced copy and one pipeline head for the top-level colouring
+    assert sum(h is g for h in copies) == 1
+    assert sum(h is g for h in heads) == 1
+    assert same_covers._digest([part, trace]) == RED_HUB_REDUCE_DIGEST
+
+
+@pytest.mark.parametrize("c1, c2", [(0.0, 0.0), (2.0, 2.0), (5.0, 1.0), (160000.0, 0.0)])
+def test_c1_and_c2_are_read_by_nothing(c1, c2):
+    # the pipelines take their one slack from c (0 for the bounded pipeline,
+    # c for the sqrt one), so c1 and c2 change no record of solve under
+    # c = 2: each equals the saved 2,0,2 one.  The plan rows reach
+    # sqrt:decompose, its failure, bounded:reduce and bounded:strip's failure
     plan = json.loads(same_covers.PLAN.read_text())
-    parts = [part for _, part, _ in same_covers.records(plan)]
-    assert len(parts) == len(plan) * len(same_covers.CONFIGS)
-    assert same_covers._digest(parts) == PLAN_COVERS[entry]
+    saved = same_covers._read(SAVED)
+    cfg = SolverConfig(c1=c1, c2=c2, c=2.0)
+    for i in (313, 320, 340, 360):
+        n, index = plan[i]
+        part, trace = same_covers.record(solve, indexed_colouring(n, int(index, 16)), cfg)
+        whole = same_covers._digest([part, trace])[:16]
+        assert (whole, trace) == saved[f"{i} solve 2,0,2"][1:], i
 
 
 def test_small_plan_colourings_pick_the_oracle():
