@@ -19,11 +19,14 @@ it also prints, per entry point and config, how many records differ from
 it in the cover part and in the trace, and the first record that differs
 in each; then, per tag, how many trace entries the records whose traces
 differ added and removed against it, summed over all records, so that a
-change which only swaps one tag for another shows as one line each.  The
+change which only swaps one tag for another shows as one line each.  A
+record counts under traces only when its saved trace differs from the new
+one, so a cover-only change reads "1 covers differ, 0 traces differ".  The
 exit status is 1 when a cover part differs.  A saved run without the trace
-column (from an older copy of this script) still compares by digest; for
-the tag counts, make the saved run with this script and the older
-package's sources on PYTHONPATH.
+column (from an older copy of this script) compares traces by the
+whole-record digest, which a differing cover moves too; for the tag counts,
+make the saved run with this script and the older package's sources on
+PYTHONPATH.
 
 The committed plan holds 380 colourings, drawn from two seeds (BLOCKS).
 From the first: 100 at n = 16..29, 150 at n = 2..100 and 50 at n =
@@ -160,14 +163,16 @@ def main(argv=None) -> int:
         if key in saved:
             tally = counts.setdefault(key.split(" ", 1)[1], [0, 0, 0])
             tally[0] += 1
-            now = (c[:16], w[:16])
-            for slot, kind in ((0, "cover"), (1, "trace")):
-                if saved[key][slot] != now[slot]:
-                    tally[slot + 1] += 1
+            old_c, old_w, old = saved[key]
+            # without a saved trace, the whole-record digest stands in for
+            # it, and that moves with the cover too
+            trace_differs = old_w != w[:16] if old is None else old != trace
+            for slot, kind, differs in ((1, "cover", old_c != c[:16]), (2, "trace", trace_differs)):
+                if differs:
+                    tally[slot] += 1
                     n = plan[int(key.split()[0])][0]
                     first.setdefault(kind, f"instance {key} (n={n})")
-            old = saved[key][2]
-            if saved[key][1] != now[1]:  # the trace differs, or the cover
+            if trace_differs:
                 if old is None:
                     untraced += 1
                 else:

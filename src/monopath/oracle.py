@@ -7,12 +7,15 @@ paths may share vertices, any path can be replaced by a maximal traceable
 superset, so restricting the recursion to maximal sets loses nothing.
 
 The table is filled one component of the colour at a time, in either of two
-forms that give the same entries.  A component with at least 2/5 of its
-possible edges is pulled: each mask tests its submasks one vertex smaller,
-a fixed k * 2**(k-1) tests for k vertices.  A sparser one is pushed: only
-masks that some path spans are visited, each extended once per new end.
-The cut sits where the two cost the same on random colourings, between
-densities 0.36 (n = 16) and 0.44 (n = 12).
+forms that give the same entries.  A component with at least 3/8 of its
+possible edges is pulled: each mask tests only its own members w against
+the mask without w, read from lists made once per half of its bits, so
+k * 2**(k-1) tests for k vertices rather than k for every mask.  A sparser
+one is pushed: only masks that some path spans are visited, each extended
+once per new end.  On random colourings the two cost the same at densities
+0.32 (n = 16) to 0.36 (n = 12).  The cut sits a little above, since the
+extremal colourings' red (a few hubs joined to every other vertex, density
+0.35 at n = 16) spans few masks and pushes about 6 times faster.
 
 exact_f stops at the first colour with a spanning path, red first, since
 no cover beats one path; the set cover runs only when neither colour spans.
@@ -28,8 +31,9 @@ from .core import mask_vertices
 DEFAULT_ORACLE_THRESHOLD = 14
 # the largest n the subset DP accepts whatever threshold is asked for: its
 # tables hold 2**n entries, up to 40 bytes each under tracemalloc, and
-# exact_f keeps one alive at a time, so a peak of 1.0-2.6 MB at n = 16, and
-# each further vertex doubles it
+# exact_f keeps one alive at a time, so a peak of 0.6-2.6 MB at n = 16 (the
+# pull's per-half member lists add under 0.05 MB of it), and each further
+# vertex doubles it
 ORACLE_MAX_N = 16
 
 
@@ -57,7 +61,7 @@ def _ends_table(g: Colouring, gamma: Colour) -> tuple[list[int], tuple[int, ...]
     for part in _components(adj):
         k = part.bit_count()
         edges = sum(adj[v - 1].bit_count() for v in mask_vertices(part)) // 2
-        build = _pull_ends if 5 * edges >= k * (k - 1) else _push_ends
+        build = _pull_ends if 16 * edges >= 3 * k * (k - 1) else _push_ends
         build(adj, part, ends)
     return ends, adj
 
@@ -82,23 +86,41 @@ def _components(adj: tuple[int, ...]) -> list[int]:
 
 
 # Both builders fill ends[m] for every nonempty m inside part, a union of
-# components, visiting the masks in ascending order via m -> (m - part) & part.
+# components, visiting the masks in ascending order.
 
 
 def _pull_ends(adj: tuple[int, ...], part: int, ends: list[int]) -> None:
-    """Dense parts: w ends a path on m iff a neighbour of w ends one on m - w."""
-    bits = [(1 << (v - 1), adj[v - 1]) for v in mask_vertices(part)]
-    m = 0
-    while m != part:
-        m = (m - part) & part
-        if m & (m - 1):
-            e = 0
-            for b, a in bits:
-                if m & b and a & ends[m ^ b]:
-                    e |= b
-            ends[m] = e
-        else:
-            ends[m] = m
+    """Dense parts: w ends a path on m iff a neighbour of w ends one on m - w.
+
+    Each mask is the union of a low half (bits of vertices 1..ceil(n/2)) and
+    a high half, each listed once with the part's vertices it holds, so a
+    mask tests its own members only."""
+    cut = (len(adj) + 1) // 2
+    low = _halves(adj, part & ((1 << cut) - 1))
+    for h, hs in _halves(adj, part >> cut << cut):
+        for lo, ls in low:
+            m = h | lo
+            if m & (m - 1):
+                e = 0
+                for b, a in hs:
+                    if a & ends[m ^ b]:
+                        e |= b
+                for b, a in ls:
+                    if a & ends[m ^ b]:
+                        e |= b
+                ends[m] = e
+            else:
+                ends[m] = m
+
+
+def _halves(adj: tuple[int, ...], half: int) -> list[tuple[int, tuple]]:
+    """(x, its (bit, row) pairs) for every submask x of half, ascending."""
+    out: list[tuple[int, tuple]] = [(0, ())]
+    for v in mask_vertices(half):
+        b = 1 << (v - 1)
+        pair = ((b, adj[v - 1]),)
+        out += [(x | b, xs + pair) for x, xs in out]
+    return out
 
 
 def _push_ends(adj: tuple[int, ...], part: int, ends: list[int]) -> None:

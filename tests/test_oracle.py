@@ -204,7 +204,7 @@ class TestEndpointTable:
 
     @pytest.mark.parametrize(
         "n, p",
-        # red densities on both sides of the 2/5 cut up to n = 14; at 15 and
+        # red densities on both sides of the 3/8 cut up to n = 14; at 15 and
         # 16 the sparse side only, where the reference search stays cheap
         [(10, 0.2), (10, 0.7), (11, 0.35), (12, 0.6), (13, 0.45),
          (14, 0.25), (14, 0.42), (15, 0.3), (16, 0.2)],
@@ -214,6 +214,27 @@ class TestEndpointTable:
         ref = _reference_ends(g, RED)
         _, tables = _builder_tables(g, RED)
         assert tables == [ref, ref]
+
+    @pytest.mark.parametrize("n", [2, 5, 8, 9, 11])
+    def test_builders_match_the_reference_on_parts(self, n):
+        # the pull reads each mask's members from one list per half, low
+        # (vertices 1..ceil(n/2)) and high: parts inside either half alone,
+        # and across both with gaps, fill exactly the masks inside them
+        rng = random.Random(n)
+        full = (1 << n) - 1
+        low = (1 << (n + 1) // 2) - 1
+        parts = [low, full ^ low, full & ~(2 | low + 1), vertex_mask(range(1, n + 1, 3))]
+        for p in (0.5, 0.8):
+            g = random_colouring_with(rng, n, p)
+            for gamma in (RED, BLUE):
+                ref = _reference_ends(g, gamma)
+                adj = g.rows(gamma)
+                for part in parts:
+                    want = [ref[m] if m & part == m else 0 for m in range(1 << n)]
+                    for build in (oracle._pull_ends, oracle._push_ends):
+                        ends = [0] * (1 << n)
+                        build(adj, part, ends)
+                        assert ends == want, (build.__name__, bin(part))
 
     def test_spanning_path_walks_out_a_real_path(self):
         rng = random.Random(7)

@@ -102,6 +102,27 @@ def test_tiny_plan_digests_and_compares(tmp_path, capsys):
     assert diff[-2] in _differences(diff, saved)
 
 
+def test_cover_only_difference_counts_no_trace(tmp_path, capsys):
+    # a cover change moves the cover digest and the whole-record one, and
+    # leaves the trace: traces are compared as traces, not by digest
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps([[16, hex(3**70)]]))
+    _, out = _run(capsys, "--plan", plan)
+    key, cover, whole, trace = out[0].rsplit(" ", 3)
+    out[0] = f"{key} {'0' * len(cover)} {'0' * len(whole)} {trace}"
+    saved = tmp_path / "saved.txt"
+    saved.write_text("\n".join(out) + "\n")
+
+    code, diff = _run(capsys, "--plan", plan, "--against", saved)
+    assert code == 1
+    assert f"against {key.split(' ', 1)[1]}: 1 records, 1 covers differ, 0 traces differ" in diff
+    assert diff[-2:] == [
+        f"against first cover difference: instance {key} (n=16)",
+        "against first trace difference: none",
+    ]
+    assert not any(line.startswith("against tag") for line in diff)
+
+
 def test_trace_differences_are_counted_per_tag(tmp_path, capsys):
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps([[16, hex(3**70)]]))
