@@ -348,7 +348,12 @@ def _exact_path(
 
     Depth-first with early exit; failed (endpoint, unvisited) states are
     memoised, which keeps the search tractable on the small sides this is
-    meant for.  ramsey_path calls it only with target_edges >= 1.
+    meant for.  Starts are tried in the order of verts and next vertices
+    lowest first, and a memoised state has no completion, so with verts
+    ascending the path returned is the lexicographically least one: it
+    starts at the lowest vertex that starts any such path.  ramsey_path
+    calls it with target_edges >= 1; the oracle calls it on all of [n]
+    with target n - 1, for a spanning path.
     """
     dead: set[tuple[int, int]] = set()
     stack: list[int] = []

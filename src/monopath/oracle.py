@@ -17,6 +17,13 @@ once per new end.  On random colourings the two cost the same at densities
 extremal colourings' red (a few hubs joined to every other vertex, density
 0.35 at n = 16) spans few masks and pushes about 6 times faster.
 
+A colour that passes Dirac's test (n >= 3 and every vertex has at least n/2
+neighbours in it) has a Hamiltonian cycle (G. A. Dirac, 1952), so every
+vertex ends a spanning path and its table would give value 1 with the
+lexicographically least spanning path from vertex 1 as the witness.  Such a
+colour is answered without a table: bipartite._exact_path finds that same
+path.  Every other colour is pulled or pushed as above.
+
 exact_f stops at the first colour with a spanning path, red first, since
 no cover beats one path; the set cover runs only when neither colour spans.
 """
@@ -25,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .bipartite import _exact_path
 from .core import BLUE, RED, Colour, Colouring, MonopathError, Path, PathCover
 from .core import mask_vertices
 
@@ -32,8 +40,8 @@ DEFAULT_ORACLE_THRESHOLD = 14
 # the largest n the subset DP accepts whatever threshold is asked for: its
 # tables hold 2**n entries, up to 40 bytes each under tracemalloc, and
 # exact_f keeps one alive at a time, so a peak of 0.6-2.6 MB at n = 16 (the
-# pull's per-half member lists add under 0.05 MB of it), and each further
-# vertex doubles it
+# pull's per-half member lists add under 0.05 MB of it) unless a colour
+# passes Dirac's test and needs no table, and each further vertex doubles it
 ORACLE_MAX_N = 16
 
 
@@ -188,11 +196,29 @@ def _without_bit(i: int, size: int) -> int:
     return int.from_bytes((b"\1" * run + b"\0" * run) * (size // (2 * run)), "little")
 
 
+def _dirac_cover(g: Colouring, gamma: Colour) -> PathCover | None:
+    """One spanning gamma-path if gamma passes Dirac's test, else None.
+
+    The path is the one _spanning_path walks out of the full mask: every
+    vertex ends a spanning path, so the walk starts at vertex 1 and takes
+    the lowest next vertex that a spanning path continues through, which is
+    the lexicographically least spanning path, _exact_path's first find."""
+    n = g.n
+    adj = g.rows(gamma)
+    if n < 3 or 2 * min(a.bit_count() for a in adj) < n:
+        return None
+    path = Path(tuple(_exact_path(adj, list(range(1, n + 1)), n - 1)), gamma)
+    return PathCover(gamma, (path,), n)
+
+
 def min_cover_colour(
     g: Colouring, gamma: Colour, threshold: int = DEFAULT_ORACLE_THRESHOLD
 ) -> tuple[int, PathCover]:
     """Minimum number of gamma-paths whose union covers [n], with a witness."""
     _guard(g.n, threshold)
+    dirac = _dirac_cover(g, gamma)
+    if dirac is not None:
+        return 1, dirac
     return _min_cover(*_ends_table(g, gamma), g.n, gamma)
 
 
@@ -251,16 +277,20 @@ def exact_f(g: Colouring, threshold: int = DEFAULT_ORACLE_THRESHOLD) -> OracleRe
     """min over both colours of min_cover_colour; Red wins ties.
 
     A spanning path (value 1) ends the search, so the set cover runs only
-    when neither colour spans.  At most one 2**n table is alive at a time:
-    red's is dropped before blue's is built and rebuilt if it is needed.
+    when neither colour spans.  A colour that passes Dirac's test builds no
+    table.  At most one 2**n table is alive at a time: red's is dropped
+    before blue's is built and rebuilt if it is needed.
     """
     _guard(g.n, threshold)
     n = g.n
+    dirac = _dirac_cover(g, RED)
+    if dirac is not None:
+        return OracleResult(1, RED, dirac)
     ends, adj = _ends_table(g, RED)
     if ends[(1 << n) - 1]:
         return OracleResult(1, RED, _min_cover(ends, adj, n, RED)[1])
     del ends
-    blue_v, blue_c = _min_cover(*_ends_table(g, BLUE), n, BLUE)
+    blue_v, blue_c = min_cover_colour(g, BLUE, threshold)
     if blue_v > 1:
         red_v, red_c = _min_cover(*_ends_table(g, RED), n, RED)
         if red_v <= blue_v:

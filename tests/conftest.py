@@ -248,15 +248,36 @@ def rng() -> random.Random:
 
 
 @pytest.fixture(scope="session")
-def replay() -> list[str]:
+def _replay_run() -> tuple[list[str], int]:
     """stdout of scripts/same_covers.py on the committed plan --against
-    tests/data/same_covers.txt, run once for the tests that read it."""
+    tests/data/same_covers.txt, and the number of oracle endpoint tables the
+    run built; run once for the tests that read either."""
     import same_covers
+    from monopath import oracle
+
+    built = 0
+    table = oracle._ends_table
+
+    def counted(g, gamma):
+        nonlocal built
+        built += 1
+        return table(g, gamma)
 
     out = io.StringIO()
-    with redirect_stdout(out):
+    with pytest.MonkeyPatch.context() as mp, redirect_stdout(out):
+        mp.setattr(oracle, "_ends_table", counted)
         same_covers.main(["--against", str(SAVED_COVERS)])
-    return out.getvalue().splitlines()
+    return out.getvalue().splitlines(), built
+
+
+@pytest.fixture(scope="session")
+def replay(_replay_run) -> list[str]:
+    return _replay_run[0]
+
+
+@pytest.fixture(scope="session")
+def replay_tables(_replay_run) -> int:
+    return _replay_run[1]
 
 
 @pytest.fixture(scope="session")

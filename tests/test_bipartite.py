@@ -1,6 +1,6 @@
 import hashlib
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -476,3 +476,27 @@ class TestRamseyPath:
             except CannotCertify:
                 hits += 1
         assert hits < 40  # the greedy pass succeeds at least sometimes
+
+
+class TestExactPath:
+    # the oracle reads a spanning path's witness off _exact_path, so its
+    # first find must be the lexicographically least path of the target
+    # length: from the lowest start that has one, lowest next vertex first
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_first_find_is_the_least_path(self, n):
+        rng = random.Random(n)
+        for _ in range(12):
+            verts = sorted(rng.sample(range(1, n + 3), n))
+            adj = [0] * (n + 2)
+            p = rng.choice((0.2, 0.4, 0.6, 0.9))
+            for u, v in product(verts, verts):
+                if u < v and rng.random() < p:
+                    adj[u - 1] |= 1 << (v - 1)
+                    adj[v - 1] |= 1 << (u - 1)
+            for target in range(n):
+                least = next(
+                    (list(q) for q in permutations(verts, target + 1)
+                     if all(adj[a - 1] >> (b - 1) & 1 for a, b in zip(q, q[1:]))),
+                    None,
+                )
+                assert bipartite._exact_path(adj, verts, target) == least

@@ -14,7 +14,7 @@ from conftest import (
     path_ok,
     random_colouring_with,
 )
-from monopath import oracle
+from monopath import cli, oracle
 from monopath.core import BLUE, RED, Colouring, Path, validate_cover
 from monopath.core import mask_vertices, vertex_mask
 from monopath.gen import extremal, random_colouring
@@ -132,21 +132,20 @@ class TestExactF:
         assert peak < 2_000_000
 
     def test_one_table_alive_at_a_time(self):
-        # red does not span and blue does, so exact_f builds both tables; red's
-        # must be gone before blue's is built, which would add 8 bytes a mask
+        # red does not span and blue does, without passing Dirac's test, so
+        # exact_f builds both tables; red's must be gone before blue's is
+        # built, which would add 8 bytes a mask
         n = 12
+        g = random_colouring(n, 0.3, 4)
+        assert not _passes_dirac(g, BLUE)
+        alone = _peak(lambda: min_cover_colour(g, BLUE))
+        assert _peak(lambda: exact_f(g)) < alone + 4 * 2**n
+        # here blue passes Dirac's test and builds no table at all, so
+        # exact_f's peak is red's table alone
         g = random_colouring(n, 0.15, 3)
-
-        def peak(call):
-            tracemalloc.start()
-            try:
-                call()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        alone = peak(lambda: min_cover_colour(g, BLUE))
-        assert peak(lambda: exact_f(g)) < alone + 4 * 2**n
+        assert _passes_dirac(g, BLUE)
+        red = _peak(lambda: _ends_table(g, RED))
+        assert _peak(lambda: exact_f(g)) < red + 4 * 2**n
 
     def test_result_shape(self):
         res = exact_f(extremal(6))
@@ -160,6 +159,20 @@ class TestExactF:
         with pytest.raises(dataclasses.FrozenInstanceError):
             res.value = 0
         assert repr(res) == f"OracleResult(value={res.value}, colour={res.colour!r})"
+
+
+def _peak(call):
+    """call's peak traced allocation in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _passes_dirac(g, gamma):
+    return g.n >= 3 and 2 * min(a.bit_count() for a in g.rows(gamma)) >= g.n
 
 
 def _reference_ends(g, gamma):
@@ -285,35 +298,48 @@ class TestMaximalMasks:
                 assert got == _loop_maximal_masks(ends, g.n)
 
 
+@pytest.fixture
+def calls(monkeypatch):
+    """The colours whose endpoint tables get built, and how many times the
+    maximal masks are listed, from here on."""
+    calls = {"tables": [], "maximal": 0}
+    table, maximal = oracle._ends_table, oracle._maximal_masks
+
+    def counted_table(g, gamma):
+        calls["tables"].append(gamma)
+        return table(g, gamma)
+
+    def counted_maximal(ends, n):
+        calls["maximal"] += 1
+        return maximal(ends, n)
+
+    monkeypatch.setattr(oracle, "_ends_table", counted_table)
+    monkeypatch.setattr(oracle, "_maximal_masks", counted_maximal)
+    return calls
+
+
 class TestShortCircuit:
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        calls = {"tables": [], "maximal": 0}
-        table, maximal = oracle._ends_table, oracle._maximal_masks
-
-        def counted_table(g, gamma):
-            calls["tables"].append(gamma)
-            return table(g, gamma)
-
-        def counted_maximal(ends, n):
-            calls["maximal"] += 1
-            return maximal(ends, n)
-
-        monkeypatch.setattr(oracle, "_ends_table", counted_table)
-        monkeypatch.setattr(oracle, "_maximal_masks", counted_maximal)
-        return calls
-
     def test_red_spans(self, calls):
-        res = exact_f(random_colouring(12, 0.7, 1))
-        assert (res.value, res.colour) == (1, RED)
-        assert calls == {"tables": [RED], "maximal": 0}
+        # red passes Dirac's test: no table; then red spans without passing it
+        for p, seed, tables in ((0.7, 1, []), (0.5, 1, [RED])):
+            calls["tables"].clear()
+            g = random_colouring(12, p, seed)
+            assert _passes_dirac(g, RED) == (not tables)
+            res = exact_f(g)
+            assert (res.value, res.colour) == (1, RED)
+            assert calls == {"tables": tables, "maximal": 0}
 
     def test_only_blue_spans(self, calls):
-        g = random_colouring(12, 0.15, 1)
-        res = exact_f(g)
-        assert (res.value, res.colour) == (1, BLUE)
-        assert calls == {"tables": [RED, BLUE], "maximal": 0}
-        assert validate_cover(g, res.witness).valid
+        # blue passes Dirac's test and needs no table; then it spans without
+        # passing it
+        for p, seed, tables in ((0.15, 1, [RED]), (0.3, 4, [RED, BLUE])):
+            calls["tables"].clear()
+            g = random_colouring(12, p, seed)
+            assert _passes_dirac(g, BLUE) == (tables == [RED])
+            res = exact_f(g)
+            assert (res.value, res.colour) == (1, BLUE)
+            assert calls == {"tables": tables, "maximal": 0}
+            assert validate_cover(g, res.witness).valid
 
     def test_neither_spans(self, calls):
         # red's table is dropped while blue's is built, then built again
@@ -342,3 +368,109 @@ class TestShortCircuit:
             k[:2] for k in seen
         }
         assert any(k[2] for k in seen)
+
+
+def _table_cover(g, gamma):
+    """min_cover_colour read off gamma's endpoint table alone."""
+    return oracle._min_cover(*_ends_table(g, gamma), g.n, gamma)
+
+
+def _table_exact_f(g):
+    """exact_f from the two tables alone: red if it spans, else the smaller
+    cover, red winning ties."""
+    red = _table_cover(g, RED)
+    blue = _table_cover(g, BLUE) if red[0] > 1 else red
+    colour, (value, cover) = (BLUE, blue) if blue[0] < red[0] else (RED, red)
+    return OracleResult(value, colour, cover)
+
+
+def _relabelled(g, rng):
+    """g with its vertices renamed by a random permutation."""
+    name = list(range(1, g.n + 1))
+    rng.shuffle(name)
+    return Colouring.from_function(g.n, lambda u, v: g.colour(name[u - 1], name[v - 1]))
+
+
+def _halves_colouring(n, red_matching):
+    """Red: two cliques on 1..n/2 and the rest, with the perfect matching
+    v ~ v + n/2 if red_matching; blue: the other pairs, K_{n/2,n/2} less
+    that matching."""
+    h = n // 2
+
+    def colour(u, v):
+        if (u <= h) == (v <= h) or (red_matching and v - u == h):
+            return RED
+        return BLUE
+
+    return Colouring.from_function(n, colour)
+
+
+class TestDiracShortcut:
+    # a colour whose least degree is at least n/2 (n >= 3) is answered
+    # without a table; its value and witness must be the table's
+    def _check(self, g, threshold=DEFAULT_ORACLE_THRESHOLD):
+        assert exact_f(g, threshold) == _table_exact_f(g)
+        for gamma in (RED, BLUE):
+            assert min_cover_colour(g, gamma, threshold) == _table_cover(g, gamma)
+
+    def test_matches_the_table_exhaustively(self):
+        dirac = 0
+        for n in range(1, 6):
+            for g in all_colourings(n):
+                self._check(g)
+                dirac += _passes_dirac(g, RED) + _passes_dirac(g, BLUE)
+        assert dirac == 74  # colours passing the test, over all colourings
+
+    def test_matches_the_table_fuzzed(self):
+        rng = random.Random(44)
+        dirac = 0
+        for n in range(3, 17):
+            for _ in range(3 if n <= 14 else 1):
+                p = rng.choice((0.1, 0.2, 0.25, 0.75, 0.8, 0.9))
+                g = random_colouring_with(rng, n, p)
+                self._check(g, threshold=16)
+                dirac += _passes_dirac(g, RED) or _passes_dirac(g, BLUE)
+        assert dirac >= 20
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 10, 12, 14])
+    def test_matches_the_table_on_structured_colourings(self, n):
+        # blue K_{n/2,n/2} (least degree n/2) beside two red cliques, and two
+        # red cliques joined by a perfect matching (least degree n/2),
+        # each relabelled and flipped
+        rng = random.Random(n)
+        for red_matching, dense in ((False, BLUE), (True, RED)):
+            g = _relabelled(_halves_colouring(n, red_matching), rng)
+            for h, gamma in ((g, dense), (g.flipped(), dense.complement)):
+                assert 2 * min(a.bit_count() for a in h.rows(gamma)) == n
+                self._check(h, threshold=16)
+
+    @pytest.mark.parametrize("n", [5, 7, 9, 11])
+    def test_one_below_dirac_builds_its_table(self, n, calls):
+        # blue K_{(n-1)/2,(n+1)/2}: its least degree is (n-1)/2, so 2 * least
+        # degree = n - 1 and the test fails, though blue spans
+        g = Colouring.from_function(
+            n, lambda u, v: BLUE if (u <= n // 2) != (v <= n // 2) else RED)
+        assert 2 * min(a.bit_count() for a in g.rows(BLUE)) == n - 1
+        assert min_cover_colour(g, BLUE)[0] == 1
+        assert calls["tables"] == [BLUE]
+        assert exact_f(g).colour is BLUE
+        assert calls["tables"] == [BLUE, RED, BLUE]
+
+
+class TestWorkCounts:
+    # how many 2**n endpoint tables the oracle builds over fixed plans; a
+    # change that builds more or fewer re-pins these and says why
+    def test_oracle_sweep_plan(self, calls):
+        # the oracle-sweep benchmark's plan for seed 4401: n = 14, 41 rows
+        seeds = random.Random(4401).sample(range(10**6), 20)
+        plan = cli.SweepPlan(
+            ns=(14,), generators=("extremal", "random:p=0.5", "random:p=0.2"),
+            seeds=tuple(sorted(seeds)), oracle=True, oracle_threshold=14, workers=1,
+        )
+        assert len(plan.tasks()) == 41
+        cli.run_sweep(plan)
+        assert len(calls["tables"]) == 44
+
+    def test_replay_plan(self, replay_tables):
+        # scripts/same_covers.py's committed plan, every entry and config
+        assert replay_tables == 48
