@@ -348,21 +348,23 @@ def _exact_path(
 
     Depth-first with early exit; failed (endpoint, unvisited) states are
     memoised, which keeps the search tractable on the small sides this is
-    meant for.  Starts are tried in the order of verts and next vertices
-    lowest first, and a memoised state has no completion, so with verts
-    ascending the path returned is the lexicographically least one: it
-    starts at the lowest vertex that starts any such path.  ramsey_path
-    calls it with target_edges >= 1; the oracle calls it on all of [n]
-    with target n - 1, for a spanning path.
+    meant for.  The memo maps each unvisited mask to the mask of endpoints
+    that failed with it, so it holds one int per unvisited mask.  Starts
+    are tried in the order of verts and next vertices lowest first, and a
+    memoised state has no completion, so with verts ascending the path
+    returned is the lexicographically least one: it starts at the lowest
+    vertex that starts any such path.  ramsey_path calls it with
+    target_edges >= 1; the oracle calls it on all of [n] with target
+    n - 1, for a spanning path.
     """
-    dead: set[tuple[int, int]] = set()
+    dead: dict[int, int] = {}
     stack: list[int] = []
 
     def dfs(last: int, free: int, edges: int) -> bool:
         if edges == target_edges:
             return True
-        key = (last, free)
-        if key in dead:
+        bit = 1 << (last - 1)
+        if dead.get(free, 0) & bit:
             return False
         cand = adj[last - 1] & free
         while cand:
@@ -373,7 +375,7 @@ def _exact_path(
             if dfs(w, free ^ b, edges + 1):
                 return True
             stack.pop()
-        dead.add(key)
+        dead[free] = dead.get(free, 0) | bit
         return False
 
     everyone = vertex_mask(verts)

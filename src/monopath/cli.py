@@ -61,6 +61,8 @@ def _parse_tag(tag: str) -> tuple[str, dict[str, str]]:
         key, sep, val = part.partition("=")
         if not sep or not key:
             raise ValueError(f"bad generator parameter {part!r} in {tag!r}")
+        if key in kv:
+            raise ValueError(f"repeated generator parameter {key!r} in {tag!r}")
         kv[key] = val
     return head, kv
 
@@ -98,9 +100,7 @@ def _print_cover(cover: PathCover, out) -> None:
 
 
 def _cmd_gen(args) -> int:
-    # a flag that the kind does not read is ignored
-    flags = {name: getattr(args, name) for name in PARAMS[args.kind]}
-    text = codec.encode(build(GenSpec(args.kind, args.n, **flags)))
+    text = codec.encode(build(_spec_for(args.tag, args.n, args.seed)))
     if args.output:
         with open(args.output, "w", encoding="ascii") as fh:
             fh.write(text + "\n")
@@ -315,14 +315,9 @@ def _build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=0, help="seed for --gen (index for enumerate)")
 
     p = sub.add_parser("gen", help="write a colouring file")
-    kinds = p.add_mutually_exclusive_group(required=True)
-    for kind in PARAMS:
-        kinds.add_argument(f"--{kind}", dest="kind", action="store_const", const=kind)
+    p.add_argument("tag", help="generator tag, e.g. extremal or random:p=0.3")
     p.add_argument("-n", type=int, required=True, help=f"vertex count, at most {MAX_N}")
-    p.add_argument("--p", type=float, default=0.5, help="red probability for --random")
-    p.add_argument("--seed", type=int, default=0, help="seed (colouring index for --enumerate)")
-    p.add_argument("--iters", type=int, default=0, help="flip attempts for --adversarial")
-    p.add_argument("--restarts", type=int, default=1)
+    p.add_argument("--seed", type=int, default=0, help="seed (colouring index for enumerate)")
     p.add_argument("-o", "--output", help="output path (default stdout)")
     p.set_defaults(func=_cmd_gen)
 

@@ -22,8 +22,8 @@ _CHUNK = 1 << 16
 _WORD_PAIR = struct.Struct("<2I")
 
 # each kind's parameters and their types, the one table that the CLI's
-# generator tags, its gen flags and the sweep's seed list read; a GenSpec
-# field that its kind does not list keeps its default
+# generator tags (gen, --gen and sweep) and the sweep's seed list read; a
+# GenSpec field that its kind does not list keeps its default
 PARAMS: dict[str, dict[str, type]] = {
     "extremal": {},
     "random": {"p": float, "seed": int},

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 from itertools import permutations, product
 
 import pytest
@@ -500,3 +501,20 @@ class TestExactPath:
                     None,
                 )
                 assert bipartite._exact_path(adj, verts, target) == least
+
+    def test_failing_search_memo_stays_under_a_mebibyte(self):
+        # K_{7,6} has no path of 13 edges on its 13 vertices, so the search
+        # fails from every state it reaches and memoises each one (0.4 MiB
+        # under tracemalloc; a tuple per state took 4 MiB)
+        adj = [0] * 13
+        for x in range(1, 8):
+            for y in range(8, 14):
+                adj[x - 1] |= 1 << (y - 1)
+                adj[y - 1] |= 1 << (x - 1)
+        tracemalloc.start()
+        try:
+            assert bipartite._exact_path(adj, list(range(1, 14)), 13) is None
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20

@@ -15,7 +15,8 @@ from monopath.cli import run_sweep
 from monopath.codec import decode, encode
 from monopath.core import BLUE, RED, Colouring, FailureKind, Path, PathCover
 from monopath.core import validate_cover
-from monopath.gen import MAX_N, adversarial_search, build, extremal, random_colouring
+from monopath.gen import MAX_N, PARAMS, GenSpec, adversarial_search, build, extremal
+from monopath.gen import random_colouring
 from monopath.oracle import OracleResult, exact_f
 from monopath.solver import Guarantee, SolveResult
 
@@ -29,45 +30,52 @@ def run(capsys, *argv):
 class TestGen:
     def test_writes_file(self, tmp_path, capsys):
         target = tmp_path / "x.k2c"
-        code, out, err = run(capsys, "gen", "--extremal", "-n", "9", "-o", str(target))
+        code, out, err = run(capsys, "gen", "extremal", "-n", "9", "-o", str(target))
         assert code == 0
         assert decode(target.read_text()) == extremal(9)
 
     def test_stdout_default(self, capsys):
-        code, out, _ = run(capsys, "gen", "--extremal", "-n", "4")
+        code, out, _ = run(capsys, "gen", "extremal", "-n", "4")
         assert code == 0
         assert decode(out) == extremal(4)
 
     def test_enumerate_range_error(self, capsys):
-        code, _, err = run(capsys, "gen", "--enumerate", "-n", "3", "--seed", "99")
+        code, _, err = run(capsys, "gen", "enumerate", "-n", "3", "--seed", "99")
         assert code == 1
         assert "index" in err
 
     def test_n_above_the_ceiling_is_input_error(self, tmp_path, capsys):
         target = tmp_path / "big.k2c"
         n = str(MAX_N + 1)
-        code, _, err = run(capsys, "gen", "--extremal", "-n", n, "-o", str(target))
+        code, _, err = run(capsys, "gen", "extremal", "-n", n, "-o", str(target))
         assert code == 1 and not target.exists()
         assert f"need 1 <= n <= {MAX_N}, got {MAX_N + 1}" in err
 
     def test_random_matches_the_generator(self, capsys):
-        argv = ["gen", "--random", "-n", "12", "--p", "0.3", "--seed", "5"]
-        code, out, _ = run(capsys, *argv)
+        code, out, _ = run(capsys, "gen", "random:p=0.3", "-n", "12", "--seed", "5")
         assert code == 0
         assert out == encode(random_colouring(12, 0.3, 5)) + "\n"
 
     def test_adversarial_matches_the_generator(self, capsys):
-        argv = ["gen", "--adversarial", "-n", "7", "--seed", "2", "--iters", "6"]
-        code, out, _ = run(capsys, *argv, "--restarts", "2")
+        argv = ["gen", "adversarial:iters=6:restarts=2", "-n", "7", "--seed", "2"]
+        code, out, _ = run(capsys, *argv)
         assert code == 0
         best = adversarial_search(7, 6, 2, restarts=2)[0]
         assert out == encode(best) + "\n"
 
-    def test_flags_of_other_kinds_are_ignored(self, capsys):
-        # --p is read by --random only, so an out-of-range value is harmless
-        code, out, _ = run(capsys, "gen", "--extremal", "-n", "5", "--p", "2")
+    @pytest.mark.parametrize("kind", sorted(PARAMS))
+    def test_every_kind_prints_its_build(self, capsys, kind):
+        # the tag is all that gen reads of a kind, so a new kind in
+        # gen.PARAMS needs no edit here
+        code, out, _ = run(capsys, "gen", kind, "-n", "6", "--seed", "3")
         assert code == 0
-        assert decode(out) == extremal(5)
+        assert out == encode(build(GenSpec(kind, 6, seed=3))) + "\n"
+
+    def test_parameter_of_another_kind_is_input_error(self, capsys):
+        # p is read by random only: under extremal it is rejected, not ignored
+        code, out, err = run(capsys, "gen", "extremal:p=2", "-n", "5")
+        assert code == 1 and out == ""
+        assert err == "monopath: error: unknown parameters ['p'] for generator 'extremal'\n"
 
     def test_requires_kind(self, capsys):
         code, _, err = run(capsys, "gen", "-n", "5")
@@ -107,8 +115,12 @@ class TestSolveCommand:
         [
             (["--gen", "extremal"], "--gen requires -n"),
             (["--gen", "random:p", "-n", "5"], "bad generator parameter 'p' in 'random:p'"),
+            (
+                ["--gen", "random:p=0.9:p=0.1", "-n", "6", "--seed", "1"],
+                "repeated generator parameter 'p' in 'random:p=0.9:p=0.1'",
+            ),
         ],
-        ids=["gen-without-n", "bad-generator-parameter"],
+        ids=["gen-without-n", "bad-generator-parameter", "repeated-generator-parameter"],
     )
     def test_bad_generator_source_is_input_error(self, capsys, argv, message):
         code, out, err = run(capsys, "solve", *argv)
@@ -132,7 +144,7 @@ class TestSolveCommand:
 class TestOracleCommand:
     def test_spec_example(self, tmp_path, capsys):
         f = tmp_path / "x.k2c"
-        run(capsys, "gen", "--extremal", "-n", "9", "-o", str(f))
+        run(capsys, "gen", "extremal", "-n", "9", "-o", str(f))
         code, out, _ = run(capsys, "oracle", str(f))
         assert code == 0
         lines = out.strip().split("\n")
@@ -146,7 +158,7 @@ class TestOracleCommand:
 
     def test_threshold_above_ceiling_is_input_error(self, tmp_path, capsys):
         f = tmp_path / "big.k2c"
-        run(capsys, "gen", "--extremal", "-n", "40", "-o", str(f))
+        run(capsys, "gen", "extremal", "-n", "40", "-o", str(f))
         code, _, err = run(capsys, "oracle", str(f), "--threshold", "40")
         assert code == 1
         assert "ceiling" in err
@@ -454,7 +466,7 @@ def test_module_runs_as_a_script(monkeypatch, capsys):
     # python -m monopath.cli: run in this process, so a line tracer sees it;
     # dropped from sys.modules first, so runpy does not warn of a re-run
     monkeypatch.delitem(sys.modules, "monopath.cli")
-    monkeypatch.setattr(sys, "argv", ["monopath", "gen", "--extremal", "-n", "4"])
+    monkeypatch.setattr(sys, "argv", ["monopath", "gen", "extremal", "-n", "4"])
     with pytest.raises(SystemExit) as e:
         runpy.run_module("monopath.cli", run_name="__main__")
     assert e.value.code == 0

@@ -249,9 +249,9 @@ class TestSizeChecksComeFirst:
         assert _peak_bytes(build, ValueError) < 64 * 1024
 
     def test_gen_n_above_the_ceiling(self, tmp_path):
-        # unchecked, gen --extremal at this n peaks at about 400 MB under
+        # unchecked, gen extremal at this n peaks at about 400 MB under
         # tracemalloc, most of it the encoded text
         out = str(tmp_path / "big.k2c")
-        argv = ["gen", "--extremal", "-n", str(MAX_N + 1), "-o", out]
+        argv = ["gen", "extremal", "-n", str(MAX_N + 1), "-o", out]
         args = _build_parser().parse_args(argv)
         assert _peak_bytes(lambda: args.func(args), ValueError) < 64 * 1024

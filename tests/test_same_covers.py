@@ -4,8 +4,9 @@ committed plan.  Replaying the plan against it fails on any cover or trace
 that differs, and the failure gives the command that re-pins the file.
 
 Also: the script on a tiny plan, so the command and the replay check keep
-working, the committed plan's shape, two solves far above the plan's n, and
-the oracle's covers at n <= 14."""
+working, the committed plan's shape (its last rows above the oracle's
+threshold), two solves far above the plan's n, and the oracle's covers at
+n <= 14."""
 
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from conftest import red_hub
 from monopath import solver
 from monopath.core import Colouring
 from monopath.gen import indexed_colouring, random_colouring
-from monopath.oracle import exact_f
+from monopath.oracle import DEFAULT_ORACLE_THRESHOLD, exact_f
 from monopath.solver import SolverConfig, solve
 
 def _run(capsys, *argv) -> tuple[int, list[str]]:
@@ -67,6 +68,10 @@ def test_committed_plan_is_the_drawn_one():
     ns = [n for n, _ in plan]
     assert len(plan) >= 300 and all(2 <= n <= 200 for n in ns)
     assert sum(16 <= n <= 29 for n in ns) >= 100
+    # the second seed's rows lie above the oracle's threshold, so the
+    # constructive branches decide solve's covers there
+    (count, _, _), = same_covers.BLOCKS[1][1]
+    assert min(ns[-count:]) > DEFAULT_ORACLE_THRESHOLD
 
 
 def test_tiny_plan_digests_and_compares(tmp_path, capsys):
