@@ -22,11 +22,8 @@ differ added and removed against it, summed over all records, so that a
 change which only swaps one tag for another shows as one line each.  A
 record counts under traces only when its saved trace differs from the new
 one, so a cover-only change reads "1 covers differ, 0 traces differ".  The
-exit status is 1 when a cover part differs.  A saved run without the trace
-column (from an older copy of this script) compares traces by the
-whole-record digest, which a differing cover moves too; for the tag counts,
-make the saved run with this script and the older package's sources on
-PYTHONPATH.
+exit status is 1 when a cover part differs, and 2 when a record line of the
+saved run does not hold those six fields.
 
 The committed plan holds 380 colourings, drawn from two seeds (BLOCKS).
 From the first: 100 at n = 16..29, 150 at n = 2..100 and 50 at n =
@@ -119,16 +116,16 @@ def records(plan):
                 yield f"{i} {entry} {name}", *record(fn, g, cfg)
 
 
-def _read(saved: Path) -> dict[str, tuple[str, str, list[str] | None]]:
-    """key -> (cover digest, record digest, trace); the trace is None in a
-    saved run that predates the trace column."""
+def _read(saved: Path) -> dict[str, tuple[str, str, list[str]]]:
+    """key -> (cover digest, record digest, trace).  ValueError names the
+    first record line without six fields."""
     rows = {}
-    for line in saved.read_text().splitlines():
+    for lineno, line in enumerate(saved.read_text().splitlines(), 1):
         parts = line.split(" ")
-        if len(parts) in (5, 6) and parts[0].isdigit():
-            trace = None
-            if len(parts) == 6:
-                trace = [] if parts[5] == "-" else parts[5].split("|")
+        if parts[0].isdigit():
+            if len(parts) != 6:
+                raise ValueError(f"{saved} line {lineno}: {len(parts)} fields, not 6: {line}")
+            trace = [] if parts[5] == "-" else parts[5].split("|")
             rows[" ".join(parts[:3])] = (parts[3], parts[4], trace)
     return rows
 
@@ -147,14 +144,17 @@ def main(argv=None) -> int:
         return 0
 
     plan = json.loads(args.plan.read_text())
-    saved = _read(args.against) if args.against else {}
+    try:
+        saved = _read(args.against) if args.against else {}
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     covers, whole = hashlib.sha256(), hashlib.sha256()
     # (entry, config) -> [records, cover parts differing, traces differing]
     counts: dict[str, list[int]] = {}
     first: dict[str, str] = {}
     added: Counter[str] = Counter()
     removed: Counter[str] = Counter()
-    untraced = 0  # saved records with a differing trace but no trace column
     for key, part, trace in records(plan):
         c, w = _digest(part), _digest([part, trace])
         covers.update(c.encode())
@@ -163,21 +163,14 @@ def main(argv=None) -> int:
         if key in saved:
             tally = counts.setdefault(key.split(" ", 1)[1], [0, 0, 0])
             tally[0] += 1
-            old_c, old_w, old = saved[key]
-            # without a saved trace, the whole-record digest stands in for
-            # it, and that moves with the cover too
-            trace_differs = old_w != w[:16] if old is None else old != trace
-            for slot, kind, differs in ((1, "cover", old_c != c[:16]), (2, "trace", trace_differs)):
+            old_c, _, old = saved[key]
+            for slot, kind, differs in ((1, "cover", old_c != c[:16]), (2, "trace", old != trace)):
                 if differs:
                     tally[slot] += 1
                     n = plan[int(key.split()[0])][0]
                     first.setdefault(kind, f"instance {key} (n={n})")
-            if trace_differs:
-                if old is None:
-                    untraced += 1
-                else:
-                    added += Counter(trace) - Counter(old)
-                    removed += Counter(old) - Counter(trace)
+            added += Counter(trace) - Counter(old)
+            removed += Counter(old) - Counter(trace)
     print("covers", covers.hexdigest())
     print("traces", whole.hexdigest())
     if args.against:
@@ -185,8 +178,6 @@ def main(argv=None) -> int:
             print(f"against {name}: {total} records, {c} covers differ, {t} traces differ")
         for tag in sorted(added.keys() | removed.keys()):
             print(f"against tag {tag}: +{added[tag]} -{removed[tag]}")
-        if untraced:
-            print(f"against tags: {untraced} differing records saved without traces")
         for kind in ("cover", "trace"):
             print(f"against first {kind} difference:", first.get(kind, "none"))
         return 1 if "cover" in first else 0

@@ -54,7 +54,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _parse_tag(tag: str) -> tuple[str, dict[str, str]]:
+def _spec_for(tag: str, n: int, seed: int) -> GenSpec:
+    """Translate a generator tag like "random:p=0.25" into a GenSpec.  The
+    tag sets the kind's parameters other than the seed, in gen.PARAMS's
+    types; the seed is the caller's, for a kind that reads one."""
     head, *parts = tag.split(":")
     kv: dict[str, str] = {}
     for part in parts:
@@ -64,14 +67,6 @@ def _parse_tag(tag: str) -> tuple[str, dict[str, str]]:
         if key in kv:
             raise ValueError(f"repeated generator parameter {key!r} in {tag!r}")
         kv[key] = val
-    return head, kv
-
-
-def _spec_for(tag: str, n: int, seed: int) -> GenSpec:
-    """Translate a generator tag like "random:p=0.25" into a GenSpec.  The
-    tag sets the kind's parameters other than the seed, in gen.PARAMS's
-    types; the seed is the caller's, for a kind that reads one."""
-    head, kv = _parse_tag(tag)
     if head not in PARAMS:
         raise ValueError(f"unknown generator kind {head!r}")
     params = PARAMS[head]
@@ -214,9 +209,9 @@ class SweepPlan:
         tasks = set()
         for n in self.ns:
             for tag in self.generators:
-                head, _ = _parse_tag(tag)
-                # a kind without a seed gives one row; an unknown kind gives
-                # one row per seed, each with the error
+                head = tag.split(":", 1)[0]
+                # a kind without a seed gives one row; any other bad tag
+                # gives one row per seed, each with the error
                 seeds = (0,) if head in PARAMS and "seed" not in PARAMS[head] else self.seeds
                 for seed in seeds:
                     tasks.add((n, tag, seed, self.oracle, self.oracle_threshold))

@@ -206,13 +206,21 @@ class Colouring:
         return cls.from_edge_bits(n, (fn(u, v) is RED for u, v in iter_edges(n)))
 
     @classmethod
-    def monochromatic(cls, n: int, colour: Colour) -> "Colouring":
+    def hub(cls, n: int, vertices: Iterable[int]) -> "Colouring":
+        """Every edge touching a hub vertex red, the rest a blue clique: a
+        hub vertex's row is all of [n] but itself, every other row the hub."""
         if n < 1:
             raise ValueError(f"need n >= 1, got {n}")
-        full = (1 << n) - 1
-        if colour is RED:
-            return cls._trusted(n, [full & ~_bit(v) for v in range(1, n + 1)])
-        return cls._trusted(n, [0] * n)
+        hub = set(vertices)
+        if bad := [v for v in hub if not 1 <= v <= n]:
+            raise InvalidEdge(f"vertex {min(bad)} outside 1..{n}")
+        mask, full = vertex_mask(hub), (1 << n) - 1
+        return cls._trusted(n, [full ^ _bit(v) if v in hub else mask for v in range(1, n + 1)])
+
+    @classmethod
+    def monochromatic(cls, n: int, colour: Colour) -> "Colouring":
+        """All red, the hub on every vertex; all blue, the empty hub."""
+        return cls.hub(n, range(1, n + 1) if colour is RED else ())
 
     def colour(self, u: int, v: int) -> Colour:
         if u == v:

@@ -59,17 +59,9 @@ class GenSpec:
 
 
 def extremal(n: int) -> Colouring:
-    """Blue clique on the first n - isqrt(n) + 1 vertices, everything
-    touching the rest red."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    a_size = n - max(0, math.isqrt(n) - 1)
-    # clique vertices are red exactly to the hub, hub vertices to all others
-    full = (1 << n) - 1
-    hub = full >> a_size << a_size
-    return Colouring._trusted(
-        n, [hub] * a_size + [full ^ (1 << (v - 1)) for v in range(a_size + 1, n + 1)]
-    )
+    """The paper's extremal colouring: the hub on the last isqrt(n) - 1
+    labels, so a blue clique on the first n - isqrt(n) + 1."""
+    return Colouring.hub(n, range(n - math.isqrt(n) + 2, n + 1))
 
 
 def random_colouring(n: int, p: float, seed: int) -> Colouring:

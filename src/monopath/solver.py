@@ -96,9 +96,9 @@ def _pick(
     pick:<tag>; an invalid one is dropped, traced <tag>:invalid-dropped.  A
     stage left unbuilt may have run its costly step already (a pipeline or
     refine_path) and yielded a bound: its <name>:skipped reads the same as
-    that of a stage never advanced.  As
-    no bound exceeds its stage's final size, no cover left unbuilt could
-    have won.  MonopathError when no cover is valid."""
+    that of a stage never advanced.  As no bound exceeds its stage's final
+    size, no cover left unbuilt could have won.  MonopathError when no cover
+    is valid."""
     bounds = dict.fromkeys(stages, 1)  # the live stages' bounds, in pick order
     built: dict[str, tuple[str, PathCover]] = {}
     while bounds:

@@ -134,13 +134,8 @@ def random_colouring_with(rng: random.Random, n: int, p: float = 0.5) -> Colouri
 
 
 def red_hub(n: int, first: int) -> Colouring:
-    """Every edge touching first..n red, the rest a blue clique.
-
-    Built a row of digits at a time (row u holds u's edges to u+1..n, red
-    from `first` on), so n = 5000 costs no per-edge Python step."""
-    below = "0" * (first - 1) + "1" * (n - first + 1)  # vertex v is digit v-1
-    rows = (below[u:] if u < first else "1" * (n - u) for u in range(1, n))
-    return from_int(n, int("".join(rows)[::-1] or "0", 2))
+    """Every edge touching first..n red, the rest a blue clique."""
+    return Colouring.hub(n, range(first, n + 1))
 
 
 def noisy_colouring(rng: random.Random, n: int) -> Colouring:

@@ -54,7 +54,7 @@ class TestView:
             BipartiteView((1,), (2,), {2: 0}, m=-1)
 
     def test_from_colouring_picks_colour_class(self):
-        g = Colouring.from_function(4, lambda u, v: RED if u == 1 else BLUE)
+        g = Colouring.hub(4, [1])
         v = BipartiteView.from_colouring(g, [1, 2], [3, 4], RED)
         assert v.adjacency[3] == 0b1 and v.adjacency[4] == 0b1
         w = BipartiteView.from_colouring(g, [1, 2], [3, 4], BLUE)

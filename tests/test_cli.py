@@ -305,14 +305,20 @@ class TestSweepCommand:
         assert peak < 64 * 1024
 
     def test_bad_generator_tag(self, capsys):
-        code, _, err = run(capsys, "sweep", "--ns", "4", "--generators", "warp")
-        assert code == 1
+        # rejected before any work starts, though run_sweep gives error rows
+        for tag in ("warp", "random:p", "random:p=0.1:p=0.2"):
+            code, out, _ = run(capsys, "sweep", "--ns", "4", "--generators", tag)
+            assert (code, out) == (1, "")
 
     def test_bad_tags_give_one_error_row_per_seed(self):
-        plan = SweepPlan((5,), ("bogus", "random:seed=3", "random:p=x"), (0, 1))
-        rows = list(csv.DictReader(io.StringIO(run_sweep(plan))))
+        tags = ("bogus", "random:seed=3", "random:p=x", "random:p", "random:p=0.1:p=0.2")
+        rows = list(csv.DictReader(io.StringIO(run_sweep(SweepPlan((5,), tags, (0, 1))))))
         errors = {
             "bogus": "ValueError: unknown generator kind 'bogus'",
+            "random:p": "ValueError: bad generator parameter 'p' in 'random:p'",
+            "random:p=0.1:p=0.2": (
+                "ValueError: repeated generator parameter 'p' in 'random:p=0.1:p=0.2'"
+            ),
             "random:p=x": "ValueError: could not convert string to float: 'x'",
             "random:seed=3": (
                 "ValueError: unknown parameters ['seed'] for generator 'random'"

@@ -28,7 +28,7 @@ from monopath.construct import (
 )
 from monopath import arith, bipartite, construct, solver
 from monopath.bipartite import PreconditionViolated
-from monopath.core import BLUE, RED, Colouring, GuardFailed, Path, iter_edges
+from monopath.core import BLUE, RED, Colouring, GuardFailed, Path
 from monopath.core import InvalidEdge, mask_vertices, validate_cover, vertex_mask
 from monopath.gen import extremal, indexed_colouring, random_colouring
 from monopath.solver import SolverConfig, solve
@@ -702,10 +702,7 @@ class TestFindLongPathStructure:
     def test_clique_certificate_becomes_the_witness(self):
         # refine_path meets an outside vertex with more path neighbours than
         # its bound and no rotation: their predecessors form the witness S
-        hub = {1, 3, 4, 11, 12, 15, 17, 18, 19}
-        g = Colouring.from_edge_bits(
-            20, (u in hub or v in hub for u, v in iter_edges(20))
-        )
+        g = Colouring.hub(20, {1, 3, 4, 11, 12, 15, 17, 18, 19})
         out = find_long_path_structure(g, 0.0)
         assert isinstance(out, ReductionWitness)
         assert out.S == (2, 5, 6, 7, 8, 9, 10, 13, 16)
@@ -716,7 +713,7 @@ class TestFindLongPathStructure:
         # a red star at 1: unseeded, refine_path starts at vertex 1, which
         # has no blue edge, so the path stays (1,) with 36 vertices outside;
         # too many for the structure, and |X| = 1 < |Y| + 2m for the strip
-        g = Colouring.from_edge_bits(37, (u == 1 for u, _ in iter_edges(37)))
+        g = Colouring.hub(37, [1])
         with pytest.raises(PreconditionViolated) as err:
             find_long_path_structure(g, 0.5)
         assert err.value.condition == "|X| >= |Y| + 2m"
@@ -768,10 +765,7 @@ class TestFindLongPathStructure:
     def test_clique_certificate_with_a_blue_long_path(self):
         # the colours of the hub instance above swapped: now the long path
         # is blue and the clique certificate red
-        hub = {1, 3, 4, 11, 12, 15, 17, 18, 19}
-        g = Colouring.from_edge_bits(
-            20, (u not in hub and v not in hub for u, v in iter_edges(20))
-        )
+        g = Colouring.hub(20, {1, 3, 4, 11, 12, 15, 17, 18, 19}).flipped()
         assert _long_colour(g) is BLUE
         out = find_long_path_structure(g, 0.0)
         assert isinstance(out, ReductionWitness)

@@ -186,6 +186,35 @@ class TestColouring:
         assert all(r.colour(u, v) is RED for u, v in iter_edges(4))
         assert all(b.colour(u, v) is BLUE for u, v in iter_edges(4))
         assert r.flipped() == b
+        assert (Colouring.hub(4, ()), Colouring.hub(4, range(1, 5))) == (b, r)
+
+    @given(st.integers(1, 40), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_hub_matches_the_per_edge_rule(self, n, data):
+        hub = data.draw(st.sets(st.integers(1, n)))
+        g = Colouring.hub(n, iter(hub))
+        ref = Colouring.from_edge_bits(n, (u in hub or v in hub for u, v in iter_edges(n)))
+        assert (g._red, g._blue) == (ref._red, ref._blue)
+
+    @pytest.mark.parametrize("n, w", [(2000, 43), (2000, 88), (500, 7)])
+    def test_hub_on_shuffled_labels(self, n, w):
+        # the bench's hub instances: w labels after Random(seed).shuffle, each
+        # edge red iff it touches one of them
+        labels = list(range(1, n + 1))
+        random.Random(4701).shuffle(labels)
+        hub = bytearray(n + 1)
+        for v in labels[:w]:
+            hub[v] = 1
+        ref = Colouring.from_edge_bits(n, (hub[u] or hub[v] for u, v in iter_edges(n)))
+        g = Colouring.hub(n, labels[:w])
+        assert (g._red, g._blue) == (ref._red, ref._blue)
+
+    def test_hub_rejects_bad_vertices_and_n(self):
+        for bad in (0, 6):
+            with pytest.raises(InvalidEdge, match=f"vertex {bad} outside 1..5"):
+                Colouring.hub(5, [2, bad, 3])
+        with pytest.raises(ValueError, match="need n >= 1, got 0"):
+            Colouring.hub(0, ())
 
     def test_rejects_bad_masks(self):
         with pytest.raises(ValueError):
@@ -497,7 +526,7 @@ class TestValidateCoverReference:
 class TestValidateCover:
     def g(self):
         # edges at vertex 4 red, triangle 1-2-3 blue
-        return Colouring.from_function(4, lambda u, v: RED if v == 4 else BLUE)
+        return Colouring.hub(4, [4])
 
     def test_valid_blue_plus_red(self):
         g = self.g()

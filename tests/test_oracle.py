@@ -67,7 +67,7 @@ class TestMinCoverColour:
 
     def test_star_needs_two(self):
         # red star centred at 1: two overlapping red paths suffice
-        g = Colouring.from_function(5, lambda u, v: RED if u == 1 else BLUE)
+        g = Colouring.hub(5, [1])
         size, cover = min_cover_colour(g, RED)
         assert size == 2
         assert validate_cover(g, cover).valid

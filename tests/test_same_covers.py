@@ -153,12 +153,11 @@ def test_trace_differences_are_counted_per_tag(tmp_path, capsys):
     assert set(tags) < set(report)
     assert "against first trace difference: instance 0 solve default (n=16)" in report
 
-    # a saved run without the trace column still compares by digest
-    saved.write_text("\n".join(line.rsplit(" ", 1)[0] for line in out[:-2]) + "\n")
-    code, diff = _run(capsys, "--plan", plan, "--against", saved)
-    assert code == 0
-    assert "against tags: 2 differing records saved without traces" in diff
-    assert not any(line.startswith("against tag ") for line in diff)
+    # a record line without its trace is refused, not skipped
+    out[1] = out[1].rsplit(" ", 1)[0]
+    saved.write_text("\n".join(out) + "\n")
+    assert same_covers.main(["--plan", str(plan), "--against", str(saved)]) == 2
+    assert capsys.readouterr().err == f"{saved} line 2: 5 fields, not 6: {out[1]}\n"
 
 
 # same_covers._digest of the whole record ([cover part, trace]) of a dense

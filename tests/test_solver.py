@@ -257,8 +257,7 @@ class TestPipelines:
         # paths cover at most 201 vertices, so no base cover is a single path
         # and the bounded pipeline runs
         cfg = SolverConfig(c1=2.0, c2=2.0, c=2.0)
-        hub = set(rng.sample(range(1, 301), 100))
-        g = Colouring.from_function(300, lambda u, v: RED if {u, v} & hub else BLUE)
+        g = Colouring.hub(300, rng.sample(range(1, 301), 100))
         res = cover_bounded(g, cfg)
         assert validate_cover(g, res.cover).valid
         assert any(t.startswith("bounded:") for t in res.branch_trace)
@@ -288,9 +287,8 @@ class TestPipelines:
         # a wider red hub defeats the y-exit but satisfies the degree-class
         # condition, so the full decomposition closes the bound
         cfg = SolverConfig(c1=2.0, c2=0.0, c=2.0)
-        n, hub = 1100, 40
-        a = n - hub
-        g = Colouring.from_function(n, lambda u, v: RED if v > a else BLUE)
+        n = 1100
+        g = red_hub(n, n - 39)  # a hub of 40
         res = cover_sqrt(g, cfg)
         assert validate_cover(g, res.cover).valid
         assert "sqrt:decompose" in res.branch_trace
@@ -396,7 +394,7 @@ class TestEachCandidateOnce:
         # a red star: the fallback's bounded pass reuses the sqrt step's
         # pipeline head and each colour's refine_path, so each runs once, as
         # in solve
-        g = Colouring.from_function(n, lambda u, v: RED if u == 1 else BLUE)
+        g = Colouring.hub(n, [1])
         seen = _count_calls(monkeypatch, "long_path_pipeline", "_refine")
         res = cover_sqrt(g, cfg)
         assert res.branch_trace[:2] == (trace, "sqrt:fallback")
@@ -781,7 +779,7 @@ class TestFirstPathOnce:
 def test_bounded_strip_branch_is_reached():
     # a red hub on 35..41: the blue long path leaves too many outside vertices
     # for either exit, so the stripping branch closes the cover
-    g = Colouring.from_function(41, lambda u, v: RED if v > 34 else BLUE)
+    g = red_hub(41, 35)
     res = cover_bounded(g, SolverConfig(c1=2.0, c2=0.0, c=2.0))
     assert res.branch_trace[-1] == "pick:bounded:strip"
     assert validate_cover(g, res.cover).valid

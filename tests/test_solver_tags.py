@@ -30,14 +30,7 @@ import pytest
 
 from conftest import noisy_colouring, red_hub
 from monopath import solver
-from monopath.core import (
-    BLUE,
-    RED,
-    Colouring,
-    PathCover,
-    iter_edges,
-    validate_cover,
-)
+from monopath.core import Colouring, PathCover, iter_edges, validate_cover
 from monopath.gen import extremal, random_colouring
 from monopath.solver import SolverConfig, cover_bounded, cover_sqrt, solve
 
@@ -52,7 +45,7 @@ FIRST = "base:oracle"
 
 def red_star(n: int) -> Colouring:
     """Every edge at vertex 1 red, the rest blue."""
-    return Colouring.from_function(n, lambda u, v: RED if u == 1 else BLUE)
+    return Colouring.hub(n, [1])
 
 
 def forced_red_star(seed: int) -> Colouring:
